@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .critical import CriticalPoint, find_critical_points
 from .errors import (
-    DegeneratePotentialError,
     DomainViolationError,
     McGeheeError,
     NotCriticalPointError,
@@ -113,12 +112,15 @@ def check_triple(
         raise DomainViolationError(f"triple {triple} is not strictly increasing")
     if tp - tm > TWO_PI + 1e-12:
         raise DomainViolationError(f"triple {triple} spans more than one revolution")
+    jets = []
     for t in (tm, t0, tp):
         if not pot.domain.contains(pot.domain.reduce(t) if pot.domain.periodic else t):
             raise DomainViolationError(f"angle {t} lies outside the domain")
-        resid = abs(float(pot.V(t).d1))
+        jets.append(pot.V(t))
+        resid = abs(float(jets[-1].d1))
         if resid > opts.crit_residual_tol:
             raise NotCriticalPointError(f"|V'({t})| = {resid:.3e}")
+    jm, j0, jp = jets
 
     beta = pot.beta
     tol = opts.strictness_tol
@@ -153,17 +155,16 @@ def check_triple(
         AssumptionReport(4, m4 > tol, m4, f"min |V'| over open subintervals = {m4:.6g}")
     )
 
-    m5 = min(-float(pot.V(tm).d2), -float(pot.V(tp).d2))
+    m5 = min(-float(jm.d2), -float(jp.d2))
     reports.append(
         AssumptionReport(
             5,
             m5 > tol,
             m5,
-            f"V''(theta_-1) = {float(pot.V(tm).d2):.6g}, V''(theta_1) = {float(pot.V(tp).d2):.6g}",
+            f"V''(theta_-1) = {float(jm.d2):.6g}, V''(theta_1) = {float(jp.d2):.6g}",
         )
     )
 
-    j0 = pot.V(t0)
     m6 = float(j0.d2) + (beta + 2.0) ** 2 * float(j0.val) / 8.0
     reports.append(
         AssumptionReport(
@@ -194,85 +195,63 @@ def _candidate_triples(
     return [tuple(thetas[i : i + 3]) for i in range(n - 2)]
 
 
-def _evaluate_candidates(pot: Potential, opts: CertifyOptions):
-    cps = find_critical_points(pot, grid_n=opts.grid_n)
-    results = []
-    for triple in _candidate_triples(pot, cps):
-        try:
-            reports = check_triple(pot, triple, opts)
-        except McGeheeError:
-            continue
-        results.append((triple, reports))
-    return results
-
-
-def _positive_candidate_exists(pot: Potential, opts: CertifyOptions) -> bool:
-    try:
-        cps = find_critical_points(pot, grid_n=opts.grid_n)
-    except McGeheeError:
-        return False
-    for tm, _, tp in _candidate_triples(pot, cps):
-        span = np.linspace(tm, tp, opts.interval_grid)
-        if float(np.min(pot.V(span).val)) > 0.0:
-            return True
-    return False
-
-
 def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certificate:
     """Search the critical-point triples of V for a non-integrability witness.
 
     Returns the certificate with the largest assumption-6 margin among fully
-    satisfied triples, else the nearest miss marked ``Inconclusive``.
+    satisfied triples, else the nearest miss marked ``Inconclusive``.  The
+    sign-flip route checks the same triples on -V: negation leaves the
+    zeros of V' bit for bit where they are, so one scan serves both routes.
     """
     echo = pot.spec.to_dict() if pot.spec is not None else {"beta": pot.beta}
-    kind = "complexified" if pot.flipped else "direct"
-    results = _evaluate_candidates(pot, opts)
+    triples = _candidate_triples(pot, find_critical_points(pot, grid_n=opts.grid_n))
 
-    winners = [r for r in results if all(a.satisfied for a in r[1])]
-    if winners:
-        triple, reports = max(winners, key=lambda r: (r[1][5].margin, -r[0][0]))
+    def checked(p: Potential):
+        results = []
+        for triple in triples:
+            try:
+                results.append((triple, check_triple(p, triple, opts)))
+            except McGeheeError:
+                continue
+        return results
+
+    def certificate(p: Potential, conclusion: str, triple, reports, boundary=False):
         return Certificate(
-            conclusion="NonIntegrable",
-            kind=kind,
-            beta=pot.beta,
+            conclusion=conclusion,
+            kind="complexified" if p.flipped else "direct",
+            beta=p.beta,
             triple=triple,
             assumptions=reports,
             potential=echo,
-            complex_analyticity_asserted=pot.flipped,
+            boundary=boundary,
+            complex_analyticity_asserted=p.flipped,
         )
 
-    if opts.allow_sign_flip and not pot.flipped and _positive_candidate_exists(pot, opts):
-        flipped = certify(pot.sign_flipped(), replace(opts, allow_sign_flip=False))
-        if flipped.conclusion == "NonIntegrable":
-            return replace(flipped, potential=echo)
+    def winner(p: Potential, results):
+        wins = [r for r in results if all(a.satisfied for a in r[1])]
+        if not wins:
+            return None
+        triple, reports = max(wins, key=lambda r: (r[1][5].margin, -r[0][0]))
+        return certificate(p, "NonIntegrable", triple, reports)
 
-    best = max(
+    results = checked(pot)
+    cert = winner(pot, results)
+    if cert is None and opts.allow_sign_flip and not pot.flipped and any(
+        float(np.min(pot.V(np.linspace(tm, tp, opts.interval_grid)).val)) > 0.0
+        for tm, _, tp in triples
+    ):
+        flipped = pot.sign_flipped()
+        cert = winner(flipped, checked(flipped))
+    if cert is not None:
+        return cert
+
+    triple, reports = max(
         results,
         key=lambda r: (sum(a.satisfied for a in r[1]), r[1][5].margin),
-        default=None,
+        default=(None, ()),
     )
-    if best is None:
-        return Certificate(
-            conclusion="Inconclusive",
-            kind=kind,
-            beta=pot.beta,
-            triple=None,
-            assumptions=(),
-            potential=echo,
-            complex_analyticity_asserted=pot.flipped,
-        )
-    triple, reports = best
     boundary = any(abs(a.margin) <= opts.strictness_tol for a in reports)
-    return Certificate(
-        conclusion="Inconclusive",
-        kind=kind,
-        beta=pot.beta,
-        triple=triple,
-        assumptions=reports,
-        potential=echo,
-        boundary=boundary,
-        complex_analyticity_asserted=pot.flipped,
-    )
+    return certificate(pot, "Inconclusive", triple, reports, boundary)
 
 
 @dataclass(frozen=True)

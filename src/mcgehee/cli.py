@@ -43,7 +43,7 @@ from .flow import (
     trace_invariant_manifold,
 )
 from .morales import check_integrability_necessary, mr_beta_minus1_member, yoshida_lambda
-from .potentials import PotentialSpec, compile_potential, spec_from_dict
+from .potentials import PotentialSpec, compile_potential, load_spec, spec_from_dict
 from .validate import run_all
 
 __all__ = ["load_spec", "main", "run"]
@@ -54,7 +54,6 @@ _USAGE_ERRORS = (
     UnknownBuiltinError,
     UnboundParameterError,
     OSError,
-    json.JSONDecodeError,
 )
 
 
@@ -146,12 +145,6 @@ def _parse_sets(pairs: Sequence[str]) -> dict[str, float]:
 def _positive(value: float | None, flag: str) -> None:
     if value is not None and not (value > 0.0):
         raise _UsageError(f"{flag}: must be positive, got {value}")
-
-
-def load_spec(path: str) -> PotentialSpec:
-    """Parse a potential spec file (JSON per the spec-file schema)."""
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
 
 
 def _build_spec(args: argparse.Namespace) -> PotentialSpec:

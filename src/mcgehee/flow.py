@@ -273,19 +273,18 @@ def energy(state: McGeheeState, pot: Potential) -> float:
     return state.r**pot.beta * state.z(pot)
 
 
+def _vw_rates(b: float, v: float, w: float, j) -> tuple[float, float]:
+    """(dv, dw)/dtau, given the jet j of V at theta; shared by every chart."""
+    return (
+        -(b / 2.0) * v * v + w * w - b * float(j.val),
+        -(b / 2.0 + 1.0) * v * w - float(j.d1),
+    )
+
+
 def vector_field(state: McGeheeState, pot: Potential) -> np.ndarray:
     """(dr, dtheta, dv, dw)/dtau at the given state."""
-    b = pot.beta
-    j = pot.V(state.theta)
     v, w = state.v, state.w
-    return np.array(
-        [
-            state.r * v,
-            w,
-            -(b / 2.0) * v * v + w * w - b * float(j.val),
-            -(b / 2.0 + 1.0) * v * w - float(j.d1),
-        ]
-    )
+    return np.array([state.r * v, w, *_vw_rates(pot.beta, v, w, pot.V(state.theta))])
 
 
 def _full_rhs(pot: Potential):
@@ -299,16 +298,8 @@ def _full_rhs(pot: Potential):
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow in exp surfaces as a non-finite stage value and
             # shrinks the step rather than spamming warnings
-            return np.array(
-                [
-                    v,
-                    w,
-                    -(b / 2.0) * v * v + w * w - b * float(j.val),
-                    -(b / 2.0 + 1.0) * v * w - float(j.d1),
-                    np.exp(texp * rho),
-                    -b * v,
-                ]
-            )
+            dv, dw = _vw_rates(b, v, w, j)
+            return np.array([v, w, dv, dw, np.exp(texp * rho), -b * v])
 
     return rhs
 
@@ -318,14 +309,7 @@ def _manifold_rhs(pot: Potential):
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         th, v, w = y
-        j = pot.V(float(th))
-        return np.array(
-            [
-                w,
-                -(b / 2.0) * v * v + w * w - b * float(j.val),
-                -(b / 2.0 + 1.0) * v * w - float(j.d1),
-            ]
-        )
+        return np.array([w, *_vw_rates(b, v, w, pot.V(float(th)))])
 
     return rhs
 

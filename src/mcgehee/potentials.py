@@ -259,15 +259,6 @@ class Potential:
             raise DomainError("potential evaluation produced a non-finite value")
         return out
 
-    def value(self, theta) -> float:
-        return self.V(theta).val
-
-    def slope(self, theta) -> float:
-        return self.V(theta).d1
-
-    def curvature(self, theta) -> float:
-        return self.V(theta).d2
-
     # -------------------------------------------------------------- cartesian
     def U(self, q) -> float:
         """Full potential at a cartesian point."""

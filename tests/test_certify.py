@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import pytest
 
 from mcgehee.certify import CertifyOptions, certify, check_triple, sweep_threshold
+from mcgehee.critical import find_critical_points
 from mcgehee.errors import (
     DegeneratePotentialError,
     DomainViolationError,
@@ -100,6 +102,24 @@ def test_positive_potential_certifies_only_through_the_sign_flip():
     assert flipped.complex_analyticity_asserted
     assert flipped.assumptions[5].margin == pytest.approx(0.1875, abs=1e-9)
     assert flipped.potential["builtin"] == "yoshida_h"
+
+
+def test_sign_flip_reuses_the_direct_scan(monkeypatch):
+    # the attribute mcgehee.certify is the re-exported function, so reach
+    # the module through sys.modules
+    module = sys.modules["mcgehee.certify"]
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return find_critical_points(*args, **kwargs)
+
+    monkeypatch.setattr(module, "find_critical_points", counted)
+    pot = builtin("yoshida_h", epsilon=-0.5)
+    cert = certify(pot, CertifyOptions(allow_sign_flip=True))
+    assert len(scans) == 1
+    assert cert.conclusion == "NonIntegrable"
+    assert cert.to_dict() == certify(pot.sign_flipped()).to_dict()
 
 
 def test_sign_flip_does_not_touch_negative_potentials():

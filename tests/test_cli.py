@@ -215,6 +215,15 @@ def test_spec_file_with_set_override(capsys, tmp_path):
     assert cert["potential"]["params"]["alpha"] == 13
 
 
+def test_malformed_spec_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "pot.json"
+    path.write_text('{"beta": -1, "builtin": ')
+    rc, out, err = call(capsys, "certify", "--file", str(path))
+    assert rc == 1
+    assert out == ""
+    assert "spec: invalid JSON" in err
+
+
 def test_expr_spec_matches_the_builtin_on_a_grid(capsys):
     src = "-(cos(theta)^4+sin(theta)^4)/4 - (e/2)*cos(theta)^2*sin(theta)^2"
     rc, out, _ = call(capsys, "certify", "--expr", src, "--beta", "4", "--set", "e=4")
