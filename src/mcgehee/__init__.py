@@ -66,7 +66,6 @@ from .flow import (
     trace_invariant_manifold,
     vector_field,
 )
-from .jets import Jet2
 from .morales import (
     NecessaryInequality,
     YoshidaCoefficient,
@@ -79,6 +78,7 @@ from .morales import (
 )
 from .potentials import (
     Domain,
+    Jet2,
     Potential,
     PotentialSpec,
     compile_potential,

@@ -252,10 +252,8 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
         raise DomainViolationError("the potential has no rest points with that sign")
 
     def angular_gap(eq):
-        d = abs(eq.theta_c - args.from_theta)
-        if pot.domain.periodic:
-            d = min(d, 2.0 * math.pi - d)
-        return d
+        d = eq.theta_c - args.from_theta
+        return abs(math.remainder(d, 2.0 * math.pi) if pot.domain.periodic else d)
 
     eq = min(eqs, key=angular_gap)
     if angular_gap(eq) > 1e-3:

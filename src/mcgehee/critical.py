@@ -91,8 +91,7 @@ def find_critical_points(
     evaluation fails at an interior node.
     """
     grid = pot.domain.sample_grid(grid_n, guard)
-    jet = _grid_jet(pot, grid)
-    d1 = np.asarray(jet.d1, dtype=float)
+    d1 = _grid_jet(pot, grid).d1
 
     if float(np.max(np.abs(d1))) < degeneracy_tol:
         raise DegeneratePotentialError(

@@ -1,4 +1,5 @@
-"""Tiny expression language for shape potentials V(theta).
+"""Tiny expression language for shape potentials V(theta): parser, printer
+and compiler to straight-line (V, V', V'') code.
 
 Grammar (whitespace insignificant, ``^`` binds tightest and associates right):
 
@@ -9,32 +10,26 @@ Grammar (whitespace insignificant, ``^`` binds tightest and associates right):
 
 ``theta`` is the independent variable; any other bare identifier becomes a
 named parameter that must be bound before evaluation.  Function calls are
-restricted to the table in :data:`FUNCTIONS`.  Exponents may be arbitrary
-subexpressions as long as they do not depend on ``theta`` (they are constant
-by the time the jet arithmetic sees them).
+restricted to the names in :data:`FUNCTIONS`.  Exponents may be arbitrary
+subexpressions as long as they do not depend on ``theta``.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Mapping, Union
 
-from . import jets
-from .errors import ParseError, UnboundParameterError, UnknownFunctionError
-from .jets import Jet2
+import numpy as np
+
+from .errors import DomainError, ParseError, UnboundParameterError, UnknownFunctionError
 
 __all__ = ["parse", "free_parameters", "to_source", "compile_node", "FUNCTIONS"]
 
-FUNCTIONS: dict[str, Callable] = {
-    "cos": jets.cos,
-    "sin": jets.sin,
-    "tan": jets.tan,
-    "sqrt": jets.sqrt,
-    "exp": jets.exp,
-    "log": jets.log,
-    "abs": abs,
-}
+# names callable in an expression; each has a rule in ``_Emitter.call``
+FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
 
 
 # ------------------------------------------------------------------- AST
@@ -196,26 +191,26 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
+_CHILD_FIELDS = {Call: ("arg",), Neg: ("child",), BinOp: ("left", "right"),
+                 Pow: ("base", "exponent")}
+
+
+def _children(node: Node) -> tuple:
+    return tuple(getattr(node, f) for f in _CHILD_FIELDS.get(type(node), ()))
+
+
+def _nodes(node: Node):
+    """Every node of the tree, parents before children."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(_children(node))
+
+
 def free_parameters(node: Node) -> set[str]:
     """Names of all parameters referenced by the expression."""
-    out: set[str] = set()
-    _walk_params(node, out)
-    return out
-
-
-def _walk_params(node: Node, out: set[str]):
-    if isinstance(node, Param):
-        out.add(node.name)
-    elif isinstance(node, Call):
-        _walk_params(node.arg, out)
-    elif isinstance(node, Neg):
-        _walk_params(node.child, out)
-    elif isinstance(node, BinOp):
-        _walk_params(node.left, out)
-        _walk_params(node.right, out)
-    elif isinstance(node, Pow):
-        _walk_params(node.base, out)
-        _walk_params(node.exponent, out)
+    return {n.name for n in _nodes(node) if isinstance(n, Param)}
 
 
 # ------------------------------------------------------------------- printer
@@ -261,37 +256,279 @@ def to_source(node: Node) -> str:
 
 
 # ------------------------------------------------------------------- compile
-def compile_node(node: Node, params: dict[str, float]) -> Callable[[Jet2], Jet2]:
-    """Bind parameters and build a jet-in, jet-out evaluator closure."""
-    if isinstance(node, Num):
-        c = node.value
-        return lambda th, c=c: Jet2.constant(c)
-    if isinstance(node, Pi):
-        return lambda th: Jet2.constant(math.pi)
-    if isinstance(node, Theta):
-        return lambda th: th
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise UnboundParameterError(f"parameter {node.name!r} has no bound value")
-        c = float(params[node.name])
-        return lambda th, c=c: Jet2.constant(c)
-    if isinstance(node, Call):
-        f, g = FUNCTIONS[node.fn], compile_node(node.arg, params)
-        return lambda th: f(g(th))
-    if isinstance(node, Neg):
-        g = compile_node(node.child, params)
-        return lambda th: -g(th)
-    if isinstance(node, BinOp):
-        lf, rf = compile_node(node.left, params), compile_node(node.right, params)
-        op = node.op
-        if op == "+":
-            return lambda th: lf(th) + rf(th)
-        if op == "-":
-            return lambda th: lf(th) - rf(th)
-        if op == "*":
-            return lambda th: lf(th) * rf(th)
-        return lambda th: lf(th) / rf(th)
-    if isinstance(node, Pow):
-        bf, ef = compile_node(node.base, params), compile_node(node.exponent, params)
-        return lambda th: bf(th) ** ef(th)
-    raise TypeError(f"not an expression node: {node!r}")
+#
+# An expression compiles, once per process, to the source of one function,
+# ``bind(p)``.  Its prologue reads the parameters from the dict ``p`` and
+# evaluates every theta-free subtree once.  It returns two closures,
+# ``scalar(t)`` on floats through ``math`` and ``array(t)`` on float arrays
+# through ``np``: straight lines of assignments returning (V, V', V'').
+# Theta enters as (t, 1, 0) and a theta-free value c as (c, 0, 0); the rules
+# are second-order forward differentiation by source transformation
+# (Griewank & Walther, *Evaluating Derivatives*, 2008):
+#
+#     (a, a', a'') * (b, b', b'')  ->  (ab, a'b + ab', a''b + 2a'b' + ab'')
+#     f(a)                         ->  (f(a), f'(a) a', f''(a) a'^2 + f'(a) a'')
+#
+# Each rule has one operation order, the same in both closures; they differ
+# only where numpy's tan, exp, log and power round differently from the C
+# library's.  Operations on literals are done while emitting; otherwise the
+# only folds are those exact for every double (x*1, x/1, x - 0, x + (-0)).
+# A term x*0 stays: dropping it can flip the sign of a zero result.  The
+# source holds only names the emitter makes, names from FUNCTIONS, float
+# reprs, and reprs of parameter names, used as keys of ``p``.
+
+# tan is rejected this close to a pole of the tangent
+_TAN_POLE_TOL = 1e-12
+# compiled expressions kept per process; a sweep's potentials share one
+_CACHE_SIZE = 256
+_COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
+
+
+def _src(x) -> str:
+    """Source of an operand; negative floats are parenthesised atoms."""
+    if not isinstance(x, float):
+        return x
+    text = repr(x) if math.isfinite(x) else f"float('{x!r}')"
+    return f"({text})" if math.copysign(1.0, x) < 0.0 else text
+
+
+def _is_zero(x, sign: float) -> bool:
+    return isinstance(x, float) and x == 0.0 and math.copysign(1.0, x) == sign
+
+
+class _Emitter:
+    """The operations of one expression, each emitted once.
+
+    An operand is a float literal, a prologue name ``k<i>`` (fixed once the
+    parameters are bound) or a body name ``t`` or ``v<i>`` (a function of
+    theta).  A node evaluates to an operand when it is theta-free and to a
+    triple (V, V', V'') otherwise.  An operation on literals is done here,
+    one on prologue names goes to the prologue, any other to the body being
+    emitted, in its flavour ``xp`` ("math" or "np").
+    """
+
+    def __init__(self):
+        self.prologue: list[str] = []
+        self.names: dict[str, str] = {}     # prologue text -> name
+
+    def start(self, xp: str) -> None:
+        self.xp, self.body, self.body_names = xp, [], {}
+
+    @staticmethod
+    def varies(*atoms) -> bool:
+        return any(isinstance(a, str) and a[0] in "tv" for a in atoms)
+
+    def _place(self, text: str, atoms, assign: bool = True) -> str:
+        body = self.varies(*atoms)
+        names = self.body_names if body else self.names
+        if text not in names:
+            names[text] = name = f"{'v' if body else 'k'}{len(names)}"
+            stmt = f"{name} = {text}" if assign else text
+            if body:
+                self.body.append((stmt, {a for a in atoms if self.varies(a)}))
+            else:
+                self.prologue.append(stmt)
+        return names[text]
+
+    def op(self, fmt: str, fold, *atoms):
+        """``fmt`` on ``atoms``, with ``{xp}`` naming the module of the flavour."""
+        if all(isinstance(a, float) for a in atoms):
+            return float(fold(*atoms))
+        xp = self.xp if self.varies(*atoms) else "math"
+        return self._place(fmt.format(*map(_src, atoms), xp=xp), atoms)
+
+    def check(self, x, compare: str, bound: float, error: type, message: str, when=None):
+        """Raise ``error`` where ``x compare bound``, anywhere in an array, and the prologue
+        flag ``when``, if given, is true; ``{k<i>}`` in ``message`` reads a prologue name."""
+        if isinstance(x, float) and when is None:
+            if _COMPARE[compare](x, bound):
+                raise error(message)
+            return
+        test = f"{_src(x)} {compare} {_src(bound)}"
+        if self.varies(x) and self.xp == "np":
+            test = f"({test}).any()"
+        if when is not None:
+            test = f"{when} and {test}"
+        self._place(f"if {test}: raise {error.__name__}(f{message!r})", (x,), assign=False)
+
+    def add(self, a, b):
+        if _is_zero(b, -1.0):
+            return a
+        return b if _is_zero(a, -1.0) else self.op("{} + {}", operator.add, a, b)
+
+    def sub(self, a, b):
+        return a if _is_zero(b, 1.0) else self.op("{} - {}", operator.sub, a, b)
+
+    def mul(self, a, b):
+        if a == 1.0 or b == 1.0:
+            return b if a == 1.0 else a
+        return self.op("{} * {}", operator.mul, a, b)
+
+    def div(self, a, b):
+        return a if b == 1.0 else self.op("{} / {}", operator.truediv, a, b)
+
+    def neg(self, a):
+        return self.op("-{}", operator.neg, a)
+
+    def pow(self, x, c):
+        if c == 0.0 or c == 1.0:
+            return 1.0 if c == 0.0 else x
+        return self.op("{} ** {}", operator.pow, x, c)
+
+    def chain(self, f, fp, fpp, a1, a2):
+        return f, self.mul(fp, a1), self.add(self.mul(self.mul(fpp, a1), a1), self.mul(fp, a2))
+
+    def call(self, fn: str, u):
+        """fn of an operand, or of a triple by the chain rule."""
+        x = u[0] if isinstance(u, tuple) else u
+        if fn in ("sqrt", "log"):
+            self.check(x, "<=", 0.0, DomainError, f"{fn} requires a positive argument")
+        elif fn == "tan":
+            size = self.op("{xp}.fabs({})", math.fabs, self.call("cos", x))
+            self.check(size, "<", _TAN_POLE_TOL, DomainError, "tan evaluated at a pole")
+        elif fn == "abs":
+            self.check(x, "==", 0.0, DomainError, "|x| is not differentiable at 0")
+            s = self.op("{xp}.copysign(1.0, {})", lambda v: math.copysign(1.0, v), x)
+        f = self.mul(s, x) if fn == "abs" else self.op(f"{{xp}}.{fn}({{}})", getattr(math, fn), x)
+        if not isinstance(u, tuple):
+            return f
+        a1, a2 = u[1], u[2]
+        if fn == "abs":
+            return f, self.mul(s, a1), self.mul(s, a2)
+        if fn == "exp":
+            return f, self.mul(f, a1), self.mul(f, self.add(self.mul(a1, a1), a2))
+        if fn == "sin":
+            fp, fpp = self.call("cos", x), self.neg(f)
+        elif fn == "cos":
+            fp, fpp = self.neg(self.call("sin", x)), self.neg(f)
+        elif fn == "tan":
+            fp = self.add(1.0, self.mul(f, f))
+            fpp = self.mul(self.mul(2.0, f), fp)
+        elif fn == "sqrt":
+            fp, fpp = self.div(0.5, f), self.div(-0.25, self.mul(x, f))
+        else:  # log
+            fp = self.div(1.0, x)
+            fpp = self.mul(self.neg(fp), fp)
+        return self.chain(f, fp, fpp, a1, a2)
+
+    def power(self, u, c):
+        """u^c, of an operand or of a triple, for an exponent c that is a
+        number or a prologue name."""
+        x = u[0] if isinstance(u, tuple) else u
+        if isinstance(c, float):
+            if not math.isfinite(c):
+                raise DomainError("exponent of ^ must be finite")
+            n = int(c) if c == round(c) and abs(c) < 2**31 else None
+            if isinstance(u, tuple) and n in (0, 1):
+                return u if n else (1.0, 0.0, 0.0)
+            if n is None:
+                self.check(x, "<=", 0.0, DomainError, f"x^{c} requires x > 0")
+            elif n < 0:
+                self.check(x, "==", 0.0, ZeroDivisionError, "0 raised to a negative power")
+            # for an integer c, c*(c - 1) is the rounded integer product n(n - 1)
+            e1, e2, c2, z = c - 1.0, c - 2.0, c * (c - 1.0), -0.0
+        else:
+            self._place(f"if not math.isfinite({c}): "
+                        "raise DomainError('exponent of ^ must be finite')", (), assign=False)
+            whole = self.op("{0} == round({0}) and abs({0}) < 2147483648.0", None, c)
+            self.check(x, "<=", 0.0, DomainError, f"x^{{{c}}} requires x > 0",
+                       when=self.op("not {}", None, whole))
+            self.check(x, "==", 0.0, ZeroDivisionError, "0 raised to a negative power",
+                       when=self.op("{} and {} < 0.0", None, whole, c))
+            # with these exponents and coefficients the general rule returns,
+            # for finite (u', u''), u at c = 1 and (1, +0, +0) at c = 0 exactly:
+            # adding z = +0.0 turns a zero positive, z = -0.0 changes nothing
+            e1 = self.op("{0} - 1.0 if {0} != 0.0 else 0.0", None, c)
+            e2 = self.op("{0} - 2.0 if {0} != 0.0 and {0} != 1.0 else 0.0", None, c)
+            c2 = self.op("{0} * ({0} - 1.0) if {0} != 1.0 else -0.0", None, c)
+            z = self.op("0.0 if {0} == 0.0 else -0.0", None, c)
+        f = self.pow(x, c)
+        if not isinstance(u, tuple):
+            return f
+        fp, fpp = self.mul(c, self.pow(x, e1)), self.mul(c2, self.pow(x, e2))
+        _, d1, d2 = self.chain(f, fp, fpp, u[1], u[2])
+        return f, self.add(d1, z), self.add(d2, z)
+
+    def walk(self, node: Node):
+        if isinstance(node, Num):
+            return float(node.value)
+        if isinstance(node, Pi):
+            return math.pi
+        if isinstance(node, Theta):
+            return ("t", 1.0, 0.0)
+        if isinstance(node, Param):
+            return self._place(f"float(p[{node.name!r}])", ())
+        if isinstance(node, Neg):
+            x = self.walk(node.child)
+            return tuple(map(self.neg, x)) if isinstance(x, tuple) else self.neg(x)
+        if isinstance(node, Call):
+            return self.call(node.fn, self.walk(node.arg))
+        if isinstance(node, Pow):
+            u, c = self.walk(node.base), self.walk(node.exponent)
+            if isinstance(c, tuple):
+                raise DomainError("exponent of ^ must not depend on theta")
+            return self.power(u, c)
+        a, b = self.walk(node.left), self.walk(node.right)
+        if node.op == "/":
+            self.check(b[0] if isinstance(b, tuple) else b, "==", 0.0, ZeroDivisionError,
+                       "jet division by zero")
+        if not (isinstance(a, tuple) or isinstance(b, tuple)):
+            return {"+": self.add, "-": self.sub, "*": self.mul, "/": self.div}[node.op](a, b)
+        (a0, a1, a2), (b0, b1, b2) = (x if isinstance(x, tuple) else (x, 0.0, 0.0) for x in (a, b))
+        if node.op in "+-":
+            f = self.add if node.op == "+" else self.sub
+            return f(a0, b0), f(a1, b1), f(a2, b2)
+        add, mul = self.add, self.mul
+        if node.op == "*":
+            return (mul(a0, b0), add(mul(a1, b0), mul(a0, b1)),
+                    add(add(mul(a2, b0), mul(mul(2.0, a1), b1)), mul(a0, b2)))
+        v = self.div(a0, b0)
+        d1 = self.div(self.sub(a1, mul(v, b1)), b0)
+        return v, d1, self.div(self.sub(self.sub(a2, mul(mul(2.0, d1), b1)), mul(v, b2)), b0)
+
+    def closure(self, name: str, result) -> list[str]:
+        """The body since ``start`` returning ``result``; the array closure
+        broadcasts theta-free components and deletes temporaries after use."""
+        if not isinstance(result, tuple):
+            result = (result, 0.0, 0.0)
+        lines = [stmt for stmt, _ in self.body]
+        if self.xp == "np":
+            result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
+            live = {"t", *result}
+            for i in reversed(range(len(self.body))):
+                reads = self.body[i][1]
+                if reads - live:
+                    lines.insert(i + 1, "del " + ", ".join(sorted(reads - live)))
+                live |= reads
+        return [f"    def {name}(t):", *(f"        {s}" for s in lines),
+                f"        return {', '.join(map(_src, result))}"]
+
+
+def _source(node: Node) -> str:
+    em = _Emitter()
+    closures = []
+    for name, xp in (("scalar", "math"), ("array", "np")):
+        em.start(xp)
+        closures += em.closure(name, em.walk(node))
+    return "\n".join(["def bind(p):", *(f"    {s}" for s in em.prologue), *closures,
+                      "    return scalar, array", ""])
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _compiled(node: Node):
+    """The parameter names of ``node`` and its compiled ``bind``."""
+    names = frozenset(n.name for n in _nodes(node) if isinstance(n, Param))
+    namespace = {"math": math, "np": np, "DomainError": DomainError}
+    exec(compile(_source(node), "<mcgehee.expr>", "exec"), namespace)
+    return names, namespace["bind"]
+
+
+def compile_node(node: Node, params: Mapping[str, float]) -> tuple[Callable, Callable]:
+    """Bind parameters and return the evaluators ``(scalar, array)``, on a
+    float angle and on a float array, each returning (V, V', V'').  Domain
+    checks raise ``DomainError``, or ``ZeroDivisionError`` on a division by
+    an exact zero; theta-free subtrees are checked here, once."""
+    names, bind = _compiled(node)
+    if names - set(params):
+        raise UnboundParameterError(f"parameter {min(names - set(params))!r} has no bound value")
+    return bind(params)

@@ -474,6 +474,17 @@ def integrate_manifold(
         raise DomainViolationError(
             f"|z| = {abs(z0):.3e} exceeds manifold_tol = {manifold_tol:.1e}"
         )
+    traj = _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project)
+    if traj.reason == "reached_equilibrium":
+        traj.reason_detail = _equilibrium_detail(
+            pot, float(traj.thetas[-1]), float(traj.vs[-1]), float(traj.ws[-1])
+        )
+    return traj
+
+
+def _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project) -> Trajectory:
+    """``integrate_manifold`` without its start check and its equilibrium
+    scan, which ``trace_invariant_manifold`` makes once for two uses."""
     sol = solve(
         _manifold_rhs(pot), float(tau_span[0]), m0.as_array(), float(tau_span[1]),
         rtol=rtol, atol=atol, max_step=max_step,
@@ -481,8 +492,7 @@ def integrate_manifold(
         postprocess=_manifold_projector(pot) if project else None,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
-    jets = pot.V(thetas)
-    zs = 0.5 * (vs**2 + ws**2) + np.asarray(jets.val, dtype=float)
+    zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val
     n = len(sol.ts)
     traj = Trajectory(
         pot=pot,
@@ -498,10 +508,6 @@ def integrate_manifold(
         subsystem=True,
         raw=sol,
     )
-    if sol.reason == "reached_equilibrium":
-        traj.reason_detail = _equilibrium_detail(
-            pot, float(thetas[-1]), float(vs[-1]), float(ws[-1])
-        )
     return traj
 
 
@@ -689,15 +695,9 @@ def trace_invariant_manifold(
         y0[1] -= z_seed / y0[1]  # one Newton step of z through v
 
     span = (0.0, max_tau if kind == "unstable" else -max_tau)
-    traj = integrate_manifold(
-        ManifoldState(float(y0[0]), float(y0[1]), float(y0[2])),
-        pot,
-        span,
-        rtol=rtol,
-        atol=atol,
-        eq_tol=eq_tol,
-        on_manifold=False,
-        project=True,
+    traj = _manifold_run(
+        ManifoldState(float(y0[0]), float(y0[1]), float(y0[2])), pot, span,
+        rtol=rtol, atol=atol, max_step=math.pi / 8.0, eq_tol=eq_tol, project=True,
     )
 
     eqs = find_equilibria(pot)
@@ -705,6 +705,8 @@ def trace_invariant_manifold(
     v_end, w_end = float(traj.vs[-1]), float(traj.ws[-1])
     dists = [(_eq_distance(pot, th_end, v_end, w_end, e), e) for e in eqs]
     terminal, target = min(dists, key=lambda de: de[0])
+    if traj.reason == "reached_equilibrium":
+        traj.reason_detail = {"distance": terminal}
     center = _nearest_center(pot, th_end, target)
     path_d = np.sqrt(
         (traj.thetas - center) ** 2 + (traj.vs - target.v_star) ** 2 + traj.ws**2

@@ -5,9 +5,10 @@ its degree ``beta`` and the restriction to the unit circle
 
     V(theta) = U(cos theta, sin theta),        U(q) = |q|^beta V(theta).
 
-:class:`Potential` wraps a compiled jet evaluator for V, so a single call
-yields V, V' and V'' at scalar or array arguments.  Shapes come either from
-the expression language (:mod:`mcgehee.expr`) or from the builtin catalogue:
+:class:`Potential` wraps the code :mod:`mcgehee.expr` compiles for V, so a
+single call yields V, V' and V'' at scalar or array arguments, as a
+:class:`Jet2` record.  Shapes come either from an expression or from the
+builtin catalogue, whose entries are expression sources too:
 
 ``isosceles(alpha)``
     V(theta) = -1/cos(theta) - 4 alpha^(3/2) / sqrt(alpha + 2 sin^2(theta)),
@@ -25,12 +26,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import expr as expr_mod
-from . import jets
 from .errors import (
     DomainError,
     OriginSingularityError,
@@ -38,9 +38,9 @@ from .errors import (
     UnboundParameterError,
     UnknownBuiltinError,
 )
-from .jets import Jet2
 
-__all__ = ["Domain", "PotentialSpec", "Potential", "compile_potential", "load_spec", "BUILTINS"]
+__all__ = ["Domain", "Jet2", "PotentialSpec", "Potential", "compile_potential", "load_spec",
+           "BUILTINS"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,7 +60,9 @@ class Domain:
     def contains(self, theta) -> bool:
         if self.periodic:
             return True
-        return bool(np.all((self.lo < theta) & (theta < self.hi)))
+        if isinstance(theta, np.ndarray):
+            return bool(np.all((self.lo < theta) & (theta < self.hi)))
+        return self.lo < theta < self.hi
 
     def reduce(self, theta):
         """Map angles into the fundamental window (identity for intervals)."""
@@ -80,46 +82,27 @@ class Domain:
 
 
 # ------------------------------------------------------------------ builtins
-def _isosceles(params: Mapping[str, float]) -> Callable[[Jet2], Jet2]:
-    a = float(params["alpha"])
-    if a <= 0.0:
-        raise DomainError("isosceles: alpha must be positive")
-    c = 4.0 * a**1.5
-
-    def fn(th: Jet2) -> Jet2:
-        s = jets.sin(th)
-        return -1.0 / jets.cos(th) - c / jets.sqrt(a + 2.0 * s * s)
-
-    return fn
-
-
-def _yoshida(sign: float):
-    def factory(params: Mapping[str, float]) -> Callable[[Jet2], Jet2]:
-        e = float(params["epsilon"])
-
-        def fn(th: Jet2) -> Jet2:
-            c, s = jets.cos(th), jets.sin(th)
-            quartic = (c**4 + s**4) / 4.0 + (e / 2.0) * (c * c) * (s * s)
-            return sign * quartic
-
-        return fn
-
-    return factory
-
-
 @dataclass(frozen=True)
 class _Builtin:
     beta: float
     param_names: tuple[str, ...]
     domain: Domain
-    factory: Callable[[Mapping[str, float]], Callable[[Jet2], Jet2]]
+    source: str
+    positive: tuple[str, ...] = ()  # parameters that must be > 0
 
 
+# yoshida_g negates by -1*( ), not -( ): the product rule leaves an exact
+# zero V' (at theta = 0, or everywhere for epsilon = 1) as +0.0
+_QUARTIC = ("(cos(theta)^4 + sin(theta)^4)/4"
+            " + (epsilon/2)*(cos(theta)*cos(theta))*(sin(theta)*sin(theta))")
 BUILTINS: dict[str, _Builtin] = {
-    "isosceles": _Builtin(-1.0, ("alpha",), Domain(-math.pi / 2, math.pi / 2), _isosceles),
-    "yoshida_g": _Builtin(4.0, ("epsilon",), Domain.full_circle(), _yoshida(-1.0)),
-    "yoshida_h": _Builtin(4.0, ("epsilon",), Domain.full_circle(), _yoshida(+1.0)),
+    "isosceles": _Builtin(
+        -1.0, ("alpha",), Domain(-math.pi / 2, math.pi / 2),
+        "-1/cos(theta) - 4*alpha^1.5/sqrt(alpha + 2*sin(theta)*sin(theta))", ("alpha",)),
+    "yoshida_g": _Builtin(4.0, ("epsilon",), Domain.full_circle(), f"-1*({_QUARTIC})"),
+    "yoshida_h": _Builtin(4.0, ("epsilon",), Domain.full_circle(), _QUARTIC),
 }
+_BUILTIN_NODES = {name: expr_mod.parse(b.source) for name, b in BUILTINS.items()}
 
 
 # ------------------------------------------------------------------ spec
@@ -224,14 +207,22 @@ def load_spec(path: str) -> PotentialSpec:
 
 
 # ------------------------------------------------------------------ potential
+class Jet2(NamedTuple):
+    """V, V' and V'' at one angle (floats) or at an array of angles."""
+
+    val: object
+    d1: object
+    d2: object
+
+
 class Potential:
     """Compiled shape potential.  Immutable; evaluation has no side effects."""
 
-    def __init__(self, beta: float, domain: Domain, fn: Callable[[Jet2], Jet2],
+    def __init__(self, beta: float, domain: Domain, evaluators: tuple[Callable, Callable],
                  spec: PotentialSpec, flipped: bool = False):
         self.beta = float(beta)
         self.domain = domain
-        self._fn = fn
+        self._scalar, self._array = evaluators
         self.spec = spec
         self.flipped = flipped
 
@@ -241,23 +232,28 @@ class Potential:
 
     # -------------------------------------------------------------- evaluation
     def V(self, theta) -> Jet2:
-        """Jet of V at theta (scalar or array).  Raises DomainError rather
+        """V, V', V'' at theta (scalar or array).  Raises DomainError rather
         than ever returning a non-finite component."""
-        if isinstance(theta, np.ndarray):
-            theta = np.asarray(theta, dtype=float)
-        else:
-            theta = float(theta)
+        array = isinstance(theta, np.ndarray)
+        theta = np.asarray(theta, dtype=float) if array else float(theta)
         if not self.domain.contains(theta):
             raise DomainError("theta outside the potential domain")
-        th = Jet2.variable(self.domain.reduce(theta))
+        theta = self.domain.reduce(theta)
         try:
-            with np.errstate(all="ignore"):
-                out = self._fn(th)
+            if array:
+                with np.errstate(all="ignore"):
+                    val, d1, d2 = self._array(theta)
+            else:
+                val, d1, d2 = self._scalar(theta)
         except (ZeroDivisionError, OverflowError) as err:
             raise DomainError(f"potential singular: {err}") from err
-        if not out.is_finite():
+        if self.flipped:
+            val, d1, d2 = -val, -d1, -d2
+        finite = (np.isfinite(val).all() and np.isfinite(d1).all() and np.isfinite(d2).all()
+                  if array else math.isfinite(val) and math.isfinite(d1) and math.isfinite(d2))
+        if not finite:
             raise DomainError("potential evaluation produced a non-finite value")
-        return out
+        return Jet2(val, d1, d2)
 
     # -------------------------------------------------------------- cartesian
     def U(self, q) -> float:
@@ -285,13 +281,12 @@ class Potential:
     def sign_flipped(self) -> "Potential":
         """The potential -V (same degree, same domain).  Used to certify
         everywhere-positive potentials through the complexified route."""
-        fn = self._fn
-        return Potential(self.beta, self.domain, lambda th: -fn(th), self.spec,
+        return Potential(self.beta, self.domain, (self._scalar, self._array), self.spec,
                          flipped=not self.flipped)
 
 
 def compile_potential(spec: PotentialSpec) -> Potential:
-    """Build the jet evaluator for a validated spec."""
+    """Compile the evaluators of V for a validated spec."""
     if spec.builtin is not None:
         info = BUILTINS.get(spec.builtin)
         if info is None:
@@ -304,14 +299,19 @@ def compile_potential(spec: PotentialSpec) -> Potential:
         extra = [p for p in spec.params if p not in info.param_names]
         if extra:
             raise SpecError(f"params.{extra[0]}: not a parameter of {spec.builtin!r}")
-        fn = info.factory(spec.params)
-        domain = Domain(*spec.domain) if spec.domain is not None else info.domain
-        return Potential(info.beta, domain, fn, spec)
-
-    node = expr_mod.parse(spec.expr)
-    missing = sorted(expr_mod.free_parameters(node) - set(spec.params))
-    if missing:
-        raise UnboundParameterError(f"expression needs parameter(s): {', '.join(missing)}")
-    fn = expr_mod.compile_node(node, dict(spec.params))
-    domain = Domain(*spec.domain) if spec.domain is not None else Domain.full_circle()
-    return Potential(spec.beta, domain, fn, spec)
+        if any(spec.params[p] <= 0.0 for p in info.positive):
+            raise DomainError(f"{spec.builtin}: {', '.join(info.positive)} must be positive")
+        node, beta, domain = _BUILTIN_NODES[spec.builtin], info.beta, info.domain
+    else:
+        node = expr_mod.parse(spec.expr)
+        missing = sorted(expr_mod.free_parameters(node) - set(spec.params))
+        if missing:
+            raise UnboundParameterError(f"expression needs parameter(s): {', '.join(missing)}")
+        beta, domain = spec.beta, Domain.full_circle()
+    try:
+        evaluators = expr_mod.compile_node(node, dict(spec.params))
+    except (ZeroDivisionError, OverflowError) as err:
+        raise DomainError(f"potential singular: {err}") from err
+    if spec.domain is not None:
+        domain = Domain(*spec.domain)
+    return Potential(beta, domain, evaluators, spec)

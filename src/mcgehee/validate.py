@@ -93,14 +93,11 @@ def jet_fd_error(pot: Potential, n: int = 1000, h: float = 1e-4, pad: float = 0.
         grid = np.linspace(lo, hi, n, endpoint=False)
     else:
         grid = np.linspace(lo + pad, hi - pad, n)
-    jet = pot.V(grid)
-    vp = np.asarray(jet.d1, dtype=float)
-    vpp = np.asarray(jet.d2, dtype=float)
-    mid = np.asarray(jet.val, dtype=float)
-    up1 = np.asarray(pot.V(pot.domain.reduce(grid + h)).val, dtype=float)
-    dn1 = np.asarray(pot.V(pot.domain.reduce(grid - h)).val, dtype=float)
-    up2 = np.asarray(pot.V(pot.domain.reduce(grid + 2.0 * h)).val, dtype=float)
-    dn2 = np.asarray(pot.V(pot.domain.reduce(grid - 2.0 * h)).val, dtype=float)
+    mid, vp, vpp = pot.V(grid)
+    up1 = pot.V(pot.domain.reduce(grid + h)).val
+    dn1 = pot.V(pot.domain.reduce(grid - h)).val
+    up2 = pot.V(pot.domain.reduce(grid + 2.0 * h)).val
+    dn2 = pot.V(pot.domain.reduce(grid - 2.0 * h)).val
     fd1 = (-up2 + 8.0 * up1 - 8.0 * dn1 + dn2) / (12.0 * h)
     fd2 = (-up2 + 16.0 * up1 - 30.0 * mid + 16.0 * dn1 - dn2) / (12.0 * h * h)
     e1 = np.max(np.abs(vp - fd1)) / max(1.0, float(np.max(np.abs(fd1))))

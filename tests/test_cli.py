@@ -168,6 +168,19 @@ def test_manifold_with_output_file_prints_diagnostics_to_stdout(capsys, tmp_path
     assert diag["captured"] is True and diag["swept_angle"] >= 4.0 * math.pi
 
 
+def test_manifold_from_is_read_modulo_a_turn(capsys):
+    base = ("manifold", "--builtin", "yoshida_g", "--set", "epsilon=4", "--sign", "-",
+            "--max-tau", "5")
+    # modulo 2 pi, 100 and -50 sit 0.25 and 0.27 from the nearest critical angle
+    for start in ("100", "-50"):
+        rc, out, err = call(capsys, *base, f"--from={start}")
+        assert rc == 2 and out == ""
+        assert "no critical angle within 1e-3" in err
+    at_zero = call(capsys, *base, "--from=0")
+    assert at_zero[0] == 0
+    assert call(capsys, *base, "--from=6.283185307179586") == at_zero
+
+
 # ---------------------------------------------------------------- compare-mr
 
 

@@ -6,12 +6,11 @@ import pytest
 from mcgehee import expr
 from mcgehee.errors import ParseError, UnboundParameterError, UnknownFunctionError
 from mcgehee.expr import BinOp, Call, Neg, Num, Pow, Theta, parse
-from mcgehee.jets import Jet2
 
 
 def evaluate(text, theta=0.0, params=None):
-    f = expr.compile_node(parse(text), params or {})
-    return f(Jet2.variable(theta)).val
+    scalar, _ = expr.compile_node(parse(text), params or {})
+    return scalar(theta)[0]
 
 
 # ----------------------------------------------------------------- parsing
@@ -60,6 +59,31 @@ def test_isosceles_expression_value():
 
 def test_parameter_in_exponent():
     assert evaluate("2^k", params={"k": 3.0}) == 8.0
+    assert evaluate("theta^k", 2.0, params={"k": 3.0}) == 8.0
+    assert evaluate("theta^k", 4.0, params={"k": 0.5}) == 2.0
+
+
+def test_parameter_exponent_compiles_once():
+    node = parse("cos(theta)^k + m^k")
+    for k in (2.0, 0.5, 0.0, -3.0):
+        expr.compile_node(node, {"k": k, "m": 1.5})
+    hits = expr._compiled.cache_info().hits
+    expr.compile_node(node, {"k": 1.0, "m": 1.5})
+    assert expr._compiled.cache_info().hits == hits + 1
+
+
+def test_parameter_names_bind_as_numbers():
+    # names of Python builtins, of math functions and of the evaluator's own
+    # temporaries are ordinary parameters
+    params = {"x": 0.5, "P": 2.0, "sin": 3.0, "t0": -1.25, "__import__": 7.0,
+              "t": 0.25, "p": 1.5, "k0": -2.0, "v1": 4.0, "np": 0.125, "math": 8.0}
+    text = ("x*theta + P - sin*cos(theta) + t0^2 + __import__"
+            " + t*p - k0*v1 + np*math*sin(theta)")
+    theta = 0.7
+    want = (0.5 * theta + 2.0 - 3.0 * math.cos(theta) + 1.25**2 + 7.0
+            + 0.25 * 1.5 + 2.0 * 4.0 + 0.125 * 8.0 * math.sin(theta))
+    assert evaluate(text, theta, params) == pytest.approx(want, rel=1e-15)
+    assert expr.free_parameters(parse(text)) == set(params)
 
 
 # ----------------------------------------------------------------- errors
@@ -113,10 +137,8 @@ def test_print_parse_round_trip(source):
     params = {"a": 1.3, "e": 4.0}
     node = parse(source)
     printed = expr.to_source(node)
-    f = expr.compile_node(node, params)
-    g = expr.compile_node(parse(printed), params)
+    _, f = expr.compile_node(node, params)
+    _, g = expr.compile_node(parse(printed), params)
     grid = np.linspace(-1.2, 1.2, 100)
-    a, b = f(Jet2.variable(grid)), g(Jet2.variable(grid))
-    assert np.array_equal(a.val, b.val)
-    assert np.array_equal(a.d1, b.d1)
-    assert np.array_equal(a.d2, b.d2)
+    for a, b in zip(f(grid), g(grid)):
+        assert np.array_equal(a, b)

@@ -114,6 +114,27 @@ def test_array_matches_scalar(iso1):
         assert arr.val[k] == j.val and arr.d1[k] == j.d1 and arr.d2[k] == j.d2
 
 
+def test_one_source_keeps_each_binding():
+    # both potentials share one compiled source; each keeps its parameters
+    src = "a*cos(theta) + b*sin(2*theta)"
+    p1 = compile_potential(PotentialSpec(-1.0, expr=src, params={"a": 1.0, "b": 0.5}))
+    p2 = compile_potential(PotentialSpec(-1.0, expr=src, params={"a": -3.0, "b": 2.0}))
+    i1, i2 = builtin("isosceles", alpha=1.0), builtin("isosceles", alpha=7.0)
+    grid = np.linspace(0.0, 1.0, 7)
+    for theta in (0.1, 0.7, 1.3):
+        for pot, a, b in ((p1, 1.0, 0.5), (p2, -3.0, 2.0), (p1, 1.0, 0.5)):
+            j = pot.V(theta)
+            assert j.val == pytest.approx(a * math.cos(theta) + b * math.sin(2 * theta), rel=1e-14)
+            assert j.d2 == pytest.approx(-a * math.cos(theta) - 4 * b * math.sin(2 * theta),
+                                         rel=1e-13)
+            arr = pot.V(grid)
+            assert np.allclose(arr.val, a * np.cos(grid) + b * np.sin(2 * grid), rtol=1e-14)
+        for pot, alpha in ((i1, 1.0), (i2, 7.0), (i1, 1.0)):
+            s = math.sin(theta)
+            want = -1.0 / math.cos(theta) - 4 * alpha**1.5 / math.sqrt(alpha + 2 * s * s)
+            assert pot.V(theta).val == pytest.approx(want, rel=1e-14)
+
+
 # ----------------------------------------------------------------- cartesian
 def test_eval_U_examples(iso1, yg4):
     assert yg4.U((0.0, 1.0)) == pytest.approx(-0.25, abs=1e-14)
@@ -167,8 +188,9 @@ def test_extra_builtin_param_rejected():
 
 
 def test_negative_alpha_rejected():
-    with pytest.raises(DomainError):
-        compile_potential(PotentialSpec(-1.0, builtin="isosceles", params={"alpha": -1.0}))
+    for alpha in (-1.0, 0.0):
+        with pytest.raises(DomainError, match="isosceles: alpha must be positive"):
+            compile_potential(PotentialSpec(-1.0, builtin="isosceles", params={"alpha": alpha}))
 
 
 def test_expression_missing_param():
