@@ -56,34 +56,22 @@ from .errors import (
 from .potentials import Potential
 from .rk import RawSolution, solve
 
-__all__ = [
-    "McGeheeState",
-    "ManifoldState",
-    "Equilibrium",
-    "Linearization",
-    "Trajectory",
-    "CartesianTrajectory",
-    "SpiralDiagnostics",
-    "to_mcgehee",
-    "from_mcgehee",
-    "energy",
-    "vector_field",
-    "integrate",
-    "integrate_manifold",
-    "find_equilibria",
-    "linearize",
-    "trace_invariant_manifold",
-    "cartesian_vector_field",
-    "integrate_cartesian",
-    "check_beta_minus2_integral",
-    "sample_at_physical_times",
-]
+__all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
+           "CartesianTrajectory", "SpiralDiagnostics", "to_mcgehee", "from_mcgehee", "energy",
+           "vector_field", "integrate", "integrate_manifold", "find_equilibria", "linearize",
+           "trace_invariant_manifold", "cartesian_vector_field", "integrate_cartesian",
+           "check_beta_minus2_integral", "sample_at_physical_times"]
 
 CAPTURE_DISTANCE = 1e-3  # "approaches the focus" cutoff for spiral capture
 # Largest handoff distance at which a separatrix is continued with the linear
 # flow of its target focus.  The neglected Taylor terms of the on-M field are
 # O(distance) relative, so the continued phase errs by O(1e-9) rad.
 LINEAR_HANDOFF = 1e-9
+
+
+def _z(pot: Potential, theta: float, v: float, w: float) -> float:
+    """z = (v^2 + w^2)/2 + V(theta), the energy factor h = r^beta z."""
+    return 0.5 * (v**2 + w**2) + float(pot.V(theta).val)
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,7 @@ class McGeheeState:
     w: float
 
     def z(self, pot: Potential) -> float:
-        return 0.5 * (self.v**2 + self.w**2) + float(pot.V(self.theta).val)
+        return _z(pot, self.theta, self.v, self.w)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.theta, self.v, self.w])
@@ -107,7 +95,7 @@ class ManifoldState:
     w: float
 
     def z(self, pot: Potential) -> float:
-        return 0.5 * (self.v**2 + self.w**2) + float(pot.V(self.theta).val)
+        return _z(pot, self.theta, self.v, self.w)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.theta, self.v, self.w])
@@ -236,10 +224,10 @@ class Trajectory:
         return self.raw.sample(taus)
 
     def write_csv(self, stream: IO[str]) -> None:
+        row = ",".join(["%.17g"] * 8) + "\n"
+        cols = (self.taus, self.ts, self.rs, self.thetas, self.vs, self.ws, self.zs, self.hs)
         stream.write(_CSV_HEADER + "\n")
-        for row in zip(self.taus, self.ts, self.rs, self.thetas, self.vs, self.ws,
-                       self.zs, self.hs):
-            stream.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        stream.writelines(row % r for r in zip(*(c.tolist() for c in cols)))
 
 
 def to_mcgehee(p: Sequence[float], q: Sequence[float], beta: float) -> McGeheeState:
@@ -273,43 +261,38 @@ def energy(state: McGeheeState, pot: Potential) -> float:
     return state.r**pot.beta * state.z(pot)
 
 
-def _vw_rates(b: float, v: float, w: float, j) -> tuple[float, float]:
-    """(dv, dw)/dtau, given the jet j of V at theta; shared by every chart."""
-    return (
-        -(b / 2.0) * v * v + w * w - b * float(j.val),
-        -(b / 2.0 + 1.0) * v * w - float(j.d1),
-    )
+def _vw_rates(b: float, v: float, w: float, val: float, d1: float) -> tuple[float, float]:
+    """(dv, dw)/dtau, given V and V' at theta; shared by every chart."""
+    return -(b / 2.0) * v * v + w * w - b * val, -(b / 2.0 + 1.0) * v * w - d1
 
 
 def vector_field(state: McGeheeState, pot: Potential) -> np.ndarray:
     """(dr, dtheta, dv, dw)/dtau at the given state."""
     v, w = state.v, state.w
-    return np.array([state.r * v, w, *_vw_rates(pot.beta, v, w, pot.V(state.theta))])
+    val, d1, _ = pot.V(state.theta)
+    return np.array([state.r * v, w, *_vw_rates(pot.beta, v, w, val, d1)])
 
 
 def _full_rhs(pot: Potential):
-    b = pot.beta
+    b, V, exp = pot.beta, pot.V_float, math.exp
     texp = 1.0 - b / 2.0
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        _, th, v, w, _, _ = y
-        rho = y[0]
-        j = pot.V(float(th))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # overflow in exp surfaces as a non-finite stage value and
-            # shrinks the step rather than spamming warnings
-            dv, dw = _vw_rates(b, v, w, j)
-            return np.array([v, w, dv, dw, np.exp(texp * rho), -b * v])
+    def rhs(tau: float, y: tuple) -> tuple:
+        # an overflowing exp raises OverflowError, which rejects the step
+        rho, th, v, w, _, _ = y
+        val, d1, _ = V(th)
+        return (v, w, *_vw_rates(b, v, w, val, d1), exp(texp * rho), -b * v)
 
     return rhs
 
 
 def _manifold_rhs(pot: Potential):
-    b = pot.beta
+    b, V = pot.beta, pot.V_float
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
+    def rhs(tau: float, y: tuple) -> tuple:
         th, v, w = y
-        return np.array([w, *_vw_rates(b, v, w, pot.V(float(th)))])
+        val, d1, _ = V(th)
+        return (w, *_vw_rates(b, v, w, val, d1))
 
     return rhs
 
@@ -327,16 +310,18 @@ def _manifold_projector(pot: Potential):
     drift, i.e. negligible.
     """
 
-    def project(tau: float, y: np.ndarray) -> np.ndarray:
+    V = pot.V_float
+
+    def project(tau: float, y: tuple) -> tuple:
         th, v, w = y
-        z = 0.5 * (v * v + w * w) + float(pot.V(float(th)).val)
+        z = 0.5 * (v * v + w * w) + V(th)[0]
         if z == 0.0:
             return y
         if abs(v) >= abs(w):
             if abs(v) < 1e-8:
                 return y  # gradient of z too flat to project safely
-            return np.array([th, v - z / v, w])
-        return np.array([th, v, w - z / w])
+            return th, v - z / v, w
+        return th, v, w - z / w
 
     return project
 
@@ -345,8 +330,8 @@ def _subsystem_stop(eq_tol: float | None, slice_from: int):
     if eq_tol is None:
         return None
 
-    def stop(tau: float, y: np.ndarray, f: np.ndarray) -> str | None:
-        if float(np.max(np.abs(f[slice_from : slice_from + 3]))) < eq_tol:
+    def stop(tau: float, y: tuple, f: tuple) -> str | None:
+        if all(abs(x) < eq_tol for x in f[slice_from : slice_from + 3]):
             return "reached_equilibrium"
         return None
 
@@ -407,14 +392,12 @@ def integrate(
         raise LeftDomainError("initial state lies outside the potential domain") from exc
     z_sign = math.copysign(1.0, z0) if z0 != 0.0 else 0.0
     ell0 = math.log(abs(z0)) if z0 != 0.0 else -math.inf
-    y0 = np.array(
-        [math.log(state0.r), state0.theta, state0.v, state0.w, 0.0, ell0]
-    )
+    y0 = (math.log(state0.r), state0.theta, state0.v, state0.w, 0.0, ell0)
     eq_stop = _subsystem_stop(eq_tol, slice_from=1)
     if t_stop is None:
         stop = eq_stop
     else:
-        def stop(tau: float, y: np.ndarray, f: np.ndarray) -> str | None:
+        def stop(tau: float, y: tuple, f: tuple) -> str | None:
             if y[4] >= t_stop:
                 return "t_stop"
             return eq_stop(tau, y, f) if eq_stop is not None else None
@@ -428,19 +411,8 @@ def integrate(
         rs = np.exp(ys[:, 0])
         zs = z_sign * np.exp(ys[:, 5])
         hs = z_sign * np.exp(pot.beta * ys[:, 0] + ys[:, 5])
-    traj = Trajectory(
-        pot=pot,
-        taus=sol.ts,
-        ts=ys[:, 4],
-        rs=rs,
-        thetas=ys[:, 1],
-        vs=ys[:, 2],
-        ws=ys[:, 3],
-        zs=zs,
-        hs=hs,
-        reason=sol.reason,
-        raw=sol,
-    )
+    traj = Trajectory(pot=pot, taus=sol.ts, ts=ys[:, 4], rs=rs, thetas=ys[:, 1], vs=ys[:, 2],
+                      ws=ys[:, 3], zs=zs, hs=hs, reason=sol.reason, raw=sol)
     if sol.reason == "reached_equilibrium":
         traj.reason_detail = _equilibrium_detail(
             pot, float(ys[-1, 1]), float(ys[-1, 2]), float(ys[-1, 3])
@@ -486,7 +458,7 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project) -> T
     """``integrate_manifold`` without its start check and its equilibrium
     scan, which ``trace_invariant_manifold`` makes once for two uses."""
     sol = solve(
-        _manifold_rhs(pot), float(tau_span[0]), m0.as_array(), float(tau_span[1]),
+        _manifold_rhs(pot), float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
         rtol=rtol, atol=atol, max_step=max_step,
         stop=_subsystem_stop(eq_tol, slice_from=0),
         postprocess=_manifold_projector(pot) if project else None,
@@ -494,21 +466,9 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project) -> T
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
     zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val
     n = len(sol.ts)
-    traj = Trajectory(
-        pot=pot,
-        taus=sol.ts,
-        ts=np.full(n, math.nan),
-        rs=np.zeros(n),
-        thetas=thetas,
-        vs=vs,
-        ws=ws,
-        zs=zs,
-        hs=np.zeros(n),
-        reason=sol.reason,
-        subsystem=True,
-        raw=sol,
-    )
-    return traj
+    return Trajectory(pot=pot, taus=sol.ts, ts=np.full(n, math.nan), rs=np.zeros(n),
+                      thetas=thetas, vs=vs, ws=ws, zs=zs, hs=np.zeros(n), reason=sol.reason,
+                      subsystem=True, raw=sol)
 
 
 def _eigen_data(pot: Potential, theta_c: float, v_star: float):
@@ -562,17 +522,8 @@ def find_equilibria(pot: Potential) -> list[Equilibrium]:
         mag = math.sqrt(-2.0 * cp.value)
         for sign, v_star in (("-", -mag), ("+", mag)):
             lam1, roots, kind = _eigen_data(pot, cp.theta, v_star)
-            out.append(
-                Equilibrium(
-                    theta_c=cp.theta,
-                    sign=sign,
-                    v_star=v_star,
-                    lambda1=lam1,
-                    lambda23=roots,
-                    eigvec1=(0.0, 1.0, 0.0),
-                    type=kind,
-                )
-            )
+            out.append(Equilibrium(theta_c=cp.theta, sign=sign, v_star=v_star, lambda1=lam1,
+                                   lambda23=roots, eigvec1=(0.0, 1.0, 0.0), type=kind))
     return out
 
 
@@ -594,15 +545,8 @@ def linearize(eq: Equilibrium, pot: Potential) -> Linearization:
     p = (b / 2.0 + 1.0) * eq.v_star
     c = float(j.d2)
     char_res = max(abs(l * l + p * l + c) for l in roots)
-    return Linearization(
-        matrix=m,
-        lambda1=lam1,
-        lambda23=roots,
-        eigvec1=(0.0, 1.0, 0.0),
-        type=kind,
-        eig_residual=eig_res,
-        charpoly_residual=char_res,
-    )
+    return Linearization(matrix=m, lambda1=lam1, lambda23=roots, eigvec1=(0.0, 1.0, 0.0),
+                         type=kind, eig_residual=eig_res, charpoly_residual=char_res)
 
 
 def _signed_phase(thetas: np.ndarray, ws: np.ndarray, center_theta: float) -> float:
@@ -691,8 +635,7 @@ def trace_invariant_manifold(
     s = 1.0 if direction == "+" else -1.0
     y0 = eq.point().as_array() + s * offset * evec
     if y0[1] != 0.0:
-        z_seed = 0.5 * (y0[1] ** 2 + y0[2] ** 2) + float(pot.V(float(y0[0])).val)
-        y0[1] -= z_seed / y0[1]  # one Newton step of z through v
+        y0[1] -= _z(pot, y0[0], y0[1], y0[2]) / y0[1]  # one Newton step of z through v
 
     span = (0.0, max_tau if kind == "unstable" else -max_tau)
     traj = _manifold_run(
@@ -783,14 +726,13 @@ def integrate_cartesian(
     atol: float = 1e-12,
     max_step: float = math.pi / 8.0,
 ) -> CartesianTrajectory:
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: tuple) -> tuple:
         try:
-            g = pot.grad_U(y[:2])
+            return tuple(cartesian_vector_field(y[2:], y[:2], pot).tolist())
         except OriginSingularityError as err:
             raise DomainError(str(err)) from err
-        return np.concatenate([y[2:], -g])
 
-    y0 = np.array([q0[0], q0[1], p0[0], p0[1]], dtype=float)
+    y0 = (q0[0], q0[1], p0[0], p0[1])
     sol = solve(rhs, float(t_span[0]), y0, float(t_span[1]), rtol=rtol, atol=atol,
                 max_step=max_step)
     return CartesianTrajectory(
@@ -823,23 +765,33 @@ def sample_at_physical_times(traj: Trajectory, times: Sequence[float]) -> np.nda
     # may tie; that is still invertible, only a strict reversal is not.
     if not np.all(np.diff(t_sorted) >= 0):
         raise ValueError("t is not monotone along this trajectory")
-    taus = []
-    for t_star in times:
-        t_star = float(t_star)
-        if not (t_sorted[0] - 1e-12 <= t_star <= t_sorted[-1] + 1e-12):
-            raise ValueError(f"t = {t_star} outside the integrated range")
-        i = int(np.clip(np.searchsorted(t_sorted, t_star), 1, len(t_sorted) - 1))
-        lo, hi = float(tau_sorted[i - 1]), float(tau_sorted[i])
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if float(traj.sample([mid])[0, 4]) < t_star:
-                lo = mid
-            else:
-                hi = mid
-            if abs(hi - lo) <= 1e-15 * max(1.0, abs(hi)):
-                break
-        taus.append(0.5 * (lo + hi))
-    rows = traj.sample(taus)
+    t_star = np.asarray(times, dtype=float)
+    inside = (t_sorted[0] - 1e-12 <= t_star) & (t_star <= t_sorted[-1] + 1e-12)
+    if not inside.all():
+        raise ValueError(f"t = {float(t_star[~inside][0])} outside the integrated range")
+    # Newton on t(tau) = t_star, safeguarded by each query's bracket of
+    # accepted nodes; the slope dt/dtau = exp((1 - beta/2) log r) is the
+    # carried derivative of t.  A step leaving the bracket bisects instead.
+    i = np.clip(np.searchsorted(t_sorted, t_star), 1, len(t_sorted) - 1)
+    lo, hi = tau_sorted[i - 1], tau_sorted[i]
+    tau = 0.5 * (lo + hi)
+    todo = np.arange(len(tau))
+    for _ in range(100):
+        row = traj.sample(tau[todo])
+        gap = row[:, 4] - t_star[todo]
+        lo[todo[gap < 0.0]] = tau[todo[gap < 0.0]]
+        hi[todo[gap >= 0.0]] = tau[todo[gap >= 0.0]]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            newton = tau[todo] - gap / np.exp((1.0 - traj.pot.beta / 2.0) * row[:, 0])
+        a, b = lo[todo], hi[todo]
+        nxt = np.where((a <= newton) & (newton <= b), newton, 0.5 * (a + b))
+        done = ((b - a <= 1e-15 * np.maximum(1.0, np.abs(b)))
+                | (np.abs(nxt - tau[todo]) <= 1e-15 * np.maximum(1.0, np.abs(nxt))))
+        tau[todo] = nxt
+        todo = todo[~done]
+        if not todo.size:
+            break
+    rows = traj.sample(tau)
     # raw components are (log r, theta, v, w, t, log|z|); undo the logs
     z_sign = math.copysign(1.0, traj.zs[0]) if traj.zs[0] != 0.0 else 0.0
     with np.errstate(over="ignore"):

@@ -225,6 +225,7 @@ class Potential:
         self._scalar, self._array = evaluators
         self.spec = spec
         self.flipped = flipped
+        self.V_float = _float_path(domain, self._scalar, flipped)
 
     def __repr__(self):
         src = self.spec.builtin or self.spec.expr
@@ -234,24 +235,19 @@ class Potential:
     def V(self, theta) -> Jet2:
         """V, V', V'' at theta (scalar or array).  Raises DomainError rather
         than ever returning a non-finite component."""
-        array = isinstance(theta, np.ndarray)
-        theta = np.asarray(theta, dtype=float) if array else float(theta)
+        if not isinstance(theta, np.ndarray):
+            return Jet2(*self.V_float(float(theta)))
+        theta = np.asarray(theta, dtype=float)
         if not self.domain.contains(theta):
             raise DomainError("theta outside the potential domain")
-        theta = self.domain.reduce(theta)
         try:
-            if array:
-                with np.errstate(all="ignore"):
-                    val, d1, d2 = self._array(theta)
-            else:
-                val, d1, d2 = self._scalar(theta)
+            with np.errstate(all="ignore"):
+                val, d1, d2 = self._array(self.domain.reduce(theta))
         except (ZeroDivisionError, OverflowError) as err:
             raise DomainError(f"potential singular: {err}") from err
         if self.flipped:
             val, d1, d2 = -val, -d1, -d2
-        finite = (np.isfinite(val).all() and np.isfinite(d1).all() and np.isfinite(d2).all()
-                  if array else math.isfinite(val) and math.isfinite(d1) and math.isfinite(d2))
-        if not finite:
+        if not (np.isfinite(val).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):
             raise DomainError("potential evaluation produced a non-finite value")
         return Jet2(val, d1, d2)
 
@@ -283,6 +279,32 @@ class Potential:
         everywhere-positive potentials through the complexified route."""
         return Potential(self.beta, self.domain, (self._scalar, self._array), self.spec,
                          flipped=not self.flipped)
+
+
+def _float_path(domain: Domain, scalar: Callable, flipped: bool) -> Callable:
+    """The float branch of ``Potential.V`` as one closure returning the plain
+    tuple (V, V', V''): the domain test and reduction (``Domain.contains``
+    and ``Domain.reduce`` inlined), the sign flip, and every failure as
+    DomainError.  The right-hand sides of the flow call it directly."""
+    lo, hi, periodic = domain.lo, domain.hi, domain.periodic
+    isfinite = math.isfinite
+
+    def V(theta: float) -> tuple[float, float, float]:
+        if periodic:
+            theta = theta % TWO_PI
+        elif not lo < theta < hi:
+            raise DomainError("theta outside the potential domain")
+        try:
+            val, d1, d2 = scalar(theta)
+        except (ZeroDivisionError, OverflowError) as err:
+            raise DomainError(f"potential singular: {err}") from err
+        if flipped:
+            val, d1, d2 = -val, -d1, -d2
+        if not (isfinite(val) and isfinite(d1) and isfinite(d2)):
+            raise DomainError("potential evaluation produced a non-finite value")
+        return val, d1, d2
+
+    return V
 
 
 def compile_potential(spec: PotentialSpec) -> Potential:

@@ -1,18 +1,28 @@
 """Adaptive Dormand-Prince 5(4) integration with PI step control.
 
 The solver is deliberately small: one explicit embedded pair, RMS error
-norm against ``atol + rtol*|y|``, a proportional-integral controller on the
-step size, and cubic Hermite interpolation between accepted steps (locally
-fourth-order, matching the sampling accuracy we need).
+norm against ``atol + rtol*max(|y|, |y_new|)``, a proportional-integral
+controller on the step size, and cubic Hermite interpolation between
+accepted steps (locally fourth-order, matching the sampling accuracy we
+need).
 
-A right-hand side may raise DomainError to signal that a stage left the
-admissible region; the step is then retried with a smaller h.  When the
-step size underflows the run ends gracefully with a termination reason,
-unless not even one step was accepted, which raises instead.
+States and derivatives travel as tuples of floats.  The step itself is
+straight-line code generated once per state dimension and cached: every
+stage sum written out term by term, a ``math.isfinite`` test per stage
+value, the scaled error norm and the FSAL stage.  The accepted nodes become
+arrays once, at the end of the run.
+
+A right-hand side may raise DomainError (or OverflowError) to signal that a
+stage left the admissible region; the step is then retried with a smaller
+h.  When the step size underflows the run ends gracefully with a
+termination reason, unless not even one step was accepted, which raises
+instead.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,28 +34,26 @@ __all__ = ["RawSolution", "solve", "hermite_sample"]
 
 # Dormand-Prince coefficients.  The last row of A equals the 5th-order
 # weights, so the final stage of an accepted step is the first stage of the
-# next one (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference between the 5th- and embedded 4th-order weights
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+# next one (FSAL), and the last stage value is the new state.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# difference between the 5th- and embedded 4th-order weights
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _K_I = 0.7 / 5.0   # integral gain on the current error
 _K_P = 0.4 / 5.0   # proportional gain on the previous error
+_EPS = sys.float_info.epsilon
 
 
 @dataclass
@@ -56,14 +64,6 @@ class RawSolution:
     reason: str             # "span_end" | "step_underflow" | "left_domain" | custom
     n_accepted: int
     n_rejected: int
-
-    @property
-    def t_end(self) -> float:
-        return float(self.ts[-1])
-
-    @property
-    def y_end(self) -> np.ndarray:
-        return self.ys[-1]
 
     def sample(self, tq) -> np.ndarray:
         return hermite_sample(self.ts, self.ys, self.fs, tq)
@@ -94,17 +94,58 @@ def hermite_sample(ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, tq) -> np.nda
     return h00 * ys[idx] + h10 * hcol * fs[idx] + h01 * ys[idx + 1] + h11 * hcol * fs[idx + 1]
 
 
+def _step_source(n: int) -> str:
+    """Source of one Dormand-Prince attempt on n float components.
+
+    ``step(f, t, y, k0, h, atol, rtol)`` returns ``(y_new, k6, err)``: the
+    new state, f at it (FSAL) and the RMS of the error estimate against
+    ``atol + rtol*max(|y|, |y_new|)``.  Each stage sum is written out term by
+    term, left to right, over the nonzero coefficients; a non-finite stage
+    value raises DomainError before f sees it.
+    """
+    def names(prefix):
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    lines = ["def step(f, t, y, k0, h, atol, rtol):",
+             f"    {names('y')}, = y", f"    {names('k0_')}, = k0"]
+    for s in range(1, 7):
+        for i in range(n):
+            terms = " + ".join(f"{a!r}*k{j}_{i}" for j, a in enumerate(_A[s]) if a)
+            lines.append(f"    s{i} = y{i} + h*({terms})")
+        lines += [f"    if not ({' and '.join(f'isfinite(s{i})' for i in range(n))}):",
+                  "        raise DomainError('non-finite stage value')",
+                  f"    {names(f'k{s}_')}, = f(t + {_C[s]!r}*h, ({names('s')},))"]
+    for i in range(n):
+        terms = " + ".join(f"{e!r}*k{j}_{i}" for j, e in enumerate(_E) if e)
+        lines += [f"    a = abs(y{i}); b = abs(s{i})",
+                  f"    q{i} = h*({terms})/(atol + rtol*(a if a > b else b))"]
+    squares = " + ".join(f"q{i}*q{i}" for i in range(n))
+    lines.append(f"    return ({names('s')},), ({names('k6_')},), sqrt(({squares})/{n})")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _step(n: int) -> Callable:
+    """The compiled step for dimension n, generated on first use."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "DomainError": DomainError}
+    exec(compile(_step_source(n), f"<mcgehee.rk step {n}>", "exec"), namespace)
+    return namespace["step"]
+
+
+def _rms(xs, scale) -> float:
+    return math.sqrt(sum((x / s) * (x / s) for x, s in zip(xs, scale)) / len(scale))
+
+
 def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    scale = [atol + rtol * abs(x) for x in y0]
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     direction = math.copysign(1.0, t1 - t0)
     h0 = min(h0, abs(t1 - t0), max_step)
     try:
-        f1 = f(t0 + direction * h0, y0 + direction * h0 * f0)
-        d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    except DomainError:
+        f1 = f(t0 + direction * h0, tuple(x + direction * h0 * k for x, k in zip(y0, f0)))
+        d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
+    except (DomainError, OverflowError):
         return 0.01 * h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -114,7 +155,7 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
 
 
 def solve(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, tuple], Sequence[float]],
     t0: float,
     y0: Sequence[float],
     t1: float,
@@ -122,24 +163,28 @@ def solve(
     atol: float = 1e-12,
     max_step: float = math.pi / 8.0,
     first_step: float | None = None,
-    stop: Callable[[float, np.ndarray, np.ndarray], str | None] | None = None,
-    postprocess: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    stop: Callable[[float, tuple, tuple], str | None] | None = None,
+    postprocess: Callable[[float, tuple], tuple] | None = None,
 ) -> RawSolution:
     """Integrate ``dy/dt = f(t, y)`` from t0 to t1 (either direction).
 
-    ``stop`` is evaluated at every accepted node and may return a custom
-    termination reason to end the run early.  ``postprocess`` maps each
-    accepted state before it is recorded (e.g. projection onto an invariant
-    set); it costs the FSAL reuse, since the derivative is re-evaluated at
-    the adjusted point.
+    ``f`` takes the state as a tuple of floats and returns n floats; it is
+    called once per stage.  ``stop`` is evaluated at every accepted node and
+    may return a custom termination reason to end the run early.
+    ``postprocess`` maps each accepted state before it is recorded (e.g.
+    projection onto an invariant set); it costs the FSAL reuse, since the
+    derivative is re-evaluated at the adjusted point.
     """
     if t0 == t1:
         raise ValueError("empty integration span")
-    y = np.asarray(y0, dtype=float)
+    y = tuple(map(float, y0))
+    if not all(map(math.isfinite, y)):
+        raise LeftDomainError("initial state is not integrable: non-finite component")
+    step = _step(len(y))
     direction = math.copysign(1.0, t1 - t0)
     try:
         k0 = f(t0, y)
-    except DomainError as err:
+    except (DomainError, OverflowError) as err:
         raise LeftDomainError(f"initial state is not integrable: {err}") from err
 
     h = first_step if first_step is not None else _initial_step(
@@ -147,7 +192,7 @@ def solve(
     )
     h = min(abs(h), abs(t1 - t0), max_step)
 
-    ts, ys, fs = [t0], [y.copy()], [k0.copy()]
+    ts, ys, fs = [t0], [y], [k0]
     reason = None
     err_prev = 1.0
     n_acc = n_rej = 0
@@ -159,7 +204,7 @@ def solve(
             return RawSolution(np.array(ts), np.array(ys), np.array(fs), early, 0, 0)
 
     while reason is None:
-        h_min = 16.0 * np.finfo(float).eps * max(abs(t), abs(t1), 1.0)
+        h_min = 16.0 * _EPS * max(abs(t), abs(t1), 1.0)
         if abs(t1 - t) <= h_min:
             reason = "span_end"
             break
@@ -170,23 +215,10 @@ def solve(
                 reason = "left_domain" if domain_hit else "step_underflow"
                 break
             hs = direction * h
-            k = [k0]
             try:
-                for i in range(1, 7):
-                    yi = y + hs * (np.stack(k, axis=1) @ _A[i])
-                    if not np.all(np.isfinite(yi)):
-                        raise DomainError("non-finite stage value")
-                    k.append(f(t + _C[i] * hs, yi))
+                y_new, k_new, err = step(f, t, y, k0, hs, atol, rtol)
             except (DomainError, OverflowError):
-                domain_hit = True
-                n_rej += 1
-                h *= 0.5
-                continue
-            kmat = np.stack(k, axis=1)
-            y_new = y + hs * (kmat @ _B)
-            err_vec = hs * (kmat @ _E)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+                err = math.nan
             if not math.isfinite(err):
                 domain_hit = True
                 n_rej += 1
@@ -203,12 +235,12 @@ def solve(
         y = y_new
         if postprocess is not None:
             y = postprocess(t, y)
-            k0 = np.asarray(f(t, y), dtype=float)
+            k0 = f(t, y)
         else:
-            k0 = k[6]  # FSAL: last stage is f(t, y_new)
+            k0 = k_new  # FSAL: last stage is f(t, y_new)
         ts.append(t)
-        ys.append(y.copy())
-        fs.append(k0.copy())
+        ys.append(y)
+        fs.append(k0)
         n_acc += 1
 
         if err == 0.0:

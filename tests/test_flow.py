@@ -228,6 +228,34 @@ def test_trajectory_csv_round_trips_every_sample():
                    tr.ws[k], tr.zs[k], tr.hs[k]]
 
 
+def test_trajectory_csv_bytes_are_pinned():
+    nan, inf = math.nan, math.inf
+    cols = ([0.0, 0.1], [nan, 1.0 / 3.0], [0.0, 1e-300], [-0.0, math.pi], [inf, -inf],
+            [1.0, 2.5e17], [-1e-5, 0.5], [5e-324, -1.7976931348623157e308])
+    tr = flow.Trajectory(yoshida(), *map(np.array, cols), reason="span_end")
+    buf = io.StringIO()
+    tr.write_csv(buf)
+    assert buf.getvalue() == (
+        "tau,t,r,theta,v,w,z,h\n"
+        "0,nan,0,-0,inf,1,-1.0000000000000001e-05,4.9406564584124654e-324\n"
+        "0.10000000000000001,0.33333333333333331,1e-300,3.1415926535897931,-inf,2.5e+17,0.5,"
+        "-1.7976931348623157e+308\n"
+    )
+
+
+def test_subsystem_csv_writes_placeholder_columns_and_exact_samples():
+    pot = yoshida()
+    tr = integrate_manifold(manifold_seed(pot, 0.3, 0.2), pot, (0.0, 0.5))
+    buf = io.StringIO()
+    tr.write_csv(buf)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert len(rows) == len(tr) > 2
+    for k, row in enumerate(rows):
+        assert (row[1], row[2], row[7]) == ("nan", "0", "0")
+        assert [float(row[i]) for i in (0, 3, 4, 5, 6)] == [
+            tr.taus[k], tr.thetas[k], tr.vs[k], tr.ws[k], tr.zs[k]]
+
+
 def test_physical_time_sampling_inverts_the_clock():
     pot = iso()
     st = to_mcgehee((3.0, 0.4), (1.0, 0.2), pot.beta)
@@ -242,6 +270,21 @@ def test_physical_time_sampling_inverts_the_clock():
     assert np.max(np.abs(rows[:, 0] / approx_r - 1.0)) <= 1e-2
     with pytest.raises(ValueError):
         sample_at_physical_times(tr, [tr.ts[-1] + 1.0])
+
+
+def test_physical_time_sampling_runs_backward_and_checks_its_input():
+    pot = iso()
+    st = to_mcgehee((3.0, 0.4), (1.0, 0.2), pot.beta)
+    tr = integrate(st, pot, (0.0, -2.0))
+    assert tr.ts[-1] < -0.1
+    tgrid = np.linspace(tr.ts[-1], 0.0, 13)
+    rows = sample_at_physical_times(tr, tgrid)
+    assert np.max(np.abs(rows[:, 4] - tgrid)) <= 1e-14
+    with pytest.raises(ValueError, match="outside the integrated range"):
+        sample_at_physical_times(tr, [0.5 * tr.ts[-1], math.nan])
+    tr.ts = tr.ts[::-1].copy()
+    with pytest.raises(ValueError, match="not monotone"):
+        sample_at_physical_times(tr, [0.5 * tr.ts[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -31,3 +31,24 @@ def test_benchmark_tracer_sees_each_layer(capsys):
                  "critical.find"):
         assert name in tracer.names, name
     assert potentials.Potential.V is raw_V
+
+
+def test_benchmark_tracer_sees_the_flow_layers(capsys):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        rc = cli.run(["manifold", "--builtin", "yoshida_g", "--set", "epsilon=4",
+                      "--from=0.0", "--sign", "-", "--branch", "unstable",
+                      "--branch-dir", "+", "--max-tau", "5"])
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    metrics = tracing._round_metrics(tracer, 0, len(tracer.names))
+    for name in ("rk.solve", "rk.rhs", "flow.project", "cli.emit"):
+        assert name in tracer.names, name
+    assert metrics["rk.steps_accepted"] > 0 and metrics["cli.bytes_out"] > 0
+    # six stages per attempt, plus the derivative after each projection
+    assert 6.0 <= metrics["rk.rhs_calls"] / metrics["rk.steps_accepted"] <= 8.0
+    assert metrics["rk.us_per_step"] > 0.0
