@@ -8,8 +8,13 @@ non-integrability exactly when all six margins clear ``strictness_tol``.  Margin
 never promoted to a verdict: the certificate comes back ``Inconclusive`` with
 the ``boundary`` flag set.
 
-For potentials that are positive over a candidate triple, the same test can
-be applied to -V; a certificate obtained that way is tagged
+Each triple is measured once -- the jets at its three angles, the extremes
+of V on ``interval_grid`` points of [theta_-1, theta_1] and min |V'| on the
+open subintervals -- and the assumptions are judged from those numbers.
+With ``allow_sign_flip``, when no triple certifies V and V > 0 on the
+sampled span of some candidate triple, the same measurements are judged for
+-V: negation maps them to those of -V exactly, so this route evaluates V
+no further.  A certificate obtained that way is tagged
 ``kind="complexified"`` because it pertains to the analytically continued
 system and asserts (rather than verifies) analyticity along the continued
 orbit.
@@ -19,17 +24,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .critical import CriticalPoint, find_critical_points
-from .errors import (
-    DomainViolationError,
-    McGeheeError,
-    NotCriticalPointError,
-    UnboundParameterError,
-)
-from .potentials import TWO_PI, Potential, PotentialSpec, compile_potential
+from .critical import CriticalPoint, critical_jet, find_critical_points
+from .errors import DomainViolationError, McGeheeError, UnboundParameterError
+from .potentials import TWO_PI, Jet2, Potential, PotentialSpec, compile_potential
 
 __all__ = [
     "AssumptionReport",
@@ -96,6 +97,62 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+class _Measurement(NamedTuple):
+    """Everything the six assumptions read off one triple of V."""
+
+    triple: tuple[float, float, float]
+    jets: tuple[Jet2, Jet2, Jet2]    # at theta_-1, theta_0, theta_1
+    vmax: float                      # extremes of V on the interval_grid span
+    vmin: float
+    m4: float                        # min |V'| over the open subintervals
+
+    def negated(self) -> "_Measurement":
+        """The measurement of -V, exact: negation rounds nothing."""
+        jets = tuple(Jet2(-j.val, -j.d1, -j.d2) for j in self.jets)
+        return self._replace(jets=jets, vmax=-self.vmin, vmin=-self.vmax)
+
+
+def _measure(
+    pot: Potential, triple: tuple[float, float, float], opts: CertifyOptions
+) -> _Measurement:
+    tm, t0, tp = (float(t) for t in triple)
+    if not (tm < t0 < tp):
+        raise DomainViolationError(f"triple {triple} is not strictly increasing")
+    if tp - tm > TWO_PI + 1e-12:
+        raise DomainViolationError(f"triple {triple} spans more than one revolution")
+    jets = tuple(critical_jet(pot, t, opts.crit_residual_tol)[1] for t in (tm, t0, tp))
+
+    span = pot.V(np.linspace(tm, tp, opts.interval_grid)).val
+    m4 = math.inf
+    for a, b in ((tm, t0), (t0, tp)):
+        inner = np.linspace(a, b, opts.subinterval_grid + 2)[1:-1]
+        m4 = min(m4, float(np.min(np.abs(pot.V(inner).d1))))
+    return _Measurement((tm, t0, tp), jets, float(np.max(span)), float(np.min(span)), m4)
+
+
+def _judge(beta: float, m: _Measurement, opts: CertifyOptions) -> tuple[AssumptionReport, ...]:
+    """Each assumption holds when its margin clears its bar: ``beta_tol``
+    for the degree, ``strictness_tol`` for the other five."""
+    (tm, t0, tp), (jm, j0, jp) = m.triple, m.jets
+    tol = opts.strictness_tol
+    m1 = min(abs(beta + 2.0), abs(beta))
+    d1 = f"beta = {beta} at distance {m1:.3e} from the excluded degrees -2 and 0"
+    if abs(beta + 2.0) <= opts.beta_tol:
+        d1 += "; degree -2 carries the global quadratic integral (q.p)^2 - 2|q|^2 H"
+    m6 = float(j0.d2) + (beta + 2.0) ** 2 * float(j0.val) / 8.0
+    rows = (
+        (m1, opts.beta_tol, d1),
+        (min(t0 - tm, tp - t0), tol, f"ordering gaps ({t0 - tm:.6g}, {tp - t0:.6g})"),
+        (-m.vmax, tol, f"max V on [theta_-1, theta_1] = {m.vmax:.6g}"),
+        (m.m4, tol, f"min |V'| over open subintervals = {m.m4:.6g}"),
+        (min(-float(jm.d2), -float(jp.d2)), tol,
+         f"V''(theta_-1) = {float(jm.d2):.6g}, V''(theta_1) = {float(jp.d2):.6g}"),
+        (m6, tol, f"V''(theta_0) + (beta+2)^2 V(theta_0)/8 = {m6:.6g}"),
+    )
+    return tuple(AssumptionReport(i, margin > bar, margin, detail)
+                 for i, (margin, bar, detail) in enumerate(rows, 1))
+
+
 def check_triple(
     pot: Potential,
     triple: tuple[float, float, float],
@@ -107,74 +164,7 @@ def check_triple(
     periodic domain the outer pair may be the same critical angle seen one
     revolution apart.  Every angle must actually be a critical point of V.
     """
-    tm, t0, tp = (float(t) for t in triple)
-    if not (tm < t0 < tp):
-        raise DomainViolationError(f"triple {triple} is not strictly increasing")
-    if tp - tm > TWO_PI + 1e-12:
-        raise DomainViolationError(f"triple {triple} spans more than one revolution")
-    jets = []
-    for t in (tm, t0, tp):
-        if not pot.domain.contains(pot.domain.reduce(t) if pot.domain.periodic else t):
-            raise DomainViolationError(f"angle {t} lies outside the domain")
-        jets.append(pot.V(t))
-        resid = abs(float(jets[-1].d1))
-        if resid > opts.crit_residual_tol:
-            raise NotCriticalPointError(f"|V'({t})| = {resid:.3e}")
-    jm, j0, jp = jets
-
-    beta = pot.beta
-    tol = opts.strictness_tol
-    reports = []
-
-    m1 = min(abs(beta + 2.0), abs(beta))
-    d1 = f"beta = {beta} at distance {m1:.3e} from the excluded degrees -2 and 0"
-    if abs(beta + 2.0) <= opts.beta_tol:
-        d1 += "; degree -2 carries the global quadratic integral (q.p)^2 - 2|q|^2 H"
-    reports.append(AssumptionReport(1, m1 > opts.beta_tol, m1, d1))
-
-    m2 = min(t0 - tm, tp - t0)
-    reports.append(
-        AssumptionReport(
-            2, m2 > tol, m2, f"ordering gaps ({t0 - tm:.6g}, {tp - t0:.6g})"
-        )
-    )
-
-    span = np.linspace(tm, tp, opts.interval_grid)
-    vmax = float(np.max(pot.V(span).val))
-    reports.append(
-        AssumptionReport(
-            3, -vmax > tol, -vmax, f"max V on [theta_-1, theta_1] = {vmax:.6g}"
-        )
-    )
-
-    m4 = math.inf
-    for a, b in ((tm, t0), (t0, tp)):
-        inner = np.linspace(a, b, opts.subinterval_grid + 2)[1:-1]
-        m4 = min(m4, float(np.min(np.abs(pot.V(inner).d1))))
-    reports.append(
-        AssumptionReport(4, m4 > tol, m4, f"min |V'| over open subintervals = {m4:.6g}")
-    )
-
-    m5 = min(-float(jm.d2), -float(jp.d2))
-    reports.append(
-        AssumptionReport(
-            5,
-            m5 > tol,
-            m5,
-            f"V''(theta_-1) = {float(jm.d2):.6g}, V''(theta_1) = {float(jp.d2):.6g}",
-        )
-    )
-
-    m6 = float(j0.d2) + (beta + 2.0) ** 2 * float(j0.val) / 8.0
-    reports.append(
-        AssumptionReport(
-            6,
-            m6 > tol,
-            m6,
-            f"V''(theta_0) + (beta+2)^2 V(theta_0)/8 = {m6:.6g}",
-        )
-    )
-    return tuple(reports)
+    return _judge(pot.beta, _measure(pot, triple, opts), opts)
 
 
 def _candidate_triples(
@@ -200,48 +190,41 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
 
     Returns the certificate with the largest assumption-6 margin among fully
     satisfied triples, else the nearest miss marked ``Inconclusive``.  The
-    sign-flip route checks the same triples on -V: negation leaves the
-    zeros of V' bit for bit where they are, so one scan serves both routes.
+    sign-flip route judges the same measurements negated: negation leaves
+    the zeros of V' bit for bit where they are, so one scan and one
+    evaluation per triple serve both routes.
     """
     echo = pot.spec.to_dict() if pot.spec is not None else {"beta": pot.beta}
-    triples = _candidate_triples(pot, find_critical_points(pot, grid_n=opts.grid_n))
+    measured = []
+    for triple in _candidate_triples(pot, find_critical_points(pot, grid_n=opts.grid_n)):
+        try:
+            measured.append((triple, _measure(pot, triple, opts)))
+        except McGeheeError:
+            continue
 
-    def checked(p: Potential):
-        results = []
-        for triple in triples:
-            try:
-                results.append((triple, check_triple(p, triple, opts)))
-            except McGeheeError:
-                continue
-        return results
-
-    def certificate(p: Potential, conclusion: str, triple, reports, boundary=False):
+    def certificate(flipped: bool, conclusion: str, triple, reports, boundary=False):
         return Certificate(
             conclusion=conclusion,
-            kind="complexified" if p.flipped else "direct",
-            beta=p.beta,
+            kind="complexified" if flipped else "direct",
+            beta=pot.beta,
             triple=triple,
             assumptions=reports,
             potential=echo,
             boundary=boundary,
-            complex_analyticity_asserted=p.flipped,
+            complex_analyticity_asserted=flipped,
         )
 
-    def winner(p: Potential, results):
+    def winner(flipped: bool, results):
         wins = [r for r in results if all(a.satisfied for a in r[1])]
         if not wins:
             return None
         triple, reports = max(wins, key=lambda r: (r[1][5].margin, -r[0][0]))
-        return certificate(p, "NonIntegrable", triple, reports)
+        return certificate(flipped, "NonIntegrable", triple, reports)
 
-    results = checked(pot)
-    cert = winner(pot, results)
-    if cert is None and opts.allow_sign_flip and not pot.flipped and any(
-        float(np.min(pot.V(np.linspace(tm, tp, opts.interval_grid)).val)) > 0.0
-        for tm, _, tp in triples
-    ):
-        flipped = pot.sign_flipped()
-        cert = winner(flipped, checked(flipped))
+    results = [(triple, _judge(pot.beta, m, opts)) for triple, m in measured]
+    cert = winner(False, results)
+    if cert is None and opts.allow_sign_flip and any(m.vmin > 0.0 for _, m in measured):
+        cert = winner(True, [(t, _judge(pot.beta, m.negated(), opts)) for t, m in measured])
     if cert is not None:
         return cert
 
@@ -251,7 +234,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
         default=(None, ()),
     )
     boundary = any(abs(a.margin) <= opts.strictness_tol for a in reports)
-    return certificate(pot, "Inconclusive", triple, reports, boundary)
+    return certificate(False, "Inconclusive", triple, reports, boundary)
 
 
 @dataclass(frozen=True)

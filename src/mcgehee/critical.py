@@ -12,10 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePotentialError, DomainError, PoleEncounteredError
-from .potentials import TWO_PI, Potential
+from .errors import (
+    DegeneratePotentialError,
+    DomainError,
+    DomainViolationError,
+    NotCriticalPointError,
+    PoleEncounteredError,
+)
+from .potentials import TWO_PI, Jet2, Potential
 
-__all__ = ["CriticalPoint", "find_critical_points", "classify"]
+__all__ = ["CriticalPoint", "critical_jet", "find_critical_points", "classify"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,24 @@ def classify(curvature: float, class_tol: float = 1e-9) -> str:
     if curvature < -class_tol:
         return "maximum"
     return "degenerate"
+
+
+def critical_jet(pot: Potential, theta: float, residual_tol: float) -> tuple[float, Jet2]:
+    """The angle reduced into the domain's window and the jet of V there.
+
+    Raises DomainViolationError for an angle outside the domain and
+    NotCriticalPointError when |V'| exceeds ``residual_tol``: this is the
+    rule by which certificates and Yoshida coefficients accept an angle.
+    """
+    theta = float(theta)
+    t = pot.domain.reduce(theta)
+    if not pot.domain.contains(t):
+        raise DomainViolationError(f"angle {theta} lies outside the domain")
+    jet = pot.V(t)
+    resid = abs(float(jet.d1))
+    if resid > residual_tol:
+        raise NotCriticalPointError(f"|V'({t})| = {resid:.3e}")
+    return t, jet
 
 
 def _grid_jet(pot: Potential, grid: np.ndarray):

@@ -390,9 +390,13 @@ def integrate(
         z0 = state0.z(pot)
     except DomainError as exc:
         raise LeftDomainError("initial state lies outside the potential domain") from exc
-    z_sign = math.copysign(1.0, z0) if z0 != 0.0 else 0.0
-    ell0 = math.log(abs(z0)) if z0 != 0.0 else -math.inf
-    y0 = (math.log(state0.r), state0.theta, state0.v, state0.w, 0.0, ell0)
+    if z0 == 0.0:
+        raise LeftDomainError(
+            "initial state has zero energy (h = 0, z = 0): log|z| is undefined, and the"
+            " (theta, v, w) orbit lies on the collision manifold M = {z = 0}"
+        )
+    z_sign = math.copysign(1.0, z0)
+    y0 = (math.log(state0.r), state0.theta, state0.v, state0.w, 0.0, math.log(abs(z0)))
     eq_stop = _subsystem_stop(eq_tol, slice_from=1)
     if t_stop is None:
         stop = eq_stop

@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical import critical_jet
 from .errors import (
     BetaTwoScaleDegenerateError,
     DomainViolationError,
-    NotCriticalPointError,
     ZeroBetaError,
     ZeroPotentialValueError,
 )
@@ -93,18 +93,6 @@ class NecessaryInequality:
     margin: float
 
 
-def _jet_at_critical(pot: Potential, theta_c: float, residual_tol: float):
-    theta_c = float(theta_c)
-    t = pot.domain.reduce(theta_c) if pot.domain.periodic else theta_c
-    if not pot.domain.contains(t):
-        raise DomainViolationError(f"angle {theta_c} lies outside the domain")
-    jet = pot.V(t)
-    resid = abs(float(jet.d1))
-    if resid > residual_tol:
-        raise NotCriticalPointError(f"|V'({t})| = {resid:.3e}")
-    return t, jet
-
-
 def yoshida_lambda(
     pot: Potential,
     theta_c: float,
@@ -118,7 +106,7 @@ def yoshida_lambda(
     """
     if pot.beta == 0.0:
         raise ZeroBetaError("beta = 0: Yoshida coefficients are undefined")
-    theta_c, jet = _jet_at_critical(pot, theta_c, residual_tol)
+    theta_c, jet = critical_jet(pot, theta_c, residual_tol)
     val = float(jet.val)
     if val == 0.0:
         raise ZeroPotentialValueError(
@@ -155,7 +143,7 @@ def darboux_from_critical(
         raise BetaTwoScaleDegenerateError(
             "beta = 2: the Darboux scale equation s^(beta-2) = 1/(beta V) loses s"
         )
-    theta_c, jet = _jet_at_critical(pot, theta_c, residual_tol)
+    theta_c, jet = critical_jet(pot, theta_c, residual_tol)
     bv = pot.beta * float(jet.val)
     if bv <= 0.0:
         return None

@@ -219,17 +219,16 @@ class Potential:
     """Compiled shape potential.  Immutable; evaluation has no side effects."""
 
     def __init__(self, beta: float, domain: Domain, evaluators: tuple[Callable, Callable],
-                 spec: PotentialSpec, flipped: bool = False):
+                 spec: PotentialSpec):
         self.beta = float(beta)
         self.domain = domain
         self._scalar, self._array = evaluators
         self.spec = spec
-        self.flipped = flipped
-        self.V_float = _float_path(domain, self._scalar, flipped)
+        self.V_float = _float_path(domain, self._scalar)
 
     def __repr__(self):
         src = self.spec.builtin or self.spec.expr
-        return f"Potential(beta={self.beta}, {src!r}{', flipped' if self.flipped else ''})"
+        return f"Potential(beta={self.beta}, {src!r})"
 
     # -------------------------------------------------------------- evaluation
     def V(self, theta) -> Jet2:
@@ -245,8 +244,6 @@ class Potential:
                 val, d1, d2 = self._array(self.domain.reduce(theta))
         except (ZeroDivisionError, OverflowError) as err:
             raise DomainError(f"potential singular: {err}") from err
-        if self.flipped:
-            val, d1, d2 = -val, -d1, -d2
         if not (np.isfinite(val).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):
             raise DomainError("potential evaluation produced a non-finite value")
         return Jet2(val, d1, d2)
@@ -273,19 +270,12 @@ class Potential:
         c, s = math.cos(theta), math.sin(theta)
         return np.array([radial * c - tangential * s, radial * s + tangential * c])
 
-    # -------------------------------------------------------------- variants
-    def sign_flipped(self) -> "Potential":
-        """The potential -V (same degree, same domain).  Used to certify
-        everywhere-positive potentials through the complexified route."""
-        return Potential(self.beta, self.domain, (self._scalar, self._array), self.spec,
-                         flipped=not self.flipped)
 
-
-def _float_path(domain: Domain, scalar: Callable, flipped: bool) -> Callable:
+def _float_path(domain: Domain, scalar: Callable) -> Callable:
     """The float branch of ``Potential.V`` as one closure returning the plain
     tuple (V, V', V''): the domain test and reduction (``Domain.contains``
-    and ``Domain.reduce`` inlined), the sign flip, and every failure as
-    DomainError.  The right-hand sides of the flow call it directly."""
+    and ``Domain.reduce`` inlined) and every failure as DomainError.  The
+    right-hand sides of the flow call it directly."""
     lo, hi, periodic = domain.lo, domain.hi, domain.periodic
     isfinite = math.isfinite
 
@@ -298,8 +288,6 @@ def _float_path(domain: Domain, scalar: Callable, flipped: bool) -> Callable:
             val, d1, d2 = scalar(theta)
         except (ZeroDivisionError, OverflowError) as err:
             raise DomainError(f"potential singular: {err}") from err
-        if flipped:
-            val, d1, d2 = -val, -d1, -d2
         if not (isfinite(val) and isfinite(d1) and isfinite(d2)):
             raise DomainError("potential evaluation produced a non-finite value")
         return val, d1, d2

@@ -88,11 +88,7 @@ def jet_fd_error(pot: Potential, n: int = 1000, h: float = 1e-4, pad: float = 0.
     1 and its own sup over the grid, so angles where the derivative
     happens to vanish do not inflate the measure.
     """
-    lo, hi = pot.domain.lo, pot.domain.hi
-    if pot.domain.periodic:
-        grid = np.linspace(lo, hi, n, endpoint=False)
-    else:
-        grid = np.linspace(lo + pad, hi - pad, n)
+    grid = pot.domain.sample_grid(n, pad)
     mid, vp, vpp = pot.V(grid)
     up1 = pot.V(pot.domain.reduce(grid + h)).val
     dn1 = pot.V(pot.domain.reduce(grid - h)).val
@@ -105,16 +101,21 @@ def jet_fd_error(pot: Potential, n: int = 1000, h: float = 1e-4, pad: float = 0.
     return float(max(e1, e2))
 
 
+def _random_theta(pot: Potential, rng: np.random.Generator, pad: float = 0.3) -> float:
+    """A uniform angle ``pad`` inside the domain ends (periodic domains use
+    the full circle)."""
+    lo, hi = pot.domain.lo, pot.domain.hi
+    if pot.domain.periodic:
+        return float(rng.uniform(lo, hi))
+    return float(rng.uniform(lo + pad, hi - pad))
+
+
 def random_mcgehee_state(
     pot: Potential, rng: np.random.Generator, pad: float = 0.3
 ) -> McGeheeState:
     """A random blown-up state with r in [0.5, 2] and theta ``pad`` inside
     the domain ends (periodic domains use the full circle)."""
-    lo, hi = pot.domain.lo, pot.domain.hi
-    if pot.domain.periodic:
-        theta = float(rng.uniform(lo, hi))
-    else:
-        theta = float(rng.uniform(lo + pad, hi - pad))
+    theta = _random_theta(pot, rng, pad)
     return McGeheeState(
         r=float(rng.uniform(0.5, 2.0)),
         theta=theta,
@@ -205,7 +206,7 @@ def _check_manifold_invariance(rng: np.random.Generator) -> CheckResult:
     pot = compile_potential(spec_from_dict({"builtin": "yoshida_g", "params": {"epsilon": 4.0}}))
     worst = 0.0
     for _ in range(3):
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        theta = _random_theta(pot, rng)
         cap = -2.0 * float(pot.V(theta).val)
         v = float(rng.uniform(-0.9, 0.9)) * math.sqrt(cap)
         w = math.sqrt(cap - v * v)
@@ -223,10 +224,7 @@ def _check_gradient_like(rng: np.random.Generator) -> CheckResult:
     ):
         pot = compile_potential(spec_from_dict(spec))
         for _ in range(3):
-            if pot.domain.periodic:
-                theta = float(rng.uniform(pot.domain.lo, pot.domain.hi))
-            else:
-                theta = float(rng.uniform(pot.domain.lo + 0.3, pot.domain.hi - 0.3))
+            theta = _random_theta(pot, rng)
             cap = -2.0 * float(pot.V(theta).val)
             v = float(rng.uniform(-0.9, 0.9)) * math.sqrt(cap)
             w = math.copysign(math.sqrt(cap - v * v), rng.uniform(-1.0, 1.0))

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from mcgehee.certify import CertifyOptions, certify, check_triple, sweep_threshold
@@ -12,7 +13,7 @@ from mcgehee.errors import (
     NotCriticalPointError,
     UnboundParameterError,
 )
-from mcgehee.potentials import compile_potential, spec_from_dict
+from mcgehee.potentials import BUILTINS, compile_potential, spec_from_dict
 
 
 def builtin(name, **params):
@@ -115,11 +116,37 @@ def test_sign_flip_reuses_the_direct_scan(monkeypatch):
         return find_critical_points(*args, **kwargs)
 
     monkeypatch.setattr(module, "find_critical_points", counted)
-    pot = builtin("yoshida_h", epsilon=-0.5)
-    cert = certify(pot, CertifyOptions(allow_sign_flip=True))
+    cert = certify(builtin("yoshida_h", epsilon=-0.5), CertifyOptions(allow_sign_flip=True))
     assert len(scans) == 1
     assert cert.conclusion == "NonIntegrable"
-    assert cert.to_dict() == certify(pot.sign_flipped()).to_dict()
+    # unary minus negates V, V' and V'' exactly, so -V compiled from source
+    # is the reference for the complexified route
+    negated = compile_potential(spec_from_dict({
+        "expr": f"-({BUILTINS['yoshida_h'].source})", "beta": 4.0,
+        "params": {"epsilon": -0.5},
+    }))
+    reference = certify(negated)
+    assert reference.kind == "direct"
+    assert (cert.conclusion, cert.triple) == (reference.conclusion, reference.triple)
+    assert cert.assumptions == reference.assumptions
+
+
+def test_sign_flip_evaluates_no_array_of_its_own(monkeypatch):
+    potential = sys.modules["mcgehee.potentials"].Potential
+    raw_V = potential.V
+    arrays = []
+
+    def counted(self, theta):
+        if isinstance(theta, np.ndarray):
+            arrays.append(theta.size)
+        return raw_V(self, theta)
+
+    monkeypatch.setattr(potential, "V", counted)
+    pot = builtin("yoshida_h", epsilon=-0.5)
+    assert certify(pot).conclusion == "Inconclusive"
+    direct = len(arrays)
+    assert certify(pot, CertifyOptions(allow_sign_flip=True)).conclusion == "NonIntegrable"
+    assert len(arrays) - direct == direct
 
 
 def test_sign_flip_does_not_touch_negative_potentials():

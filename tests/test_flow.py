@@ -200,6 +200,14 @@ def test_integration_from_outside_the_domain_raises_immediately():
         integrate(McGeheeState(1.0, 2.0, 0.0, 0.0), iso(), (0.0, 1.0))
 
 
+def test_zero_energy_start_is_rejected_by_name():
+    pot = builtin("yoshida_g", epsilon=4.0)
+    state = McGeheeState(1.0, 0.3, 0.2, math.sqrt(-2.0 * float(pot.V(0.3).val) - 0.04))
+    assert state.z(pot) == 0.0
+    with pytest.raises(LeftDomainError, match=r"zero energy \(h = 0, z = 0\)"):
+        integrate(state, pot, (0.0, 1.0))
+
+
 def test_nonpositive_radius_is_rejected():
     with pytest.raises(DomainViolationError):
         integrate(McGeheeState(0.0, 0.0, 0.0, 1.0), iso(), (0.0, 1.0))

@@ -262,15 +262,6 @@ def test_expr_spec_matches_builtin():
     assert np.allclose(a.d2, b.d2, atol=1e-12)
 
 
-# ----------------------------------------------------------------- flipping
-def test_sign_flip(yg4):
-    flipped = yg4.sign_flipped()
-    grid = np.linspace(0.0, 2 * math.pi, 100, endpoint=False)
-    assert np.array_equal(flipped.V(grid).val, -yg4.V(grid).val)
-    assert flipped.flipped and not yg4.flipped
-    assert flipped.spec is yg4.spec
-
-
 def test_pole_is_domain_error():
     pot = compile_potential(PotentialSpec(1.0, expr="1/(cos(theta) - 1)"))
     with pytest.raises(DomainError):

@@ -156,15 +156,10 @@ def test_step_is_generated_once_per_dimension():
     {"builtin": "yoshida_g", "params": {"epsilon": 4.0}},
     {"expr": "-2 + 0.25*cos(3*theta) + 0.0625*sin(theta + 0.5)", "beta": -1.0},
 ])
-def test_flipped_float_path_returns_the_negated_jet(spec):
+def test_float_path_returns_the_jet_of_V(spec):
     pot = compile_potential(spec_from_dict(spec))
-    flipped = pot.sign_flipped()
     for theta in (-1.2, -0.3, 0.0, 0.4, 1.5):
-        jet = pot.V_float(theta)
-        assert flipped.V_float(theta) == tuple(-x for x in jet)
-        assert tuple(flipped.V(theta)) == flipped.V_float(theta)
-        assert tuple(flipped.sign_flipped().V(theta)) == jet
+        assert tuple(pot.V(theta)) == pot.V_float(theta)
     if not pot.domain.periodic:
-        for p in (pot, flipped):
-            with pytest.raises(DomainError):
-                p.V_float(math.pi / 2)
+        with pytest.raises(DomainError):
+            pot.V_float(math.pi / 2)
