@@ -1,13 +1,15 @@
 """Critical points of the shape potential V on its angular domain.
 
-The scan is grid + sign-change bracketing + bisection on V', so only
-transversal zeros are found; a zero that V' touches without crossing is
+The scan evaluates V' on a uniform grid, brackets each sign change between
+neighbouring nodes, and runs a bracketed Newton iteration on V' from the
+secant point of every bracket at once.  A bracket whose limit leaves |V'|
+large straddles a pole, not a zero, and the residual filter drops it.  Only
+transversal zeros are found: a zero that V' touches without crossing is
 invisible to the bracketing step (unless it lands exactly on a grid node)
 and is a documented limitation of the scan.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,19 @@ from .errors import (
 )
 from .potentials import TWO_PI, Jet2, Potential
 
-__all__ = ["CriticalPoint", "critical_jet", "find_critical_points", "classify"]
+__all__ = ["CriticalPoint", "bracketed_newton", "critical_jet", "find_critical_points",
+           "classify"]
+
+# guard band of the scan grid off the ends of an open interval
+_GUARD = 1e-6
+# max |V'| on the grid below which V is taken as constant
+_DEGENERACY_TOL = 1e-9
+# |V'| above which a converged bracket is a pole, not a critical point
+_RESIDUAL_TOL = 1e-9
+# 4 ulps of max(1, |t|): the overshoot a Newton step may be clipped by, and
+# the step or bracket width at which the iteration is done
+_NEWTON_TOL = 4.0 * float(np.finfo(float).eps)
+_NEWTON_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -72,101 +86,72 @@ def _grid_jet(pot: Potential, grid: np.ndarray):
         raise
 
 
-def _newton_polish(pot: Potential, theta: float) -> float:
-    """Drive a bisection root of V' to machine precision.
+def bracketed_newton(fdf, lo, hi, sign_lo, t0) -> np.ndarray:
+    """Newton's method in many brackets at once: one zero of f per bracket.
 
-    Bisection stops at root_tol, which is coarse enough to dominate
-    downstream quantities anchored at the critical angle (eigen-data,
-    distances to rest points).  A couple of guarded Newton steps square the
-    error away; on any sign of trouble (flat curvature, step larger than
-    the bisection error could be, domain edge) the input is returned as-is.
+    ``fdf(t, i)`` returns the arrays f and f' at the points ``t`` of the
+    brackets numbered ``i``.  f has the sign ``sign_lo`` at ``lo`` and the
+    other sign at ``hi``; the iteration starts from ``t0`` and each
+    evaluation narrows the bracket.  A Newton step that leaves the bracket
+    by more than 4 ulps bisects it instead, and a smaller overshoot is
+    clipped to the bracket, so a zero on an end converges onto that end.
+    A bracket is done at an exact zero or once its step or width is within
+    4 ulps; all stop after 100 iterations.  Returns the last iterates.
     """
-    eps = float(np.finfo(float).eps)
-    for _ in range(4):
-        try:
-            j = pot.V(theta)
-        except DomainError:
+    lo, hi, t = (np.array(x, dtype=float) for x in (lo, hi, t0))
+    sign_lo = np.broadcast_to(sign_lo, t.shape)
+    todo = np.arange(t.size)
+    for _ in range(_NEWTON_ITERATIONS):
+        if not todo.size:
             break
-        d1, d2 = float(j.d1), float(j.d2)
-        if d1 == 0.0 or not math.isfinite(d2) or d2 == 0.0:
-            break
-        step = d1 / d2
-        if not math.isfinite(step) or abs(step) > 1e-3:
-            break
-        theta -= step
-        if abs(step) <= 4.0 * eps * max(1.0, abs(theta)):
-            break
-    return theta
+        x = t[todo]
+        f, df = fdf(x, todo)
+        left = np.sign(f) == sign_lo[todo]
+        a = lo[todo] = np.where(left, x, lo[todo])
+        b = hi[todo] = np.where(left, hi[todo], x)
+        with np.errstate(all="ignore"):
+            step = x - f / df
+        ulps = _NEWTON_TOL * np.maximum(1.0, np.abs(x))
+        inside = (a - ulps <= step) & (step <= b + ulps)
+        nxt = np.where(f == 0.0, x, np.where(inside, np.clip(step, a, b), 0.5 * (a + b)))
+        t[todo] = nxt
+        todo = todo[(f != 0.0) & (np.abs(nxt - x) > ulps) & (b - a > ulps)]
+    return t
 
 
-def find_critical_points(
-    pot: Potential,
-    grid_n: int = 4096,
-    root_tol: float = 1e-12,
-    guard: float = 1e-6,
-    degeneracy_tol: float = 1e-9,
-    residual_tol: float = 1e-9,
-    class_tol: float = 1e-9,
-) -> list[CriticalPoint]:
+def find_critical_points(pot: Potential, grid_n: int = 4096) -> list[CriticalPoint]:
     """All transversal zeros of V' on the domain, sorted by angle.
 
     Raises DegeneratePotentialError when V' vanishes identically on the scan
     grid (no isolated critical points to speak of), PoleEncounteredError when
     evaluation fails at an interior node.
     """
-    grid = pot.domain.sample_grid(grid_n, guard)
+    grid = pot.domain.sample_grid(grid_n, _GUARD)
     d1 = _grid_jet(pot, grid).d1
 
-    if float(np.max(np.abs(d1))) < degeneracy_tol:
+    if float(np.max(np.abs(d1))) < _DEGENERACY_TOL:
         raise DegeneratePotentialError(
             f"max |V'| = {float(np.max(np.abs(d1))):.3e} on the scan grid"
         )
 
-    signs = np.sign(d1)
-    roots = [float(t) for t in grid[signs == 0.0]]  # exact zeros on nodes
+    on_nodes = grid[d1 == 0.0]
+    if pot.domain.periodic:  # the last node brackets with the first, one turn on
+        grid, d1 = np.append(grid, grid[0] + TWO_PI), np.append(d1, d1[0])
+    i = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0.0)
+    lo, hi = grid[i], grid[i + 1]
+    secant = lo - d1[i] * (hi - lo) / (d1[i + 1] - d1[i])
 
-    lo_list = list(grid[:-1][signs[:-1] * signs[1:] < 0.0])
-    hi_list = list(grid[1:][signs[:-1] * signs[1:] < 0.0])
-    if pot.domain.periodic and signs[-1] * signs[0] < 0.0:
-        lo_list.append(grid[-1])
-        hi_list.append(grid[0] + TWO_PI)
+    def fdf(t, _):
+        jet = pot.V(t)
+        return jet.d1, jet.d2
 
-    if lo_list:
-        lo = np.array(lo_list, dtype=float)
-        hi = np.array(hi_list, dtype=float)
-        slo = np.sign(pot.V(lo).d1)
-        iters = max(1, int(math.ceil(math.log2(float(np.max(hi - lo)) / root_tol))))
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            smid = np.sign(pot.V(mid).d1)
-            same = smid == slo          # root lies right of mid
-            exact = smid == 0.0         # mid *is* the root: collapse
-            lo = np.where(exact, mid, np.where(same, mid, lo))
-            hi = np.where(exact, mid, np.where(same, hi, mid))
-        roots.extend(float(t) for t in 0.5 * (lo + hi))
-
-    # keep only genuine roots (a sign-flipping jump refines to a non-zero V')
-    cleaned = []
-    for theta in roots:
-        theta = float(pot.domain.reduce(_newton_polish(pot, theta)))
-        if abs(pot.V(theta).d1) <= residual_tol:
-            cleaned.append(theta)
-    cleaned.sort()
-
-    merged: list[float] = []
-    for theta in cleaned:
-        if merged and theta - merged[-1] <= 10.0 * root_tol:
-            continue
-        merged.append(theta)
-    if (
-        pot.domain.periodic
-        and len(merged) > 1
-        and (merged[0] + TWO_PI) - merged[-1] <= 10.0 * root_tol
-    ):
-        merged.pop()
+    roots = np.concatenate([on_nodes, bracketed_newton(fdf, lo, hi, np.sign(d1[i]), secant)])
 
     out = []
-    for theta in merged:
-        j = pot.V(theta)
-        out.append(CriticalPoint(theta, float(j.val), float(j.d2), classify(j.d2, class_tol)))
+    for theta in np.sort(pot.domain.reduce(roots)):
+        jet = pot.V(float(theta))
+        # a sign change of V' across a pole converges onto the pole
+        if abs(jet.d1) <= _RESIDUAL_TOL:
+            out.append(CriticalPoint(float(theta), float(jet.val), float(jet.d2),
+                                     classify(jet.d2)))
     return out

@@ -517,7 +517,7 @@ def _source(node: Node) -> str:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(node: Node):
     """The parameter names of ``node`` and its compiled ``bind``."""
-    names = frozenset(n.name for n in _nodes(node) if isinstance(n, Param))
+    names = frozenset(free_parameters(node))
     namespace = {"math": math, "np": np, "DomainError": DomainError}
     exec(compile(_source(node), "<mcgehee.expr>", "exec"), namespace)
     return names, namespace["bind"]
@@ -529,6 +529,7 @@ def compile_node(node: Node, params: Mapping[str, float]) -> tuple[Callable, Cal
     checks raise ``DomainError``, or ``ZeroDivisionError`` on a division by
     an exact zero; theta-free subtrees are checked here, once."""
     names, bind = _compiled(node)
-    if names - set(params):
-        raise UnboundParameterError(f"parameter {min(names - set(params))!r} has no bound value")
+    missing = sorted(names - set(params))
+    if missing:
+        raise UnboundParameterError(f"expression needs parameter(s): {', '.join(missing)}")
     return bind(params)

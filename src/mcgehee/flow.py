@@ -44,7 +44,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .critical import find_critical_points
+from .critical import bracketed_newton, find_critical_points
 from .errors import (
     DomainError,
     DomainViolationError,
@@ -773,28 +773,17 @@ def sample_at_physical_times(traj: Trajectory, times: Sequence[float]) -> np.nda
     inside = (t_sorted[0] - 1e-12 <= t_star) & (t_star <= t_sorted[-1] + 1e-12)
     if not inside.all():
         raise ValueError(f"t = {float(t_star[~inside][0])} outside the integrated range")
-    # Newton on t(tau) = t_star, safeguarded by each query's bracket of
-    # accepted nodes; the slope dt/dtau = exp((1 - beta/2) log r) is the
-    # carried derivative of t.  A step leaving the bracket bisects instead.
+    # Newton on t(tau) = t_star in each query's bracket of accepted nodes;
+    # the slope dt/dtau = exp((1 - beta/2) log r) is the carried derivative of t
     i = np.clip(np.searchsorted(t_sorted, t_star), 1, len(t_sorted) - 1)
     lo, hi = tau_sorted[i - 1], tau_sorted[i]
-    tau = 0.5 * (lo + hi)
-    todo = np.arange(len(tau))
-    for _ in range(100):
-        row = traj.sample(tau[todo])
-        gap = row[:, 4] - t_star[todo]
-        lo[todo[gap < 0.0]] = tau[todo[gap < 0.0]]
-        hi[todo[gap >= 0.0]] = tau[todo[gap >= 0.0]]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            newton = tau[todo] - gap / np.exp((1.0 - traj.pot.beta / 2.0) * row[:, 0])
-        a, b = lo[todo], hi[todo]
-        nxt = np.where((a <= newton) & (newton <= b), newton, 0.5 * (a + b))
-        done = ((b - a <= 1e-15 * np.maximum(1.0, np.abs(b)))
-                | (np.abs(nxt - tau[todo]) <= 1e-15 * np.maximum(1.0, np.abs(nxt))))
-        tau[todo] = nxt
-        todo = todo[~done]
-        if not todo.size:
-            break
+
+    def fdf(tau, k):
+        row = traj.sample(tau)
+        with np.errstate(over="ignore"):
+            return row[:, 4] - t_star[k], np.exp((1.0 - traj.pot.beta / 2.0) * row[:, 0])
+
+    tau = bracketed_newton(fdf, lo, hi, -1.0, 0.5 * (lo + hi))
     rows = traj.sample(tau)
     # raw components are (log r, theta, v, w, t, log|z|); undo the logs
     z_sign = math.copysign(1.0, traj.zs[0]) if traj.zs[0] != 0.0 else 0.0

@@ -314,9 +314,6 @@ def compile_potential(spec: PotentialSpec) -> Potential:
         node, beta, domain = _BUILTIN_NODES[spec.builtin], info.beta, info.domain
     else:
         node = expr_mod.parse(spec.expr)
-        missing = sorted(expr_mod.free_parameters(node) - set(spec.params))
-        if missing:
-            raise UnboundParameterError(f"expression needs parameter(s): {', '.join(missing)}")
         beta, domain = spec.beta, Domain.full_circle()
     try:
         evaluators = expr_mod.compile_node(node, dict(spec.params))

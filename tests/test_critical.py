@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mcgehee.critical import find_critical_points
+from mcgehee.critical import bracketed_newton, find_critical_points
 from mcgehee.errors import DegeneratePotentialError, PoleEncounteredError
-from mcgehee.potentials import compile_potential, spec_from_dict
+from mcgehee.potentials import Potential, compile_potential, spec_from_dict
 
 
 def builtin(name, **params):
@@ -127,3 +127,54 @@ def test_every_reported_angle_has_tiny_residual():
     for pot in (builtin("yoshida_g", epsilon=4.0), builtin("isosceles", alpha=5.0)):
         for cp in find_critical_points(pot):
             assert abs(pot.V(cp.theta).d1) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "pot, count",
+    [
+        (builtin("yoshida_g", epsilon=0.3), 8),
+        (builtin("yoshida_g", epsilon=4.0), 8),
+        (builtin("isosceles", alpha=1.0), 3),
+    ],
+    ids=["yoshida-0.3", "yoshida-4", "isosceles-1"],
+)
+def test_roots_take_few_array_evaluations_after_the_grid(pot, count, monkeypatch):
+    arrays = []
+    plain = Potential.V
+
+    def counted(self, theta):
+        if isinstance(theta, np.ndarray):
+            arrays.append(theta.size)
+        return plain(self, theta)
+
+    monkeypatch.setattr(Potential, "V", counted)
+    assert len(find_critical_points(pot)) == count
+    assert arrays[0] == 4096
+    assert len(arrays) - 1 <= 4
+
+
+def test_sign_change_across_a_pole_is_not_a_critical_point():
+    # V' = 2 sin / cos^3 changes sign at the zeros 0, pi and at the poles
+    # pi/2, 3 pi/2; only the zeros are critical points
+    cps = find_critical_points(expr_pot("1/cos(theta)^2", beta=-2.0))
+    assert [cp.theta for cp in cps] == pytest.approx([0.0, math.pi], abs=1e-12)
+    assert [cp.kind for cp in cps] == ["minimum", "minimum"]
+
+
+def test_bracketed_newton_stops_clips_and_bisects():
+    # bracket 0 starts on its zero; bracket 1 has its zero one ulp past its
+    # upper end; bracket 2 is arctan, whose Newton step from 5 lands at -26
+    zeros = np.array([0.5, math.nextafter(2.0, 3.0), 0.3])
+    seen = [[], [], []]
+
+    def fdf(t, i):
+        for k, x in zip(i, t):
+            seen[k].append(float(x))
+        u = t - zeros[i]
+        return np.where(i == 2, np.arctan(u), u), np.where(i == 2, 1.0 / (1.0 + u * u), 1.0)
+
+    out = bracketed_newton(fdf, [0.0, 1.0, -4.0], [1.0, 2.0, 6.0], -1.0, [0.5, 1.5, 5.0])
+    assert seen[0] == [0.5] and out[0] == 0.5
+    assert seen[1] == [1.5, 2.0] and out[1] == 2.0
+    assert seen[2][:2] == [5.0, 0.5]
+    assert out[2] == pytest.approx(0.3, abs=4 * np.finfo(float).eps)

@@ -117,6 +117,8 @@ def test_bad_character():
 def test_unbound_parameter_at_compile():
     with pytest.raises(UnboundParameterError):
         expr.compile_node(parse("a*theta"), {})
+    with pytest.raises(UnboundParameterError, match=r"^expression needs parameter\(s\): a, b$"):
+        expr.compile_node(parse("b*theta + a*c"), {"c": 1.0})
 
 
 # ----------------------------------------------------------------- round trip
