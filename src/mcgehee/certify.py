@@ -9,8 +9,8 @@ never promoted to a verdict: the certificate comes back ``Inconclusive`` with
 the ``boundary`` flag set.
 
 Each triple is measured once -- the jets at its three angles, the extremes
-of V on ``interval_grid`` points of [theta_-1, theta_1] and min |V'| on the
-open subintervals -- and the assumptions are judged from those numbers.
+of V on a uniform grid of [theta_-1, theta_1] and min |V'| on the open
+subintervals -- and the assumptions are judged from those numbers.
 With ``allow_sign_flip``, when no triple certifies V and V > 0 on the
 sampled span of some candidate triple, the same measurements are judged for
 -V: negation maps them to those of -V exactly, so this route evaluates V
@@ -43,13 +43,20 @@ __all__ = [
 ]
 
 
+# distance of beta from {-2, 0} that assumption 1 must clear
+_BETA_TOL = 1e-9
+# points of the sign check of V on [theta_-1, theta_1]
+_INTERVAL_GRID = 1024
+# points of the V' != 0 check per open subinterval
+_SUBINTERVAL_GRID = 256
+# assumption-6 margins within this of the best tie: symmetric triples differ
+# only by rounding, and the smallest theta_-1 among them is reported
+_TIE_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class CertifyOptions:
     strictness_tol: float = 1e-9     # margins must clear this to count
-    beta_tol: float = 1e-9           # distance of beta from {-2, 0}
-    crit_residual_tol: float = 1e-8  # |V'| allowed at a claimed critical angle
-    interval_grid: int = 1024        # sign check of V on [theta_-1, theta_1]
-    subinterval_grid: int = 256      # V' != 0 check per open subinterval
     grid_n: int = 4096               # critical-point scan resolution
     allow_sign_flip: bool = False
 
@@ -93,8 +100,8 @@ class Certificate:
             "complex_analyticity_asserted": self.complex_analyticity_asserted,
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 class _Measurement(NamedTuple):
@@ -102,7 +109,7 @@ class _Measurement(NamedTuple):
 
     triple: tuple[float, float, float]
     jets: tuple[Jet2, Jet2, Jet2]    # at theta_-1, theta_0, theta_1
-    vmax: float                      # extremes of V on the interval_grid span
+    vmax: float                      # extremes of V on the _INTERVAL_GRID span
     vmin: float
     m4: float                        # min |V'| over the open subintervals
 
@@ -112,36 +119,34 @@ class _Measurement(NamedTuple):
         return self._replace(jets=jets, vmax=-self.vmin, vmin=-self.vmax)
 
 
-def _measure(
-    pot: Potential, triple: tuple[float, float, float], opts: CertifyOptions
-) -> _Measurement:
+def _measure(pot: Potential, triple: tuple[float, float, float]) -> _Measurement:
     tm, t0, tp = (float(t) for t in triple)
     if not (tm < t0 < tp):
         raise DomainViolationError(f"triple {triple} is not strictly increasing")
     if tp - tm > TWO_PI + 1e-12:
         raise DomainViolationError(f"triple {triple} spans more than one revolution")
-    jets = tuple(critical_jet(pot, t, opts.crit_residual_tol)[1] for t in (tm, t0, tp))
+    jets = tuple(critical_jet(pot, t)[1] for t in (tm, t0, tp))
 
-    span = pot.V(np.linspace(tm, tp, opts.interval_grid)).val
+    span = pot.V(np.linspace(tm, tp, _INTERVAL_GRID)).val
     m4 = math.inf
     for a, b in ((tm, t0), (t0, tp)):
-        inner = np.linspace(a, b, opts.subinterval_grid + 2)[1:-1]
+        inner = np.linspace(a, b, _SUBINTERVAL_GRID + 2)[1:-1]
         m4 = min(m4, float(np.min(np.abs(pot.V(inner).d1))))
     return _Measurement((tm, t0, tp), jets, float(np.max(span)), float(np.min(span)), m4)
 
 
 def _judge(beta: float, m: _Measurement, opts: CertifyOptions) -> tuple[AssumptionReport, ...]:
-    """Each assumption holds when its margin clears its bar: ``beta_tol``
+    """Each assumption holds when its margin clears its bar: ``_BETA_TOL``
     for the degree, ``strictness_tol`` for the other five."""
     (tm, t0, tp), (jm, j0, jp) = m.triple, m.jets
     tol = opts.strictness_tol
     m1 = min(abs(beta + 2.0), abs(beta))
     d1 = f"beta = {beta} at distance {m1:.3e} from the excluded degrees -2 and 0"
-    if abs(beta + 2.0) <= opts.beta_tol:
+    if abs(beta + 2.0) <= _BETA_TOL:
         d1 += "; degree -2 carries the global quadratic integral (q.p)^2 - 2|q|^2 H"
     m6 = float(j0.d2) + (beta + 2.0) ** 2 * float(j0.val) / 8.0
     rows = (
-        (m1, opts.beta_tol, d1),
+        (m1, _BETA_TOL, d1),
         (min(t0 - tm, tp - t0), tol, f"ordering gaps ({t0 - tm:.6g}, {tp - t0:.6g})"),
         (-m.vmax, tol, f"max V on [theta_-1, theta_1] = {m.vmax:.6g}"),
         (m.m4, tol, f"min |V'| over open subintervals = {m.m4:.6g}"),
@@ -164,7 +169,7 @@ def check_triple(
     periodic domain the outer pair may be the same critical angle seen one
     revolution apart.  Every angle must actually be a critical point of V.
     """
-    return _judge(pot.beta, _measure(pot, triple, opts), opts)
+    return _judge(pot.beta, _measure(pot, triple), opts)
 
 
 def _candidate_triples(
@@ -185,11 +190,20 @@ def _candidate_triples(
     return [tuple(thetas[i : i + 3]) for i in range(n - 2)]
 
 
+def _pick(results):
+    """The (triple, reports) with the largest assumption-6 margin; margins
+    within ``_TIE_TOL`` of it tie, and the smallest theta_-1 among them wins."""
+    best = max(reports[5].margin for _, reports in results)
+    return min(results, key=lambda r: (r[1][5].margin < best - _TIE_TOL, r[0][0]))
+
+
 def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certificate:
     """Search the critical-point triples of V for a non-integrability witness.
 
     Returns the certificate with the largest assumption-6 margin among fully
-    satisfied triples, else the nearest miss marked ``Inconclusive``.  The
+    satisfied triples, else the nearest miss marked ``Inconclusive``: the
+    largest assumption-6 margin among the triples that satisfy the most
+    assumptions.  Either pick breaks ties as ``_pick`` does.  The
     sign-flip route judges the same measurements negated: negation leaves
     the zeros of V' bit for bit where they are, so one scan and one
     evaluation per triple serve both routes.
@@ -198,7 +212,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     measured = []
     for triple in _candidate_triples(pot, find_critical_points(pot, grid_n=opts.grid_n)):
         try:
-            measured.append((triple, _measure(pot, triple, opts)))
+            measured.append((triple, _measure(pot, triple)))
         except McGeheeError:
             continue
 
@@ -218,8 +232,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
         wins = [r for r in results if all(a.satisfied for a in r[1])]
         if not wins:
             return None
-        triple, reports = max(wins, key=lambda r: (r[1][5].margin, -r[0][0]))
-        return certificate(flipped, "NonIntegrable", triple, reports)
+        return certificate(flipped, "NonIntegrable", *_pick(wins))
 
     results = [(triple, _judge(pot.beta, m, opts)) for triple, m in measured]
     cert = winner(False, results)
@@ -228,11 +241,10 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     if cert is not None:
         return cert
 
-    triple, reports = max(
-        results,
-        key=lambda r: (sum(a.satisfied for a in r[1]), r[1][5].margin),
-        default=(None, ()),
-    )
+    triple, reports = None, ()
+    if results:
+        most = max(sum(a.satisfied for a in r[1]) for r in results)
+        triple, reports = _pick([r for r in results if sum(a.satisfied for a in r[1]) == most])
     boundary = any(abs(a.margin) <= opts.strictness_tol for a in reports)
     return certificate(False, "Inconclusive", triple, reports, boundary)
 
@@ -253,8 +265,8 @@ class SweepResult:
             "threshold_widths": list(self.threshold_widths),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _conclusion_at(spec: PotentialSpec, param: str, value: float, opts: CertifyOptions) -> str:

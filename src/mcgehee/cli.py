@@ -48,17 +48,19 @@ from .validate import run_all
 
 __all__ = ["load_spec", "main", "run"]
 
+
+class _UsageError(Exception):
+    pass
+
+
 _USAGE_ERRORS = (
+    _UsageError,
     SpecError,
     ParseError,
     UnknownBuiltinError,
     UnboundParameterError,
     OSError,
 )
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------- serialization
 
 
-def dumps_17(obj, indent: int = 2) -> str:
+def dumps_17(obj) -> str:
     """JSON text with every float at 17 significant digits.
 
     17 digits round-trip IEEE doubles exactly, so the output is as
@@ -91,7 +93,7 @@ def dumps_17(obj, indent: int = 2) -> str:
 
     # the sentinel comes out of json.dumps escaped (ensure_ascii), so strip
     # the escaped form together with the enclosing quotes
-    text = json.dumps(conv(obj), indent=indent)
+    text = json.dumps(conv(obj), indent=2)
     return text.replace('"\\u0000', "").replace('\\u0000"', "")
 
 
@@ -108,10 +110,10 @@ def _emit(text: str, path: str | None) -> None:
 # ------------------------------------------------------------- flag parsing
 
 
-def _parse_pair(text: str, flag: str, sep: str = ":") -> tuple[float, float]:
-    parts = text.split(sep)
+def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+    parts = text.split(":")
     if len(parts) != 2:
-        raise _UsageError(f"{flag}: expected LO{sep}HI, got {text!r}")
+        raise _UsageError(f"{flag}: expected LO:HI, got {text!r}")
     try:
         return float(parts[0]), float(parts[1])
     except ValueError:
@@ -405,9 +407,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -32,6 +32,11 @@ _GUARD = 1e-6
 _DEGENERACY_TOL = 1e-9
 # |V'| above which a converged bracket is a pole, not a critical point
 _RESIDUAL_TOL = 1e-9
+# |V'| above which an angle handed in as critical is rejected: the one rule by
+# which certificates and Yoshida coefficients accept an angle
+CRIT_RESIDUAL_TOL = 1e-8
+# |V''| at or below which a critical point is degenerate
+_CLASS_TOL = 1e-9
 # 4 ulps of max(1, |t|): the overshoot a Newton step may be clipped by, and
 # the step or bracket width at which the iteration is done
 _NEWTON_TOL = 4.0 * float(np.finfo(float).eps)
@@ -46,20 +51,19 @@ class CriticalPoint:
     kind: str          # "minimum" | "maximum" | "degenerate"
 
 
-def classify(curvature: float, class_tol: float = 1e-9) -> str:
-    if curvature > class_tol:
+def classify(curvature: float) -> str:
+    if curvature > _CLASS_TOL:
         return "minimum"
-    if curvature < -class_tol:
+    if curvature < -_CLASS_TOL:
         return "maximum"
     return "degenerate"
 
 
-def critical_jet(pot: Potential, theta: float, residual_tol: float) -> tuple[float, Jet2]:
+def critical_jet(pot: Potential, theta: float) -> tuple[float, Jet2]:
     """The angle reduced into the domain's window and the jet of V there.
 
     Raises DomainViolationError for an angle outside the domain and
-    NotCriticalPointError when |V'| exceeds ``residual_tol``: this is the
-    rule by which certificates and Yoshida coefficients accept an angle.
+    NotCriticalPointError when |V'| exceeds ``CRIT_RESIDUAL_TOL``.
     """
     theta = float(theta)
     t = pot.domain.reduce(theta)
@@ -67,7 +71,7 @@ def critical_jet(pot: Potential, theta: float, residual_tol: float) -> tuple[flo
         raise DomainViolationError(f"angle {theta} lies outside the domain")
     jet = pot.V(t)
     resid = abs(float(jet.d1))
-    if resid > residual_tol:
+    if resid > CRIT_RESIDUAL_TOL:
         raise NotCriticalPointError(f"|V'({t})| = {resid:.3e}")
     return t, jet
 

@@ -67,6 +67,13 @@ CAPTURE_DISTANCE = 1e-3  # "approaches the focus" cutoff for spiral capture
 # flow of its target focus.  The neglected Taylor terms of the on-M field are
 # O(distance) relative, so the continued phase errs by O(1e-9) rad.
 LINEAR_HANDOFF = 1e-9
+# integrate_manifold's tolerances, and the |z| within which its on-M start
+# counts as on M
+_MANIFOLD_RTOL, _MANIFOLD_ATOL, _MANIFOLD_TOL = 1e-10, 1e-12, 1e-12
+# trace_invariant_manifold's tolerances, tighter than the plain integrators'
+# because the departure phase amplifies seed-level noise by
+# exp(|lambda_stable| * tau_departure)
+_TRACE_RTOL, _TRACE_ATOL = 1e-12, 1e-15
 
 
 def _z(pot: Potential, theta: float, v: float, w: float) -> float:
@@ -368,7 +375,6 @@ def integrate(
     tau_span: tuple[float, float],
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.pi / 8.0,
     eq_tol: float | None = None,
     t_stop: float | None = None,
 ) -> Trajectory:
@@ -406,10 +412,7 @@ def integrate(
                 return "t_stop"
             return eq_stop(tau, y, f) if eq_stop is not None else None
 
-    sol = solve(
-        _full_rhs(pot), tau0, y0, tau1, rtol=rtol, atol=atol, max_step=max_step,
-        stop=stop,
-    )
+    sol = solve(_full_rhs(pot), tau0, y0, tau1, rtol=rtol, atol=atol, stop=stop)
     ys = sol.ys
     with np.errstate(over="ignore"):
         rs = np.exp(ys[:, 0])
@@ -428,43 +431,29 @@ def integrate_manifold(
     m0: ManifoldState,
     pot: Potential,
     tau_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_step: float = math.pi / 8.0,
-    eq_tol: float | None = None,
     on_manifold: bool = True,
-    manifold_tol: float = 1e-12,
     project: bool = False,
 ) -> Trajectory:
-    """Integrate the r-independent (theta, v, w) subsystem.
+    """Integrate the r-independent (theta, v, w) subsystem over ``tau_span``.
 
-    In on-M mode the start must satisfy |z| <= manifold_tol, and the
-    trajectory's z column (reconstructed per sample) doubles as the
-    invariance diagnostic ``max_abs_z``.  With ``project=True`` every
-    accepted step is Newton-projected back onto z = 0 (see
-    ``_manifold_projector``); the z column is then ~0 by construction and
-    no longer measures drift.
+    In on-M mode the start must satisfy |z| <= 1e-12, and the trajectory's
+    z column (reconstructed per sample) doubles as the invariance
+    diagnostic ``max_abs_z``.  With ``project=True`` every accepted step is
+    Newton-projected back onto z = 0 (see ``_manifold_projector``); the z
+    column is then ~0 by construction and no longer measures drift.
     """
     z0 = m0.z(pot)
-    if on_manifold and abs(z0) > manifold_tol:
-        raise DomainViolationError(
-            f"|z| = {abs(z0):.3e} exceeds manifold_tol = {manifold_tol:.1e}"
-        )
-    traj = _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project)
-    if traj.reason == "reached_equilibrium":
-        traj.reason_detail = _equilibrium_detail(
-            pot, float(traj.thetas[-1]), float(traj.vs[-1]), float(traj.ws[-1])
-        )
-    return traj
+    if on_manifold and abs(z0) > _MANIFOLD_TOL:
+        raise DomainViolationError(f"|z| = {abs(z0):.3e} exceeds {_MANIFOLD_TOL:.1e}: not on M")
+    return _manifold_run(m0, pot, tau_span, _MANIFOLD_RTOL, _MANIFOLD_ATOL, None, project)
 
 
-def _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project) -> Trajectory:
-    """``integrate_manifold`` without its start check and its equilibrium
-    scan, which ``trace_invariant_manifold`` makes once for two uses."""
+def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
+    """``integrate_manifold`` without its start check; ``eq_tol`` ends the
+    run at a rest point as in ``integrate``."""
     sol = solve(
         _manifold_rhs(pot), float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
-        rtol=rtol, atol=atol, max_step=max_step,
-        stop=_subsystem_stop(eq_tol, slice_from=0),
+        rtol=rtol, atol=atol, stop=_subsystem_stop(eq_tol, slice_from=0),
         postprocess=_manifold_projector(pot) if project else None,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
@@ -475,13 +464,12 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, max_step, eq_tol, project) -> T
                       subsystem=True, raw=sol)
 
 
-def _eigen_data(pot: Potential, theta_c: float, v_star: float):
-    b = pot.beta
-    j = pot.V(theta_c)
+def _eigen_data(b: float, v_star: float, c: float):
+    """lambda1, the pair lambda23 and the type of a rest point of degree b
+    with V''(theta_c) = c."""
     lam1 = -b * v_star
-    # lambda^2 + p lambda + c = 0 with p = (beta/2 + 1) v_star, c = V''
+    # lambda^2 + p lambda + c = 0 with p = (beta/2 + 1) v_star
     p = (b / 2.0 + 1.0) * v_star
-    c = float(j.d2)
     disc = p * p - 4.0 * c
     if disc >= 0.0:
         sq = math.sqrt(disc)
@@ -525,7 +513,7 @@ def find_equilibria(pot: Potential) -> list[Equilibrium]:
             continue
         mag = math.sqrt(-2.0 * cp.value)
         for sign, v_star in (("-", -mag), ("+", mag)):
-            lam1, roots, kind = _eigen_data(pot, cp.theta, v_star)
+            lam1, roots, kind = _eigen_data(pot.beta, v_star, cp.curvature)
             out.append(Equilibrium(theta_c=cp.theta, sign=sign, v_star=v_star, lambda1=lam1,
                                    lambda23=roots, eigvec1=(0.0, 1.0, 0.0), type=kind))
     return out
@@ -534,20 +522,12 @@ def find_equilibria(pot: Potential) -> list[Equilibrium]:
 def linearize(eq: Equilibrium, pot: Potential) -> Linearization:
     """Coefficient matrix of the subsystem at ``eq`` plus eigen-data and the
     residuals that certify it."""
-    b = pot.beta
-    j = pot.V(eq.theta_c)
-    m = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [0.0, -b * eq.v_star, 0.0],
-            [-float(j.d2), 0.0, -(b / 2.0 + 1.0) * eq.v_star],
-        ]
-    )
-    lam1, roots, kind = _eigen_data(pot, eq.theta_c, eq.v_star)
+    b, c = pot.beta, float(pot.V(eq.theta_c).d2)
+    p = (b / 2.0 + 1.0) * eq.v_star
+    m = np.array([[0.0, 0.0, 1.0], [0.0, -b * eq.v_star, 0.0], [-c, 0.0, -p]])
+    lam1, roots, kind = _eigen_data(b, eq.v_star, c)
     e1 = np.array([0.0, 1.0, 0.0])
     eig_res = float(np.max(np.abs(m @ e1 - lam1 * e1)))
-    p = (b / 2.0 + 1.0) * eq.v_star
-    c = float(j.d2)
     char_res = max(abs(l * l + p * l + c) for l in roots)
     return Linearization(matrix=m, lambda1=lam1, lambda23=roots, eigvec1=(0.0, 1.0, 0.0),
                          type=kind, eig_residual=eig_res, charpoly_residual=char_res)
@@ -592,8 +572,6 @@ def trace_invariant_manifold(
     branch: tuple[str, str],
     offset: float = 1e-7,
     max_tau: float = 200.0,
-    rtol: float = 1e-12,
-    atol: float = 1e-15,
     eq_tol: float | None = 1e-14,
 ) -> Trajectory:
     """Trace a separatrix of a saddle on M and record spiral diagnostics.
@@ -605,11 +583,9 @@ def trace_invariant_manifold(
     projection of ``integrate_manifold(project=True)`` switched on: without
     it, transversal noise grows like exp(-beta * integral of v) and, when
     that rate is positive along the branch, throws the separatrix off M
-    before it can wind up on its focus.  Tolerances default tighter than
-    the plain integrators because the departure phase amplifies seed-level
-    noise by exp(|lambda_stable| * tau_departure).  The returned
-    trajectory's ``spiral`` field measures winding around the nearest rest
-    point to the endpoint.
+    before it can wind up on its focus.  The returned trajectory's
+    ``spiral`` field measures winding around the nearest rest point to the
+    endpoint.
 
     Absolute coordinates stop resolving a focus near ulp(theta_c) ~ 1e-16,
     and ``eq_tol`` ends the run a little above that floor.  When the run
@@ -644,7 +620,7 @@ def trace_invariant_manifold(
     span = (0.0, max_tau if kind == "unstable" else -max_tau)
     traj = _manifold_run(
         ManifoldState(float(y0[0]), float(y0[1]), float(y0[2])), pot, span,
-        rtol=rtol, atol=atol, max_step=math.pi / 8.0, eq_tol=eq_tol, project=True,
+        _TRACE_RTOL, _TRACE_ATOL, eq_tol, project=True,
     )
 
     eqs = find_equilibria(pot)
@@ -728,7 +704,6 @@ def integrate_cartesian(
     t_span: tuple[float, float],
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.pi / 8.0,
 ) -> CartesianTrajectory:
     def rhs(t: float, y: tuple) -> tuple:
         try:
@@ -737,8 +712,7 @@ def integrate_cartesian(
             raise DomainError(str(err)) from err
 
     y0 = (q0[0], q0[1], p0[0], p0[1])
-    sol = solve(rhs, float(t_span[0]), y0, float(t_span[1]), rtol=rtol, atol=atol,
-                max_step=max_step)
+    sol = solve(rhs, float(t_span[0]), y0, float(t_span[1]), rtol=rtol, atol=atol)
     return CartesianTrajectory(
         pot=pot, ts=sol.ts, qs=sol.ys[:, :2], ps=sol.ys[:, 2:], reason=sol.reason,
         raw=sol,

@@ -58,9 +58,8 @@ __all__ = [
     "yoshida_lambda",
 ]
 
-#: |V'(theta_c)| allowed before an angle is rejected as non-critical
-#: (matches the certifier's CertifyOptions.crit_residual_tol).
-CRIT_RESIDUAL_TOL = 1e-8
+# the integers p whose members -p(p-3)/2 mr_beta_minus1_values lists
+_MR_P = range(-20, 21)
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,7 @@ class NecessaryInequality:
     margin: float
 
 
-def yoshida_lambda(
-    pot: Potential,
-    theta_c: float,
-    residual_tol: float = CRIT_RESIDUAL_TOL,
-) -> YoshidaCoefficient:
+def yoshida_lambda(pot: Potential, theta_c: float) -> YoshidaCoefficient:
     """Both Yoshida coefficients at the critical angle ``theta_c``.
 
     The non-trivial coefficient is computed from the jet of V as
@@ -106,7 +101,7 @@ def yoshida_lambda(
     """
     if pot.beta == 0.0:
         raise ZeroBetaError("beta = 0: Yoshida coefficients are undefined")
-    theta_c, jet = critical_jet(pot, theta_c, residual_tol)
+    theta_c, jet = critical_jet(pot, theta_c)
     val = float(jet.val)
     if val == 0.0:
         raise ZeroPotentialValueError(
@@ -114,7 +109,7 @@ def yoshida_lambda(
         )
     lam = float(jet.d2) / (pot.beta * val) + 1.0
     try:
-        scale = darboux_from_critical(pot, theta_c, residual_tol)
+        scale = darboux_from_critical(pot, theta_c)
     except BetaTwoScaleDegenerateError:
         scale = None
     return YoshidaCoefficient(
@@ -126,11 +121,7 @@ def yoshida_lambda(
     )
 
 
-def darboux_from_critical(
-    pot: Potential,
-    theta_c: float,
-    residual_tol: float = CRIT_RESIDUAL_TOL,
-) -> float | None:
+def darboux_from_critical(pot: Potential, theta_c: float) -> float | None:
     """Scale s of the Darboux point on the ray of ``theta_c``, if it exists.
 
     On the ray the gradient of U is radial with magnitude
@@ -143,7 +134,7 @@ def darboux_from_critical(
         raise BetaTwoScaleDegenerateError(
             "beta = 2: the Darboux scale equation s^(beta-2) = 1/(beta V) loses s"
         )
-    theta_c, jet = critical_jet(pot, theta_c, residual_tol)
+    theta_c, jet = critical_jet(pot, theta_c)
     bv = pot.beta * float(jet.val)
     if bv <= 0.0:
         return None
@@ -182,21 +173,17 @@ def mr_beta_minus1_member(lam: float, tol: float = 1e-9) -> bool:
     return False
 
 
-def mr_beta_minus1_values(p_lo: int = -20, p_hi: int = 20) -> list[float]:
-    """Distinct members -p(p-3)/2 of the beta = -1 set for p in [p_lo, p_hi].
+def mr_beta_minus1_values() -> list[float]:
+    """Distinct members -p(p-3)/2 of the beta = -1 set for p in [-20, 20].
 
     Returned in descending order (the set is bounded above by 1 and runs
     down through 0, -2, -5, -9, ...).
     """
-    values = {-0.5 * p * (p - 3.0) for p in range(int(p_lo), int(p_hi) + 1)}
+    values = {-0.5 * p * (p - 3.0) for p in _MR_P}
     return sorted(values, reverse=True)
 
 
-def hessian_coefficients(
-    pot: Potential,
-    theta_c: float,
-    residual_tol: float = CRIT_RESIDUAL_TOL,
-) -> tuple[float, float]:
+def hessian_coefficients(pot: Potential, theta_c: float) -> tuple[float, float]:
     """Yoshida coefficients via a finite-difference Hessian of U at the Darboux point.
 
     Independent cross-check of :func:`yoshida_lambda`: builds the Cartesian
@@ -206,7 +193,7 @@ def hessian_coefficients(
     the O(h^2) truncation of the stencil.  Raises when the ray carries no
     real Darboux point.
     """
-    scale = darboux_from_critical(pot, theta_c, residual_tol)
+    scale = darboux_from_critical(pot, theta_c)
     if scale is None:
         raise DomainViolationError(
             f"no real Darboux point on the ray theta_c = {theta_c}"

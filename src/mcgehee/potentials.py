@@ -68,17 +68,13 @@ class Domain:
         """Map angles into the fundamental window (identity for intervals)."""
         return theta % TWO_PI if self.periodic else theta
 
-    def sample_grid(self, n: int, guard: float = 1e-6) -> np.ndarray:
+    def sample_grid(self, n: int, guard: float) -> np.ndarray:
         """Uniform scan grid.  Periodic domains cover [lo, hi) without the
         duplicate endpoint; open intervals keep a guard band away from the
         (typically singular) ends."""
         if self.periodic:
             return np.linspace(self.lo, self.hi, n, endpoint=False)
         return np.linspace(self.lo + guard, self.hi - guard, n)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
 
 
 # ------------------------------------------------------------------ builtins

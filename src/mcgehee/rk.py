@@ -54,6 +54,8 @@ _MAX_FACTOR = 5.0
 _K_I = 0.7 / 5.0   # integral gain on the current error
 _K_P = 0.4 / 5.0   # proportional gain on the previous error
 _EPS = sys.float_info.epsilon
+# largest step in the independent variable
+_MAX_STEP = math.pi / 8.0
 
 
 @dataclass
@@ -136,12 +138,12 @@ def _rms(xs, scale) -> float:
     return math.sqrt(sum((x / s) * (x / s) for x, s in zip(xs, scale)) / len(scale))
 
 
-def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
+def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     scale = [atol + rtol * abs(x) for x in y0]
     d0, d1 = _rms(y0, scale), _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     direction = math.copysign(1.0, t1 - t0)
-    h0 = min(h0, abs(t1 - t0), max_step)
+    h0 = min(h0, abs(t1 - t0), _MAX_STEP)
     try:
         f1 = f(t0 + direction * h0, tuple(x + direction * h0 * k for x, k in zip(y0, f0)))
         d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
@@ -151,7 +153,7 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, abs(t1 - t0), max_step)
+    return min(100 * h0, h1, abs(t1 - t0), _MAX_STEP)
 
 
 def solve(
@@ -161,7 +163,6 @@ def solve(
     t1: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = math.pi / 8.0,
     first_step: float | None = None,
     stop: Callable[[float, tuple, tuple], str | None] | None = None,
     postprocess: Callable[[float, tuple], tuple] | None = None,
@@ -187,10 +188,8 @@ def solve(
     except (DomainError, OverflowError) as err:
         raise LeftDomainError(f"initial state is not integrable: {err}") from err
 
-    h = first_step if first_step is not None else _initial_step(
-        f, t0, y, k0, t1, rtol, atol, max_step
-    )
-    h = min(abs(h), abs(t1 - t0), max_step)
+    h = first_step if first_step is not None else _initial_step(f, t0, y, k0, t1, rtol, atol)
+    h = min(abs(h), abs(t1 - t0), _MAX_STEP)
 
     ts, ys, fs = [t0], [y], [k0]
     reason = None
@@ -247,7 +246,7 @@ def solve(
             factor = _MAX_FACTOR
         else:
             factor = _SAFETY * err ** (-_K_I) * err_prev ** _K_P
-        h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), max_step)
+        h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), _MAX_STEP)
         err_prev = max(err, 1e-4)  # keep the PI memory term well-conditioned
 
         if stop is not None:

@@ -10,9 +10,9 @@ stays within its budget.
 
 The random draws are seeded, so repeated runs are bit-identical.  The
 helpers (:func:`random_trig_poly`, :func:`jet_fd_error`,
-:func:`flow_equivalence_gap`, :func:`random_mcgehee_state`) are exported
-because heavier offline test batteries reuse them with larger sample
-counts.
+:func:`energy_drift`, :func:`flow_equivalence_gap`,
+:func:`random_mcgehee_state`) are exported for the acceptance tests, which
+apply the same measures to their own draws.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeftDomainError, McGeheeError, StepUnderflowError
+from .errors import LeftDomainError, StepUnderflowError
 from .flow import (
     ManifoldState,
     McGeheeState,
@@ -32,7 +32,7 @@ from .flow import (
     to_mcgehee,
 )
 from .potentials import Potential, PotentialSpec, compile_potential, spec_from_dict
-from .certify import CertifyOptions, sweep_threshold
+from .certify import sweep_threshold
 
 __all__ = [
     "CheckResult",
@@ -42,6 +42,17 @@ __all__ = [
     "random_trig_poly",
     "run_all",
 ]
+
+# harmonics of a random trigonometric polynomial
+_TRIG_DEGREE = 4
+# jet_fd_error's grid size, stencil step and distance from open domain ends
+_FD_N, _FD_H, _FD_PAD = 1000, 1e-4, 0.05
+# distance of a random angle from open domain ends
+_THETA_PAD = 0.3
+# energy_drift's tau span and relative tolerance
+_DRIFT_SPAN, _DRIFT_RTOL = (0.0, 50.0), 1e-10
+# flow_equivalence_gap's tolerances, the same for both integrations
+_GAP_RTOL, _GAP_ATOL = 1e-11, 1e-13
 
 
 @dataclass(frozen=True)
@@ -61,16 +72,16 @@ class CheckResult:
 # ------------------------------------------------------------------ helpers
 
 
-def random_trig_poly(rng: np.random.Generator, max_degree: int = 4) -> str:
+def random_trig_poly(rng: np.random.Generator) -> str:
     """Expression source of a random trigonometric polynomial of V.
 
-    Coefficients are uniform on [-1, 1]; every harmonic up to ``max_degree``
+    Coefficients are uniform on [-1, 1]; every harmonic up to the fourth
     appears, so the critical-point structure varies freely from draw to
     draw.  The constant term is shifted down by 1.5 to bias V negative,
     where the certifier's assumptions live.
     """
     terms = [f"{float(rng.uniform(-1.0, 1.0)) - 1.5:.17g}"]
-    for k in range(1, int(max_degree) + 1):
+    for k in range(1, _TRIG_DEGREE + 1):
         a = float(rng.uniform(-1.0, 1.0))
         b = float(rng.uniform(-1.0, 1.0))
         terms.append(f"{a:+.17g}*cos({k}*theta)")
@@ -78,17 +89,18 @@ def random_trig_poly(rng: np.random.Generator, max_degree: int = 4) -> str:
     return " ".join(terms)
 
 
-def jet_fd_error(pot: Potential, n: int = 1000, h: float = 1e-4, pad: float = 0.05) -> float:
+def jet_fd_error(pot: Potential) -> float:
     """Worst grid-relative mismatch of the jet's V', V'' vs central differences.
 
-    The oracle is the 5-point central stencil (truncation O(h^4)), which
-    stays trustworthy even ``pad`` away from an open domain end where V
-    has a pole and the derivatives grow like inverse powers of the
-    distance.  Each derivative's deviation is normalized by the larger of
+    The oracle is the 5-point central stencil (truncation O(h^4)) on a
+    1000-point grid, which stays trustworthy even 0.05 away from an open
+    domain end where V has a pole and the derivatives grow like inverse
+    powers of the distance.  Each derivative's deviation is normalized by the larger of
     1 and its own sup over the grid, so angles where the derivative
     happens to vanish do not inflate the measure.
     """
-    grid = pot.domain.sample_grid(n, pad)
+    h = _FD_H
+    grid = pot.domain.sample_grid(_FD_N, _FD_PAD)
     mid, vp, vpp = pot.V(grid)
     up1 = pot.V(pot.domain.reduce(grid + h)).val
     dn1 = pot.V(pot.domain.reduce(grid - h)).val
@@ -101,21 +113,19 @@ def jet_fd_error(pot: Potential, n: int = 1000, h: float = 1e-4, pad: float = 0.
     return float(max(e1, e2))
 
 
-def _random_theta(pot: Potential, rng: np.random.Generator, pad: float = 0.3) -> float:
-    """A uniform angle ``pad`` inside the domain ends (periodic domains use
-    the full circle)."""
+def _random_theta(pot: Potential, rng: np.random.Generator) -> float:
+    """A uniform angle 0.3 inside the domain ends (periodic domains use the
+    full circle)."""
     lo, hi = pot.domain.lo, pot.domain.hi
     if pot.domain.periodic:
         return float(rng.uniform(lo, hi))
-    return float(rng.uniform(lo + pad, hi - pad))
+    return float(rng.uniform(lo + _THETA_PAD, hi - _THETA_PAD))
 
 
-def random_mcgehee_state(
-    pot: Potential, rng: np.random.Generator, pad: float = 0.3
-) -> McGeheeState:
-    """A random blown-up state with r in [0.5, 2] and theta ``pad`` inside
-    the domain ends (periodic domains use the full circle)."""
-    theta = _random_theta(pot, rng, pad)
+def random_mcgehee_state(pot: Potential, rng: np.random.Generator) -> McGeheeState:
+    """A random blown-up state with r in [0.5, 2] and theta as
+    ``_random_theta`` draws it."""
+    theta = _random_theta(pot, rng)
     return McGeheeState(
         r=float(rng.uniform(0.5, 2.0)),
         theta=theta,
@@ -124,32 +134,20 @@ def random_mcgehee_state(
     )
 
 
-def energy_drift(
-    pot: Potential,
-    state: McGeheeState,
-    span: tuple[float, float] = (0.0, 50.0),
-    rtol: float = 1e-10,
-) -> float:
-    """Relative drift of h over the computed part of ``span``.
+def energy_drift(pot: Potential, state: McGeheeState) -> float:
+    """Relative drift of h over the computed part of tau in [0, 50].
 
     Orbits that end in a binary collision or a finite-tau blow-up stop
     early (the blow-up chart does not regularize those); the drift is
     measured over whatever portion was actually integrated.
     """
-    traj = integrate(state, pot, span, rtol=rtol)
+    traj = integrate(state, pot, _DRIFT_SPAN, rtol=_DRIFT_RTOL)
     h = traj.hs[np.isfinite(traj.hs)]
     scale = max(abs(float(h[0])), 1e-300)
     return float(np.max(np.abs(h - h[0])) / scale)
 
 
-def flow_equivalence_gap(
-    pot: Potential,
-    p0,
-    q0,
-    t_grid,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-) -> float:
+def flow_equivalence_gap(pot: Potential, p0, q0, t_grid) -> float:
     """Max configuration-space distance between Cartesian and blown-up runs.
 
     The same initial condition is integrated once in Cartesian coordinates
@@ -160,10 +158,10 @@ def flow_equivalence_gap(
     t_grid = np.asarray(t_grid, dtype=float)
     t_end = float(t_grid[-1])
     cart = integrate_cartesian(np.asarray(p0, float), np.asarray(q0, float), pot,
-                               (0.0, t_end), rtol=rtol, atol=atol)
+                               (0.0, t_end), rtol=_GAP_RTOL, atol=_GAP_ATOL)
     st = to_mcgehee(p0, q0, pot.beta)
     # generous tau budget; the stop comes from covering t_end in physical time
-    traj = integrate(st, pot, (0.0, 1e4), rtol=rtol, atol=atol, t_stop=t_end)
+    traj = integrate(st, pot, (0.0, 1e4), rtol=_GAP_RTOL, atol=_GAP_ATOL, t_stop=t_end)
     rows = sample_at_physical_times(traj, t_grid)
     q_blown = rows[:, 0:1] * np.stack(
         [np.cos(rows[:, 1]), np.sin(rows[:, 1])], axis=1

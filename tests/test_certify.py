@@ -190,6 +190,17 @@ def test_certify_is_deterministic():
     assert [x.margin for x in a.assumptions] == [x.margin for x in b.assumptions]
 
 
+@pytest.mark.parametrize("name", ["yoshida_g", "yoshida_h"])
+def test_yoshida_reports_the_tied_triple_with_the_smallest_first_angle(name):
+    # V repeats every quarter turn, so triples a quarter turn apart tie up to
+    # rounding in the last bits of their roots; the reported one must not
+    # depend on those bits, and starts at 0 or pi/4
+    for eps in np.linspace(-0.9, 10.0, 40):
+        for flip in (False, True):
+            cert = certify(builtin(name, epsilon=float(eps)), CertifyOptions(allow_sign_flip=flip))
+            assert cert.triple[0] < math.pi / 2, (eps, flip, cert.conclusion, cert.triple)
+
+
 def test_sweep_pins_the_isosceles_threshold():
     spec = spec_from_dict({"builtin": "isosceles", "params": {"alpha": 1.0}})
     result = sweep_threshold(spec, "alpha", 12.5, 14.5, grid_m=9, thresh_tol=1e-9)

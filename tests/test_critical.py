@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mcgehee.certify import check_triple
 from mcgehee.critical import bracketed_newton, find_critical_points
-from mcgehee.errors import DegeneratePotentialError, PoleEncounteredError
+from mcgehee.errors import DegeneratePotentialError, NotCriticalPointError, PoleEncounteredError
+from mcgehee.morales import yoshida_lambda
 from mcgehee.potentials import Potential, compile_potential, spec_from_dict
 
 
@@ -178,3 +180,16 @@ def test_bracketed_newton_stops_clips_and_bisects():
     assert seen[1] == [1.5, 2.0] and out[1] == 2.0
     assert seen[2][:2] == [5.0, 0.5]
     assert out[2] == pytest.approx(0.3, abs=4 * np.finfo(float).eps)
+
+
+def test_certificates_and_yoshida_coefficients_share_the_criticality_rule():
+    # |V'| = e at 0, pi and 2 pi: both accept an angle up to the same bound
+    def pot(e):
+        return expr_pot(f"-2 + 0.5*cos(theta) + {e!r}*sin(theta)")
+
+    check_triple(pot(5e-9), (0.0, math.pi, 2.0 * math.pi))
+    yoshida_lambda(pot(5e-9), 0.0)
+    with pytest.raises(NotCriticalPointError):
+        check_triple(pot(2e-8), (0.0, math.pi, 2.0 * math.pi))
+    with pytest.raises(NotCriticalPointError):
+        yoshida_lambda(pot(2e-8), 0.0)

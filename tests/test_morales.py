@@ -149,7 +149,7 @@ def test_mr_membership_tolerance():
 def test_mr_set_sits_inside_the_necessary_region():
     # every member generated by p in [-20, 20] keeps the beta = -1 margin
     # non-negative; the region boundary lambda = 9/8 is never attained
-    vals = mr_beta_minus1_values(-20, 20)
+    vals = mr_beta_minus1_values()
     assert len(vals) == 22
     for v in vals:
         assert check_integrability_necessary(v, -1.0).satisfied
