@@ -6,7 +6,8 @@ For the quartic two-parameter family V_g(theta; epsilon) the certificate
 applies exactly when epsilon < -1/8 or epsilon > 25/7.  Instead of trusting
 those numbers, this demo rediscovers them: sample the family on a grid,
 watch the certifier's conclusion change, and sharpen each change point by
-bisection on the conclusion itself.
+Brent's method on the certificate's decision margin, whose sign is the
+conclusion.
 """
 from mcgehee import CertifyOptions, certify, compile_potential, spec_from_dict
 from mcgehee.certify import sweep_threshold

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,6 +53,8 @@ _SUBINTERVAL_GRID = 256
 # assumption-6 margins within this of the best tie: symmetric triples differ
 # only by rounding, and the smallest theta_-1 among them is reported
 _TIE_TOL = 1e-12
+# relative floor of a threshold bracket: a few ulps of its ends
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,10 @@ class Certificate:
     potential: dict
     boundary: bool = False
     complex_analyticity_asserted: bool = field(default=False)
+    # > 0 exactly when the conclusion is NonIntegrable; smooth along a family
+    # while the deciding assumption and triple stay the same, so sweeps
+    # locate thresholds as its roots
+    decision_margin: float = field(default=-math.inf, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -190,6 +197,18 @@ def _candidate_triples(
     return [tuple(thetas[i : i + 3]) for i in range(n - 2)]
 
 
+def _slack(results, opts: CertifyOptions) -> float:
+    """How far the best triple clears all six bars: the max over triples of
+    the min over reports of ``margin - bar``.  A NaN margin, or no triple,
+    gives -inf.  ``margin > bar`` iff ``margin - bar > 0`` in doubles, so
+    the slack is positive exactly when some triple satisfies all six."""
+    def triple_slack(reports):
+        gaps = [a.margin - (_BETA_TOL if a.index == 1 else opts.strictness_tol)
+                for a in reports]
+        return -math.inf if any(map(math.isnan, gaps)) else min(gaps)
+    return max((triple_slack(reports) for _, reports in results), default=-math.inf)
+
+
 def _pick(results):
     """The (triple, reports) with the largest assumption-6 margin; margins
     within ``_TIE_TOL`` of it tie, and the smallest theta_-1 among them wins."""
@@ -207,6 +226,10 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     sign-flip route judges the same measurements negated: negation leaves
     the zeros of V' bit for bit where they are, so one scan and one
     evaluation per triple serve both routes.
+
+    ``decision_margin`` is the ``_slack`` of the route that certified, else
+    the larger slack of the routes tried, so it is positive exactly when
+    the conclusion is NonIntegrable.
     """
     echo = pot.spec.to_dict() if pot.spec is not None else {"beta": pot.beta}
     measured = []
@@ -216,7 +239,8 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
         except McGeheeError:
             continue
 
-    def certificate(flipped: bool, conclusion: str, triple, reports, boundary=False):
+    def certificate(flipped: bool, conclusion: str, slack: float, triple, reports,
+                    boundary=False):
         return Certificate(
             conclusion=conclusion,
             kind="complexified" if flipped else "direct",
@@ -226,18 +250,23 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
             potential=echo,
             boundary=boundary,
             complex_analyticity_asserted=flipped,
+            decision_margin=slack,
         )
 
-    def winner(flipped: bool, results):
+    def winner(flipped: bool, results, slack: float):
         wins = [r for r in results if all(a.satisfied for a in r[1])]
         if not wins:
             return None
-        return certificate(flipped, "NonIntegrable", *_pick(wins))
+        return certificate(flipped, "NonIntegrable", slack, *_pick(wins))
 
     results = [(triple, _judge(pot.beta, m, opts)) for triple, m in measured]
-    cert = winner(False, results)
+    slack = _slack(results, opts)
+    cert = winner(False, results, slack)
     if cert is None and opts.allow_sign_flip and any(m.vmin > 0.0 for _, m in measured):
-        cert = winner(True, [(t, _judge(pot.beta, m.negated(), opts)) for t, m in measured])
+        flipped = [(t, _judge(pot.beta, m.negated(), opts)) for t, m in measured]
+        flipped_slack = _slack(flipped, opts)
+        cert = winner(True, flipped, flipped_slack)
+        slack = max(slack, flipped_slack)
     if cert is not None:
         return cert
 
@@ -246,7 +275,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
         most = max(sum(a.satisfied for a in r[1]) for r in results)
         triple, reports = _pick([r for r in results if sum(a.satisfied for a in r[1]) == most])
     boundary = any(abs(a.margin) <= opts.strictness_tol for a in reports)
-    return certificate(False, "Inconclusive", triple, reports, boundary)
+    return certificate(False, "Inconclusive", slack, triple, reports, boundary)
 
 
 @dataclass(frozen=True)
@@ -269,12 +298,55 @@ class SweepResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _conclusion_at(spec: PotentialSpec, param: str, value: float, opts: CertifyOptions) -> str:
-    try:
-        cert = certify(compile_potential(spec.with_params(**{param: value})), opts)
-        return cert.conclusion
-    except McGeheeError as err:
-        return f"error:{type(err).__name__}"
+def _certify_at(spec: PotentialSpec, param: str, value: float, opts: CertifyOptions) -> Certificate:
+    return certify(compile_potential(spec.with_params(**{param: value})), opts)
+
+
+def _zeroin(f, a: float, fa: float, b: float, fb: float, tol: float) -> tuple[float, float]:
+    """Brent's zeroin on the sign of ``f`` (positive vs not) from a bracket
+    (a, b) whose ends differ in it; returns the ends, both evaluated points,
+    of a sign-change bracket at most ``tol`` wide (a few ulps, when ``tol``
+    is below that).
+
+    Inverse quadratic or secant steps are taken only while the three values
+    kept are finite, else the step bisects, so -inf on one side is fine.  A
+    ``McGeheeError`` from ``f`` stops the search at the current bracket.
+    Brent, *Algorithms for Minimization without Derivatives* (1973), ch. 4.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = max(0.5 * tol, 2.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            return min(b, c), max(b, c)
+        bisect = True
+        if abs(e) >= tol1 and abs(fa) > abs(fb) and all(map(math.isfinite, (fa, fb, fc))):
+            s = fb / fa
+            if a == c:   # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:        # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+                bisect = False
+        if bisect:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        try:
+            fb = f(b)
+        except McGeheeError:
+            return min(a, c), max(a, c)
 
 
 def sweep_threshold(
@@ -288,10 +360,12 @@ def sweep_threshold(
 ) -> SweepResult:
     """Locate conclusion changes of ``certify`` along a one-parameter family.
 
-    The parameter range is sampled on a uniform grid; every sign change of
-    the conclusion between valid neighbouring samples is sharpened by
-    bisection on the conclusion itself.  Samples that fail to certify at all
-    are recorded and excluded from bracketing.
+    The parameter range is sampled on a uniform grid; every change of the
+    conclusion between valid neighbouring samples is sharpened by Brent's
+    method on ``Certificate.decision_margin``, whose sign is the conclusion,
+    to a bracket at most ``thresh_tol`` wide whose ends are both evaluated.
+    Samples that fail to certify at all are recorded and excluded from
+    bracketing; a failure inside a bracket stops its refinement there.
     """
     if spec.params is None or param not in spec.params:
         raise UnboundParameterError(f"'{param}' is not a parameter of the potential")
@@ -299,7 +373,18 @@ def sweep_threshold(
         raise DomainViolationError(f"empty sweep range [{lo}, {hi}]")
 
     values = np.linspace(lo, hi, grid_m)
-    conclusions = [_conclusion_at(spec, param, float(v), opts) for v in values]
+    conclusions, margins = [], []
+    for v in values:
+        try:
+            cert = _certify_at(spec, param, float(v), opts)
+            conclusions.append(cert.conclusion)
+            margins.append(cert.decision_margin)
+        except McGeheeError as err:
+            conclusions.append(f"error:{type(err).__name__}")
+            margins.append(math.nan)
+
+    def margin(value: float) -> float:
+        return _certify_at(spec, param, value, opts).decision_margin
 
     thresholds: list[float] = []
     widths: list[float] = []
@@ -307,16 +392,8 @@ def sweep_threshold(
         ca, cb = conclusions[i], conclusions[i + 1]
         if ca.startswith("error") or cb.startswith("error") or ca == cb:
             continue
-        a, b = float(values[i]), float(values[i + 1])
-        while b - a > thresh_tol:
-            mid = 0.5 * (a + b)
-            cm = _conclusion_at(spec, param, mid, opts)
-            if cm == ca:
-                a = mid
-            elif cm == cb:
-                b = mid
-            else:
-                break  # error or third conclusion inside the bracket: stop here
+        a, b = _zeroin(margin, float(values[i]), margins[i],
+                       float(values[i + 1]), margins[i + 1], thresh_tol)
         thresholds.append(0.5 * (a + b))
         widths.append(b - a)
     return SweepResult(

@@ -44,6 +44,7 @@ from .flow import (
 )
 from .morales import check_integrability_necessary, mr_beta_minus1_member, yoshida_lambda
 from .potentials import PotentialSpec, compile_potential, load_spec, spec_from_dict
+from .rk import ATOL, RTOL
 from .validate import run_all
 
 __all__ = ["load_spec", "main", "run"]
@@ -361,7 +362,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--range", required=True, metavar="LO:HI", help="sweep interval")
     p.add_argument("--grid-m", type=int, default=200, help="number of grid samples")
     p.add_argument("--thresh-tol", type=float, default=1e-9,
-                   help="bisection width for threshold refinement")
+                   help="width of the returned threshold bracket")
     p.add_argument("--allow-sign-flip", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
@@ -373,8 +374,8 @@ def _build_parser() -> _Parser:
     _add_potential_flags(p)
     p.add_argument("--init", required=True, metavar="R,THETA,V,W", help="initial state")
     p.add_argument("--tau-span", required=True, metavar="A:B", help="integration span in tau")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--rtol", type=float, default=RTOL)
+    p.add_argument("--atol", type=float, default=ATOL)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("manifold", help="trace a separatrix on M, print CSV and spiral diagnostics")

@@ -54,7 +54,7 @@ from .errors import (
     OriginSingularityError,
 )
 from .potentials import Potential
-from .rk import RawSolution, solve
+from .rk import ATOL, RTOL, RawSolution, solve
 
 __all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
            "CartesianTrajectory", "SpiralDiagnostics", "to_mcgehee", "from_mcgehee", "energy",
@@ -67,9 +67,8 @@ CAPTURE_DISTANCE = 1e-3  # "approaches the focus" cutoff for spiral capture
 # flow of its target focus.  The neglected Taylor terms of the on-M field are
 # O(distance) relative, so the continued phase errs by O(1e-9) rad.
 LINEAR_HANDOFF = 1e-9
-# integrate_manifold's tolerances, and the |z| within which its on-M start
-# counts as on M
-_MANIFOLD_RTOL, _MANIFOLD_ATOL, _MANIFOLD_TOL = 1e-10, 1e-12, 1e-12
+# the |z| within which integrate_manifold's on-M start counts as on M
+_MANIFOLD_TOL = 1e-12
 # trace_invariant_manifold's tolerances, tighter than the plain integrators'
 # because the departure phase amplifies seed-level noise by
 # exp(|lambda_stable| * tau_departure)
@@ -373,8 +372,8 @@ def integrate(
     state0: McGeheeState,
     pot: Potential,
     tau_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     eq_tol: float | None = None,
     t_stop: float | None = None,
 ) -> Trajectory:
@@ -445,7 +444,7 @@ def integrate_manifold(
     z0 = m0.z(pot)
     if on_manifold and abs(z0) > _MANIFOLD_TOL:
         raise DomainViolationError(f"|z| = {abs(z0):.3e} exceeds {_MANIFOLD_TOL:.1e}: not on M")
-    return _manifold_run(m0, pot, tau_span, _MANIFOLD_RTOL, _MANIFOLD_ATOL, None, project)
+    return _manifold_run(m0, pot, tau_span, RTOL, ATOL, None, project)
 
 
 def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
@@ -702,8 +701,8 @@ def integrate_cartesian(
     q0: Sequence[float],
     pot: Potential,
     t_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = RTOL,
+    atol: float = ATOL,
 ) -> CartesianTrajectory:
     def rhs(t: float, y: tuple) -> tuple:
         try:

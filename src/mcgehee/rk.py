@@ -56,6 +56,8 @@ _K_P = 0.4 / 5.0   # proportional gain on the previous error
 _EPS = sys.float_info.epsilon
 # largest step in the independent variable
 _MAX_STEP = math.pi / 8.0
+# default error tolerances of every integrator built on ``solve``
+RTOL, ATOL = 1e-10, 1e-12
 
 
 @dataclass
@@ -161,8 +163,8 @@ def solve(
     t0: float,
     y0: Sequence[float],
     t1: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    rtol: float = RTOL,
+    atol: float = ATOL,
     first_step: float | None = None,
     stop: Callable[[float, tuple, tuple], str | None] | None = None,
     postprocess: Callable[[float, tuple], tuple] | None = None,

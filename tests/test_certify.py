@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mcgehee.certify import CertifyOptions, certify, check_triple, sweep_threshold
+from mcgehee.certify import CertifyOptions, _zeroin, certify, check_triple, sweep_threshold
 from mcgehee.critical import find_critical_points
 from mcgehee.errors import (
     DegeneratePotentialError,
@@ -214,6 +214,102 @@ def test_sweep_pins_the_isosceles_threshold():
     assert data["param"] == "alpha"
     assert len(data["grid"]) == 9
     assert data["grid"][0] == [12.5, "NonIntegrable"]
+
+
+def test_decision_margin_sign_is_the_conclusion():
+    cases = [(builtin(name, epsilon=float(eps)), flip)
+             for name in ("yoshida_g", "yoshida_h")
+             for eps in np.linspace(-0.9, 10.0, 40)
+             for flip in (False, True)]
+    cases += [(builtin("isosceles", alpha=float(a)), False) for a in np.linspace(1.0, 20.0, 20)]
+    # margins of order 1e-17 to 1e-9 on both sides of the two quartic thresholds
+    cases += [(builtin(name, epsilon=eps + d), flip)
+              for name in ("yoshida_g", "yoshida_h")
+              for eps in (-0.125, 25.0 / 7.0)
+              for d in (-1e-9, 1e-9)
+              for flip in (False, True)]
+    conclusions = set()
+    for pot, flip in cases:
+        cert = certify(pot, CertifyOptions(allow_sign_flip=flip))
+        conclusions.add(cert.conclusion)
+        assert (cert.decision_margin > 0.0) == (cert.conclusion == "NonIntegrable"), (
+            pot.spec, flip, cert.conclusion, cert.decision_margin)
+    assert conclusions == {"NonIntegrable", "Inconclusive"}
+
+    # a monotone V on an interval has no critical point, hence no triple
+    empty = certify(compile_potential(spec_from_dict(
+        {"expr": "-2 + 0.1*theta", "beta": -1.0, "domain": [0.2, 1.2]})))
+    assert empty.triple is None
+    assert empty.conclusion == "Inconclusive"
+    assert empty.decision_margin == -math.inf
+    assert "decision_margin" not in json.loads(empty.to_json())
+
+
+def test_sweep_takes_few_certify_calls_per_threshold(monkeypatch):
+    module = sys.modules["mcgehee.certify"]
+    calls = []
+    raw_certify = module.certify
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw_certify(*args, **kwargs)
+
+    monkeypatch.setattr(module, "certify", counted)
+    spec = spec_from_dict({"builtin": "isosceles", "params": {"alpha": 1.0}})
+    result = sweep_threshold(spec, "alpha", 12.5, 14.5, grid_m=9, thresh_tol=1e-9)
+    assert len(calls) <= 9 + 12
+    assert len(result.thresholds) == 1
+    assert abs(result.thresholds[0] - 55.0 / 4.0) <= 1e-8
+    assert result.threshold_widths[0] <= 1e-9
+
+
+def _zeroin_bracket(f, a, b, tol=1e-9):
+    """Run _zeroin on (a, b); check the returned ends were evaluated and
+    straddle the sign change, and return them."""
+    seen = {a: f(a), b: f(b)}
+
+    def recorded(x):
+        seen[x] = f(x)
+        return seen[x]
+
+    lo, hi = _zeroin(recorded, a, seen[a], b, seen[b], tol)
+    assert 0.0 < hi - lo <= tol
+    assert (seen[lo] > 0.0) != (seen[hi] > 0.0)
+    return lo, hi
+
+
+def test_zeroin_brackets_a_smooth_root():
+    lo, hi = _zeroin_bracket(lambda x: math.cos(x) - x, 0.0, 1.0)
+    assert lo <= 0.7390851332151607 <= hi
+
+
+def test_zeroin_brackets_a_kink():
+    lo, hi = _zeroin_bracket(lambda x: min(x - 0.3, 0.01), 1.0, 0.0)
+    assert lo <= 0.3 <= hi
+
+
+def test_zeroin_bisects_when_one_side_is_minus_infinity():
+    lo, hi = _zeroin_bracket(lambda x: x - 0.3 if x >= 0.4 else -math.inf, 0.0, 1.0)
+    assert lo < 0.4 <= hi
+
+
+def test_zeroin_ends_a_few_ulps_wide_when_tol_is_below_rounding():
+    def f(x):
+        return x - 13.749999998
+
+    lo, hi = _zeroin(f, 12.5, f(12.5), 14.5, f(14.5), 0.0)
+    assert lo <= 13.749999998 <= hi
+    assert 0.0 < hi - lo <= 4.0 * sys.float_info.epsilon * hi
+
+
+def test_zeroin_stops_at_the_bracket_a_failure_leaves():
+    def f(x):
+        if 0.45 < x < 0.55:
+            raise DomainViolationError("no certificate here")
+        return x - 0.5
+
+    # the first secant step lands on 0.5 and fails: the bracket stays (0, 1)
+    assert _zeroin(f, 0.0, f(0.0), 1.0, f(1.0), 1e-9) == (0.0, 1.0)
 
 
 def test_sweep_records_errors_without_bracketing_them():
