@@ -8,9 +8,10 @@ non-integrability exactly when all six margins clear ``strictness_tol``.  Margin
 never promoted to a verdict: the certificate comes back ``Inconclusive`` with
 the ``boundary`` flag set.
 
-Each triple is measured once -- the jets at its three angles, the extremes
-of V on a uniform grid of [theta_-1, theta_1] and min |V'| on the open
-subintervals -- and the assumptions are judged from those numbers.
+V is sampled once per arc, the stretch between two neighbouring critical
+angles: one grid gives the arc's extremes of V and min |V'| inside it.  A
+triple [theta_-1, theta_0] + [theta_0, theta_1] reads its two arcs and the
+jets at its three angles, and the assumptions are judged from those numbers.
 With ``allow_sign_flip``, when no triple certifies V and V > 0 on the
 sampled span of some candidate triple, the same measurements are judged for
 -V: negation maps them to those of -V exactly, so this route evaluates V
@@ -21,6 +22,7 @@ orbit.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -46,10 +48,8 @@ __all__ = [
 
 # distance of beta from {-2, 0} that assumption 1 must clear
 _BETA_TOL = 1e-9
-# points of the sign check of V on [theta_-1, theta_1]
-_INTERVAL_GRID = 1024
-# points of the V' != 0 check per open subinterval
-_SUBINTERVAL_GRID = 256
+# points of the grid of one arc, ends included: 4 * 257 steps (see _arc)
+_ARC_GRID = 4 * 257 + 1
 # assumption-6 margins within this of the best tie: symmetric triples differ
 # only by rounding, and the smallest theta_-1 among them is reported
 _TIE_TOL = 1e-12
@@ -116,9 +116,9 @@ class _Measurement(NamedTuple):
 
     triple: tuple[float, float, float]
     jets: tuple[Jet2, Jet2, Jet2]    # at theta_-1, theta_0, theta_1
-    vmax: float                      # extremes of V on the _INTERVAL_GRID span
+    vmax: float                      # extremes of V over the grids of both arcs
     vmin: float
-    m4: float                        # min |V'| over the open subintervals
+    m4: float                        # min |V'| inside both arcs
 
     def negated(self) -> "_Measurement":
         """The measurement of -V, exact: negation rounds nothing."""
@@ -126,20 +126,27 @@ class _Measurement(NamedTuple):
         return self._replace(jets=jets, vmax=-self.vmin, vmin=-self.vmax)
 
 
-def _measure(pot: Potential, triple: tuple[float, float, float]) -> _Measurement:
+def _arc(pot: Potential, a: float, b: float) -> tuple[float, float, float]:
+    """Max V and min V over the grid of the arc (a, b), ends included, and
+    min |V'| over every 4th interior point.  1028 = 4 * 257 steps and a step
+    divides by 4 exactly, so those points are ``linspace(a, b, 258)[1:-1]``
+    bit for bit.  An arc is shorter than its triple's span, so arc/1028 <
+    span/1023: V is sampled at least as densely as on a 1024-point grid of
+    the span, and at the critical angles themselves."""
+    jet = pot.V(np.linspace(a, b, _ARC_GRID))
+    v, d1 = jet.val, jet.d1[4:-1:4]
+    return float(np.max(v)), float(np.min(v)), float(np.min(np.abs(d1)))
+
+
+def _measure(pot: Potential, triple: tuple[float, float, float], arc) -> _Measurement:
     tm, t0, tp = (float(t) for t in triple)
     if not (tm < t0 < tp):
         raise DomainViolationError(f"triple {triple} is not strictly increasing")
     if tp - tm > TWO_PI + 1e-12:
         raise DomainViolationError(f"triple {triple} spans more than one revolution")
     jets = tuple(critical_jet(pot, t)[1] for t in (tm, t0, tp))
-
-    span = pot.V(np.linspace(tm, tp, _INTERVAL_GRID)).val
-    m4 = math.inf
-    for a, b in ((tm, t0), (t0, tp)):
-        inner = np.linspace(a, b, _SUBINTERVAL_GRID + 2)[1:-1]
-        m4 = min(m4, float(np.min(np.abs(pot.V(inner).d1))))
-    return _Measurement((tm, t0, tp), jets, float(np.max(span)), float(np.min(span)), m4)
+    vmax, vmin, m4 = zip(arc(tm, t0), arc(t0, tp))
+    return _Measurement((tm, t0, tp), jets, max(vmax), min(vmin), min(m4))
 
 
 def _judge(beta: float, m: _Measurement, opts: CertifyOptions) -> tuple[AssumptionReport, ...]:
@@ -176,25 +183,16 @@ def check_triple(
     periodic domain the outer pair may be the same critical angle seen one
     revolution apart.  Every angle must actually be a critical point of V.
     """
-    return _judge(pot.beta, _measure(pot, triple), opts)
+    return _judge(pot.beta, _measure(pot, triple, functools.partial(_arc, pot)), opts)
 
 
 def _candidate_triples(
     pot: Potential, cps: list[CriticalPoint]
 ) -> list[tuple[float, float, float]]:
-    n = len(cps)
-    thetas = [c.theta for c in cps]
-    if pot.domain.periodic:
-        if n < 2:
-            return []
-        out = []
-        for i in range(n):
-            a = thetas[i]
-            b = thetas[(i + 1) % n] + (TWO_PI if i + 1 >= n else 0.0)
-            c = thetas[(i + 2) % n] + (TWO_PI if i + 2 >= n else 0.0)
-            out.append((a, b, c))
-        return out
-    return [tuple(thetas[i : i + 3]) for i in range(n - 2)]
+    t = [c.theta for c in cps]
+    if pot.domain.periodic and len(t) >= 2:
+        t += [t[0] + TWO_PI, t[1] + TWO_PI]
+    return [tuple(t[i : i + 3]) for i in range(len(t) - 2)]
 
 
 def _slack(results, opts: CertifyOptions) -> float:
@@ -225,17 +223,19 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     assumptions.  Either pick breaks ties as ``_pick`` does.  The
     sign-flip route judges the same measurements negated: negation leaves
     the zeros of V' bit for bit where they are, so one scan and one
-    evaluation per triple serve both routes.
+    evaluation per arc serve both routes.
 
     ``decision_margin`` is the ``_slack`` of the route that certified, else
     the larger slack of the routes tried, so it is positive exactly when
     the conclusion is NonIntegrable.
     """
     echo = pot.spec.to_dict() if pot.spec is not None else {"beta": pot.beta}
+    # each arc belongs to two triples on a periodic domain: sample it once
+    arc = functools.lru_cache(maxsize=None)(functools.partial(_arc, pot))
     measured = []
     for triple in _candidate_triples(pot, find_critical_points(pot, grid_n=opts.grid_n)):
         try:
-            measured.append((triple, _measure(pot, triple)))
+            measured.append((triple, _measure(pot, triple, arc)))
         except McGeheeError:
             continue
 

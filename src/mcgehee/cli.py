@@ -17,6 +17,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -341,6 +342,8 @@ def _add_potential_flags(sub: argparse.ArgumentParser) -> None:
                      help="write the result here instead of stdout")
 
 
+# one per process: parse_args leaves it as it was (append copies its default)
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mcgehee",
                      description="Non-integrability certificates and blown-up "

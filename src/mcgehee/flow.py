@@ -90,9 +90,6 @@ class McGeheeState:
     def z(self, pot: Potential) -> float:
         return _z(pot, self.theta, self.v, self.w)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r, self.theta, self.v, self.w])
-
 
 @dataclass(frozen=True)
 class ManifoldState:
@@ -116,7 +113,6 @@ class Equilibrium:
     v_star: float                   # sign * sqrt(-2 V(theta_c))
     lambda1: float                  # -beta * v_star, eigenvector (0, 1, 0)
     lambda23: tuple[complex, complex]
-    eigvec1: tuple[float, float, float]
     type: str                       # saddle | stable_focus | unstable_focus | node | center
 
     def point(self) -> ManifoldState:
@@ -514,7 +510,7 @@ def find_equilibria(pot: Potential) -> list[Equilibrium]:
         for sign, v_star in (("-", -mag), ("+", mag)):
             lam1, roots, kind = _eigen_data(pot.beta, v_star, cp.curvature)
             out.append(Equilibrium(theta_c=cp.theta, sign=sign, v_star=v_star, lambda1=lam1,
-                                   lambda23=roots, eigvec1=(0.0, 1.0, 0.0), type=kind))
+                                   lambda23=roots, type=kind))
     return out
 
 

@@ -5,15 +5,25 @@ import sys
 import numpy as np
 import pytest
 
-from mcgehee.certify import CertifyOptions, _zeroin, certify, check_triple, sweep_threshold
-from mcgehee.critical import find_critical_points
+from mcgehee.certify import (
+    _ARC_GRID,
+    CertifyOptions,
+    _arc,
+    _candidate_triples,
+    _zeroin,
+    certify,
+    check_triple,
+    sweep_threshold,
+)
+from mcgehee.critical import CriticalPoint, find_critical_points
 from mcgehee.errors import (
     DegeneratePotentialError,
     DomainViolationError,
     NotCriticalPointError,
     UnboundParameterError,
 )
-from mcgehee.potentials import BUILTINS, compile_potential, spec_from_dict
+from mcgehee.potentials import BUILTINS, TWO_PI, compile_potential, spec_from_dict
+from mcgehee.validate import random_trig_poly
 
 
 def builtin(name, **params):
@@ -147,6 +157,75 @@ def test_sign_flip_evaluates_no_array_of_its_own(monkeypatch):
     direct = len(arrays)
     assert certify(pot, CertifyOptions(allow_sign_flip=True)).conclusion == "NonIntegrable"
     assert len(arrays) - direct == direct
+
+
+def test_certify_samples_each_arc_once(monkeypatch):
+    module = sys.modules["mcgehee.certify"]
+    potential = sys.modules["mcgehee.potentials"].Potential
+    raw_V = potential.V
+    scanning, arrays = [False], []
+
+    def counted(self, theta):
+        if isinstance(theta, np.ndarray) and not scanning[0]:
+            arrays.append(theta.size)
+        return raw_V(self, theta)
+
+    def scan(*args, **kwargs):
+        scanning[0] = True
+        try:
+            return find_critical_points(*args, **kwargs)
+        finally:
+            scanning[0] = False
+
+    pot = builtin("yoshida_g", epsilon=4.0)
+    angles = len(find_critical_points(pot))
+    monkeypatch.setattr(potential, "V", counted)
+    monkeypatch.setattr(module, "find_critical_points", scan)
+    certify(pot, CertifyOptions(allow_sign_flip=True))
+    # eight triples on the circle read eight arcs plus (theta_0, theta_1)
+    # seen one revolution on
+    assert angles == 8
+    assert arrays == [_ARC_GRID] * 9
+
+
+def test_a3_reads_v_at_the_critical_angles():
+    # max V over the span is V(pi) = cos(2*pi) - 2 = -1 exactly, at theta_0
+    reports = check_triple(expr_pot("cos(2*theta) - 2"),
+                           (math.pi / 2, math.pi, 3 * math.pi / 2))
+    assert reports[2].margin == 1.0
+
+
+def test_arc_check_reads_the_256_point_grid():
+    pots = (builtin("yoshida_g", epsilon=4.0), builtin("isosceles", alpha=1.0),
+            expr_pot(random_trig_poly(np.random.default_rng(7))))
+    for pot in pots:
+        cps = find_critical_points(pot)
+        arcs = {arc for tm, t0, tp in _candidate_triples(pot, cps)
+                for arc in ((tm, t0), (t0, tp))}
+        if pot.domain.periodic:
+            first, second, last = cps[0].theta, cps[1].theta, cps[-1].theta
+            assert {(last, first + TWO_PI), (first + TWO_PI, second + TWO_PI)} <= arcs
+        for a, b in arcs:
+            grid = np.linspace(a, b, 258)
+            assert np.array_equal(np.linspace(a, b, _ARC_GRID)[::4], grid)
+            assert _arc(pot, a, b)[2] == float(np.min(np.abs(pot.V(grid[1:-1]).d1)))
+
+
+def test_candidate_triples_enumeration():
+    circle, interval = expr_pot("cos(theta) - 2"), builtin("isosceles", alpha=1.0)
+
+    def triples(pot, *thetas):
+        return _candidate_triples(pot, [CriticalPoint(t, -1.0, 0.0, "degenerate")
+                                        for t in thetas])
+
+    assert triples(circle, 1.0) == []
+    assert triples(circle, 1.0, 2.0) == [(1.0, 2.0, 1.0 + TWO_PI),
+                                         (2.0, 1.0 + TWO_PI, 2.0 + TWO_PI)]
+    assert triples(circle, 1.0, 2.0, 3.0) == [(1.0, 2.0, 3.0), (2.0, 3.0, 1.0 + TWO_PI),
+                                              (3.0, 1.0 + TWO_PI, 2.0 + TWO_PI)]
+    assert triples(interval, -1.0, 0.0) == []
+    assert triples(interval, -1.0, 0.0, 1.0) == [(-1.0, 0.0, 1.0)]
+    assert triples(interval, -1.0, -0.5, 0.5, 1.0) == [(-1.0, -0.5, 0.5), (-0.5, 0.5, 1.0)]
 
 
 def test_sign_flip_does_not_touch_negative_potentials():
