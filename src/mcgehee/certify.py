@@ -60,7 +60,6 @@ _EPS = sys.float_info.epsilon
 @dataclass(frozen=True)
 class CertifyOptions:
     strictness_tol: float = 1e-9     # margins must clear this to count
-    grid_n: int = 4096               # critical-point scan resolution
     allow_sign_flip: bool = False
 
 
@@ -233,7 +232,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     # each arc belongs to two triples on a periodic domain: sample it once
     arc = functools.lru_cache(maxsize=None)(functools.partial(_arc, pot))
     measured = []
-    for triple in _candidate_triples(pot, find_critical_points(pot, grid_n=opts.grid_n)):
+    for triple in _candidate_triples(pot, find_critical_points(pot)):
         try:
             measured.append((triple, _measure(pot, triple, arc)))
         except McGeheeError:

@@ -178,10 +178,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     opts = CertifyOptions(allow_sign_flip=args.allow_sign_flip)
     if args.strictness_tol is not None:
         opts = replace(opts, strictness_tol=args.strictness_tol)
-    if args.grid_n is not None:
-        if args.grid_n <= 0:
-            raise _UsageError("--grid-n: must be positive")
-        opts = replace(opts, grid_n=args.grid_n)
     pot = compile_potential(_build_spec(args))
     cert = certify(pot, opts)
     _emit(dumps_17(cert.to_dict()), args.output)
@@ -356,7 +352,6 @@ def _build_parser() -> _Parser:
                    help="if V > 0 over a candidate triple, also try -V (complexified)")
     p.add_argument("--strictness-tol", type=float, default=None,
                    help="margin below which the verdict stays Inconclusive")
-    p.add_argument("--grid-n", type=int, default=None, help="critical-point scan resolution")
     p.set_defaults(func=_cmd_certify)
 
     p = subs.add_parser("sweep", help="locate certificate-conclusion thresholds along a parameter")

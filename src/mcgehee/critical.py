@@ -28,6 +28,8 @@ __all__ = ["CriticalPoint", "bracketed_newton", "critical_jet", "find_critical_p
 
 # guard band of the scan grid off the ends of an open interval
 _GUARD = 1e-6
+# points of the scan grid
+_SCAN_GRID = 4096
 # max |V'| on the grid below which V is taken as constant
 _DEGENERACY_TOL = 1e-9
 # |V'| above which a converged bracket is a pole, not a critical point
@@ -123,14 +125,14 @@ def bracketed_newton(fdf, lo, hi, sign_lo, t0) -> np.ndarray:
     return t
 
 
-def find_critical_points(pot: Potential, grid_n: int = 4096) -> list[CriticalPoint]:
+def find_critical_points(pot: Potential) -> list[CriticalPoint]:
     """All transversal zeros of V' on the domain, sorted by angle.
 
     Raises DegeneratePotentialError when V' vanishes identically on the scan
     grid (no isolated critical points to speak of), PoleEncounteredError when
     evaluation fails at an interior node.
     """
-    grid = pot.domain.sample_grid(grid_n, _GUARD)
+    grid = pot.domain.sample_grid(_SCAN_GRID, _GUARD)
     d1 = _grid_jet(pot, grid).d1
 
     if float(np.max(np.abs(d1))) < _DEGENERACY_TOL:

@@ -11,7 +11,9 @@ Grammar (whitespace insignificant, ``^`` binds tightest and associates right):
 ``theta`` is the independent variable; any other bare identifier becomes a
 named parameter that must be bound before evaluation.  Function calls are
 restricted to the names in :data:`FUNCTIONS`.  Exponents may be arbitrary
-subexpressions as long as they do not depend on ``theta``.
+subexpressions as long as they do not depend on ``theta``.  :func:`parse` is
+cached per source and :func:`free_parameters` per tree, so a builtin's source
+or a sweep's expression is parsed once per process.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ __all__ = ["parse", "free_parameters", "to_source", "compile_node", "FUNCTIONS"]
 
 # names callable in an expression; each has a rule in ``_Emitter.call``
 FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
+# parsed sources and compiled expressions kept per process; a sweep's potentials share one
+_CACHE_SIZE = 256
 
 
 # ------------------------------------------------------------------- AST
@@ -186,6 +190,7 @@ class _Parser:
         raise ParseError(f"expected a value, got {value!r}" if kind else "unexpected end of input", pos)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def parse(text: str) -> Node:
     """Parse expression source into an AST."""
     return _Parser(text).parse()
@@ -208,9 +213,10 @@ def _nodes(node: Node):
         stack.extend(_children(node))
 
 
-def free_parameters(node: Node) -> set[str]:
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def free_parameters(node: Node) -> frozenset[str]:
     """Names of all parameters referenced by the expression."""
-    return {n.name for n in _nodes(node) if isinstance(n, Param)}
+    return frozenset(n.name for n in _nodes(node) if isinstance(n, Param))
 
 
 # ------------------------------------------------------------------- printer
@@ -279,8 +285,6 @@ def to_source(node: Node) -> str:
 
 # tan is rejected this close to a pole of the tangent
 _TAN_POLE_TOL = 1e-12
-# compiled expressions kept per process; a sweep's potentials share one
-_CACHE_SIZE = 256
 _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
@@ -517,7 +521,7 @@ def _source(node: Node) -> str:
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(node: Node):
     """The parameter names of ``node`` and its compiled ``bind``."""
-    names = frozenset(free_parameters(node))
+    names = free_parameters(node)
     namespace = {"math": math, "np": np, "DomainError": DomainError}
     exec(compile(_source(node), "<mcgehee.expr>", "exec"), namespace)
     return names, namespace["bind"]

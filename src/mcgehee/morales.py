@@ -108,16 +108,12 @@ def yoshida_lambda(pot: Potential, theta_c: float) -> YoshidaCoefficient:
             f"V({theta_c}) = 0: the Yoshida coefficient is undefined on this ray"
         )
     lam = float(jet.d2) / (pot.beta * val) + 1.0
-    try:
-        scale = darboux_from_critical(pot, theta_c)
-    except BetaTwoScaleDegenerateError:
-        scale = None
     return YoshidaCoefficient(
         theta_c=theta_c,
         lam=lam,
         beta=pot.beta,
         trivial=pot.beta - 1.0,
-        darboux_scale=scale,
+        darboux_scale=None if pot.beta == 2.0 else _darboux_scale(pot.beta, val),
     )
 
 
@@ -134,11 +130,16 @@ def darboux_from_critical(pot: Potential, theta_c: float) -> float | None:
         raise BetaTwoScaleDegenerateError(
             "beta = 2: the Darboux scale equation s^(beta-2) = 1/(beta V) loses s"
         )
-    theta_c, jet = critical_jet(pot, theta_c)
-    bv = pot.beta * float(jet.val)
+    _, jet = critical_jet(pot, theta_c)
+    return _darboux_scale(pot.beta, float(jet.val))
+
+
+def _darboux_scale(beta: float, val: float) -> float | None:
+    """s with s^(beta-2) = 1/(beta*val), for beta != 2; None if beta*val <= 0."""
+    bv = beta * val
     if bv <= 0.0:
         return None
-    return bv ** (1.0 / (2.0 - pot.beta))
+    return bv ** (1.0 / (2.0 - beta))
 
 
 def check_integrability_necessary(lam: float, beta: float) -> NecessaryInequality:

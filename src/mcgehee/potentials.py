@@ -7,8 +7,9 @@ its degree ``beta`` and the restriction to the unit circle
 
 :class:`Potential` wraps the code :mod:`mcgehee.expr` compiles for V, so a
 single call yields V, V' and V'' at scalar or array arguments, as a
-:class:`Jet2` record.  Shapes come either from an expression or from the
-builtin catalogue, whose entries are expression sources too:
+:class:`Jet2` record.  Shapes come from an expression or from the builtin
+catalogue, whose entries are expression sources with a fixed degree and
+domain; both kinds are parsed, checked and compiled alike:
 
 ``isosceles(alpha)``
     V(theta) = -1/cos(theta) - 4 alpha^(3/2) / sqrt(alpha + 2 sin^2(theta)),
@@ -81,7 +82,6 @@ class Domain:
 @dataclass(frozen=True)
 class _Builtin:
     beta: float
-    param_names: tuple[str, ...]
     domain: Domain
     source: str
     positive: tuple[str, ...] = ()  # parameters that must be > 0
@@ -93,12 +93,11 @@ _QUARTIC = ("(cos(theta)^4 + sin(theta)^4)/4"
             " + (epsilon/2)*(cos(theta)*cos(theta))*(sin(theta)*sin(theta))")
 BUILTINS: dict[str, _Builtin] = {
     "isosceles": _Builtin(
-        -1.0, ("alpha",), Domain(-math.pi / 2, math.pi / 2),
+        -1.0, Domain(-math.pi / 2, math.pi / 2),
         "-1/cos(theta) - 4*alpha^1.5/sqrt(alpha + 2*sin(theta)*sin(theta))", ("alpha",)),
-    "yoshida_g": _Builtin(4.0, ("epsilon",), Domain.full_circle(), f"-1*({_QUARTIC})"),
-    "yoshida_h": _Builtin(4.0, ("epsilon",), Domain.full_circle(), _QUARTIC),
+    "yoshida_g": _Builtin(4.0, Domain.full_circle(), f"-1*({_QUARTIC})"),
+    "yoshida_h": _Builtin(4.0, Domain.full_circle(), _QUARTIC),
 }
-_BUILTIN_NODES = {name: expr_mod.parse(b.source) for name, b in BUILTINS.items()}
 
 
 # ------------------------------------------------------------------ spec
@@ -292,29 +291,27 @@ def _float_path(domain: Domain, scalar: Callable) -> Callable:
 
 
 def compile_potential(spec: PotentialSpec) -> Potential:
-    """Compile the evaluators of V for a validated spec."""
-    if spec.builtin is not None:
-        info = BUILTINS.get(spec.builtin)
-        if info is None:
-            raise UnknownBuiltinError(f"unknown builtin {spec.builtin!r}")
-        missing = [p for p in info.param_names if p not in spec.params]
-        if missing:
-            raise UnboundParameterError(
-                f"builtin {spec.builtin!r} needs parameter(s): {', '.join(missing)}"
-            )
-        extra = [p for p in spec.params if p not in info.param_names]
-        if extra:
-            raise SpecError(f"params.{extra[0]}: not a parameter of {spec.builtin!r}")
-        if any(spec.params[p] <= 0.0 for p in info.positive):
-            raise DomainError(f"{spec.builtin}: {', '.join(info.positive)} must be positive")
-        node, beta, domain = _BUILTIN_NODES[spec.builtin], info.beta, info.domain
+    """Compile the evaluators of V for a validated spec, which must bind
+    exactly the free parameters of its source."""
+    if spec.builtin is None:
+        what, info = "the expression", _Builtin(spec.beta, Domain.full_circle(), spec.expr)
+    elif spec.builtin in BUILTINS:
+        what, info = f"builtin {spec.builtin!r}", BUILTINS[spec.builtin]
     else:
-        node = expr_mod.parse(spec.expr)
-        beta, domain = spec.beta, Domain.full_circle()
+        raise UnknownBuiltinError(f"unknown builtin {spec.builtin!r}")
+    node = expr_mod.parse(info.source)
+    names = expr_mod.free_parameters(node)
+    missing = sorted(names.difference(spec.params))
+    if missing:
+        raise UnboundParameterError(f"{what} needs parameter(s): {', '.join(missing)}")
+    extra = [p for p in spec.params if p not in names]
+    if extra:
+        raise SpecError(f"params.{extra[0]}: not a parameter of {what}")
+    if any(spec.params[p] <= 0.0 for p in info.positive):
+        raise DomainError(f"{spec.builtin}: {', '.join(info.positive)} must be positive")
     try:
         evaluators = expr_mod.compile_node(node, dict(spec.params))
     except (ZeroDivisionError, OverflowError) as err:
         raise DomainError(f"potential singular: {err}") from err
-    if spec.domain is not None:
-        domain = Domain(*spec.domain)
-    return Potential(beta, domain, evaluators, spec)
+    domain = info.domain if spec.domain is None else Domain(*spec.domain)
+    return Potential(info.beta, domain, evaluators, spec)

@@ -37,6 +37,15 @@ def test_usage_and_io_problems_exit_one(capsys):
     assert call(capsys, "simulate", "--builtin", "isosceles", "--set", "alpha=bad",
                 "--init", "1,0,0,0", "--tau-span", "0:5")[0] == 1
     assert call(capsys, "no-such-subcommand")[0] == 1
+    # a parameter the expression does not name is rejected, as for a builtin
+    rc, _, err = call(capsys, "certify", "--expr", "cos(2*theta) - a", "--beta", "-1",
+                      "--set", "a=2", "--set", "zzz=1")
+    assert (rc, err) == (1, "error: params.zzz: not a parameter of the expression\n")
+    rc, _, err = call(capsys, "sweep", "--expr", "cos(2*theta) - a", "--beta", "-1",
+                      "--set", "a=2", "--param", "b", "--range", "0:1")
+    assert (rc, err) == (1, "error: params.b: not a parameter of the expression\n")
+    assert call(capsys, "certify", "--builtin", "isosceles", "--set", "alpha=1",
+                "--grid-n", "100")[0] == 1
 
 
 def test_domain_problems_exit_two(capsys):

@@ -67,6 +67,16 @@ def test_lambda_recomputes_from_the_jet():
         assert (c.darboux_scale is not None) == (pot.beta * float(jet.val) > 0.0)
 
 
+def test_yoshida_lambda_evaluates_v_once():
+    pot = builtin("isosceles", alpha=1.0)
+    calls = []
+    V_float = pot.V_float
+    pot.V_float = lambda theta: calls.append(theta) or V_float(theta)
+    c = yoshida_lambda(pot, 0.0)
+    assert c.darboux_scale is not None
+    assert calls == [0.0]
+
+
 def test_lambda_rejects_bad_rays():
     with pytest.raises(NotCriticalPointError):
         yoshida_lambda(builtin("isosceles", alpha=1.0), 0.3)

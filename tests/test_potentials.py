@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mcgehee import expr
 from mcgehee.errors import (
     DomainError,
     OriginSingularityError,
@@ -180,11 +181,15 @@ def test_unknown_builtin():
         spec_from_dict({"builtin": "kepler"})
 
 
-def test_extra_builtin_param_rejected():
-    with pytest.raises(SpecError):
-        compile_potential(
-            PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 1.0, "mass": 2.0})
-        )
+@pytest.mark.parametrize("spec, what", [
+    (PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 1.0, "mass": 2.0}),
+     "builtin 'isosceles'"),
+    (PotentialSpec(-1.0, expr="cos(2*theta) - alpha", params={"alpha": 2.0, "mass": 2.0}),
+     "the expression"),
+], ids=["builtin", "expression"])
+def test_extra_builtin_param_rejected(spec, what):
+    with pytest.raises(SpecError, match=rf"^params\.mass: not a parameter of {what}$"):
+        compile_potential(spec)
 
 
 def test_negative_alpha_rejected():
@@ -196,6 +201,18 @@ def test_negative_alpha_rejected():
 def test_expression_missing_param():
     with pytest.raises(UnboundParameterError, match="a"):
         compile_potential(PotentialSpec(2.0, expr="a*cos(theta)"))
+
+
+def test_sources_parse_once(monkeypatch):
+    seen = []
+    tokenize = expr._tokenize
+    monkeypatch.setattr(expr, "_tokenize", lambda text: seen.append(text) or tokenize(text))
+    source = "cos(3*theta) - 2.75*q"
+    for _ in range(10):
+        builtin("yoshida_h", epsilon=0.5)
+        compile_potential(PotentialSpec(-1.0, expr=source, params={"q": 1.0}))
+    assert seen.count(BUILTINS["yoshida_h"].source) <= 1
+    assert seen.count(source) == 1
 
 
 # ----------------------------------------------------------------- spec files
