@@ -228,7 +228,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     the larger slack of the routes tried, so it is positive exactly when
     the conclusion is NonIntegrable.
     """
-    echo = pot.spec.to_dict() if pot.spec is not None else {"beta": pot.beta}
+    echo = pot.spec.to_dict()
     # each arc belongs to two triples on a periodic domain: sample it once
     arc = functools.lru_cache(maxsize=None)(functools.partial(_arc, pot))
     measured = []

@@ -189,12 +189,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid_m < 2:
         raise _UsageError("--grid-m: need at least 2 samples")
     lo, hi = _parse_pair(args.range, "--range")
-    spec = _build_spec(args)
-    if args.param not in (spec.params or {}):
-        # seed the swept parameter (each sample overwrites it); compiling
-        # here fails fast when the family does not accept it at all
-        spec = spec.with_params(**{args.param: 0.5 * (lo + hi)})
-        compile_potential(spec)
+    spec = _build_spec(args).with_params(**{args.param: 0.5 * (lo + hi)})
+    compile_potential(spec)
     res = sweep_threshold(
         spec,
         args.param,

@@ -7,6 +7,10 @@ large straddles a pole, not a zero, and the residual filter drops it.  Only
 transversal zeros are found: a zero that V' touches without crossing is
 invisible to the bracketing step (unless it lands exactly on a grid node)
 and is a documented limitation of the scan.
+
+Each potential is scanned once, on first use: the points are stored on the
+potential, so the certificate, the rest points of the flow and the
+subcommands that list critical angles all read the same scan.
 """
 from __future__ import annotations
 
@@ -128,10 +132,18 @@ def bracketed_newton(fdf, lo, hi, sign_lo, t0) -> np.ndarray:
 def find_critical_points(pot: Potential) -> list[CriticalPoint]:
     """All transversal zeros of V' on the domain, sorted by angle.
 
-    Raises DegeneratePotentialError when V' vanishes identically on the scan
-    grid (no isolated critical points to speak of), PoleEncounteredError when
-    evaluation fails at an interior node.
+    The first scan of ``pot`` that succeeds is stored on it; later calls
+    return a new list of the same points without evaluating V.  Raises
+    DegeneratePotentialError when V' vanishes identically on the scan grid
+    (no isolated critical points to speak of), PoleEncounteredError when
+    evaluation fails at an interior node; a failed scan stores nothing.
     """
+    if pot._critical_points is None:
+        pot._critical_points = tuple(_scan(pot))
+    return list(pot._critical_points)
+
+
+def _scan(pot: Potential) -> list[CriticalPoint]:
     grid = pot.domain.sample_grid(_SCAN_GRID, _GUARD)
     d1 = _grid_jet(pot, grid).d1
 

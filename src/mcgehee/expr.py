@@ -1,5 +1,5 @@
-"""Tiny expression language for shape potentials V(theta): parser, printer
-and compiler to straight-line (V, V', V'') code.
+"""Tiny expression language for shape potentials V(theta): parser and
+compiler to straight-line (V, V', V'') code.
 
 Grammar (whitespace insignificant, ``^`` binds tightest and associates right):
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameterError, UnknownFunctionError
 
-__all__ = ["parse", "free_parameters", "to_source", "compile_node", "FUNCTIONS"]
+__all__ = ["parse", "free_parameters", "compile_node", "FUNCTIONS"]
 
 # names callable in an expression; each has a rule in ``_Emitter.call``
 FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
@@ -217,48 +217,6 @@ def _nodes(node: Node):
 def free_parameters(node: Node) -> frozenset[str]:
     """Names of all parameters referenced by the expression."""
     return frozenset(n.name for n in _nodes(node) if isinstance(n, Param))
-
-
-# ------------------------------------------------------------------- printer
-_PREC_ATOM, _PREC_POW, _PREC_MULDIV, _PREC_ADDSUB = 9, 3, 2, 1
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC_MULDIV if node.op in "*/" else _PREC_ADDSUB
-    if isinstance(node, Neg):
-        return _PREC_MULDIV
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _wrap(node: Node, minimum: int) -> str:
-    s = to_source(node)
-    return f"({s})" if _prec(node) < minimum else s
-
-
-def to_source(node: Node) -> str:
-    """Render an AST back to parseable source.  Parenthesisation is chosen so
-    that re-parsing reproduces the same evaluation order bit for bit."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Pi):
-        return "pi"
-    if isinstance(node, Theta):
-        return "theta"
-    if isinstance(node, Param):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_source(node.arg)})"
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.child, _PREC_POW)
-    if isinstance(node, BinOp):
-        p = _prec(node)
-        return f"{_wrap(node.left, p)} {node.op} {_wrap(node.right, p + 1)}"
-    if isinstance(node, Pow):
-        return f"{_wrap(node.base, _PREC_ATOM)}^{_wrap(node.exponent, _PREC_POW)}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ------------------------------------------------------------------- compile

@@ -100,9 +100,6 @@ class ManifoldState:
     def z(self, pot: Potential) -> float:
         return _z(pot, self.theta, self.v, self.w)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta, self.v, self.w])
-
 
 @dataclass(frozen=True)
 class Equilibrium:
@@ -114,9 +111,6 @@ class Equilibrium:
     lambda1: float                  # -beta * v_star, eigenvector (0, 1, 0)
     lambda23: tuple[complex, complex]
     type: str                       # saddle | stable_focus | unstable_focus | node | center
-
-    def point(self) -> ManifoldState:
-        return ManifoldState(self.theta_c, self.v_star, 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -608,7 +602,7 @@ def trace_invariant_manifold(
     lam = max(l2.real, l3.real) if kind == "unstable" else min(l2.real, l3.real)
     evec = np.array([1.0, 0.0, lam]) / math.sqrt(1.0 + lam * lam)
     s = 1.0 if direction == "+" else -1.0
-    y0 = eq.point().as_array() + s * offset * evec
+    y0 = np.array([eq.theta_c, eq.v_star, 0.0]) + s * offset * evec
     if y0[1] != 0.0:
         y0[1] -= _z(pot, y0[0], y0[1], y0[2]) / y0[1]  # one Newton step of z through v
 

@@ -211,7 +211,9 @@ class Jet2(NamedTuple):
 
 
 class Potential:
-    """Compiled shape potential.  Immutable; evaluation has no side effects."""
+    """Compiled shape potential.  Immutable but for the critical points,
+    which ``critical.find_critical_points`` stores on first use; evaluation
+    has no side effects."""
 
     def __init__(self, beta: float, domain: Domain, evaluators: tuple[Callable, Callable],
                  spec: PotentialSpec):
@@ -220,6 +222,7 @@ class Potential:
         self._scalar, self._array = evaluators
         self.spec = spec
         self.V_float = _float_path(domain, self._scalar)
+        self._critical_points = None
 
     def __repr__(self):
         src = self.spec.builtin or self.spec.expr

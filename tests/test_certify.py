@@ -152,10 +152,12 @@ def test_sign_flip_evaluates_no_array_of_its_own(monkeypatch):
         return raw_V(self, theta)
 
     monkeypatch.setattr(potential, "V", counted)
-    pot = builtin("yoshida_h", epsilon=-0.5)
-    assert certify(pot).conclusion == "Inconclusive"
+    assert certify(builtin("yoshida_h", epsilon=-0.5)).conclusion == "Inconclusive"
     direct = len(arrays)
-    assert certify(pot, CertifyOptions(allow_sign_flip=True)).conclusion == "NonIntegrable"
+    # a fresh potential, since a second certify of the same one reads the
+    # stored scan
+    flipped = certify(builtin("yoshida_h", epsilon=-0.5), CertifyOptions(allow_sign_flip=True))
+    assert flipped.conclusion == "NonIntegrable"
     assert len(arrays) - direct == direct
 
 

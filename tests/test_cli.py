@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mcgehee.cli import dumps_17, load_spec, run
+from mcgehee.critical import _SCAN_GRID
+from mcgehee.potentials import Potential
 
 
 def call(capsys, *argv):
@@ -44,6 +47,10 @@ def test_usage_and_io_problems_exit_one(capsys):
     rc, _, err = call(capsys, "sweep", "--expr", "cos(2*theta) - a", "--beta", "-1",
                       "--set", "a=2", "--param", "b", "--range", "0:1")
     assert (rc, err) == (1, "error: params.b: not a parameter of the expression\n")
+    # the swept name is checked even when --set also binds it
+    rc, _, err = call(capsys, "sweep", "--builtin", "isosceles", "--set", "alpha=1",
+                      "--set", "b=0", "--param", "b", "--range", "0:1")
+    assert (rc, err) == (1, "error: params.b: not a parameter of builtin 'isosceles'\n")
     assert call(capsys, "certify", "--builtin", "isosceles", "--set", "alpha=1",
                 "--grid-n", "100")[0] == 1
 
@@ -57,6 +64,10 @@ def test_domain_problems_exit_two(capsys):
                     "--from", "0.4", "--sign", "-", "--branch", "unstable")
     assert rc == 2  # no critical angle near 0.4
     rc, _, _ = call(capsys, "compare-mr", "--expr", "cos(theta)-2", "--beta", "0")
+    assert rc == 2
+    # the probe sits at the middle of the range, whatever --set gave alpha
+    rc, _, _ = call(capsys, "sweep", "--builtin", "isosceles", "--set", "alpha=1",
+                    "--param", "alpha", "--range=-1:0.5")
     assert rc == 2
 
 
@@ -188,6 +199,27 @@ def test_manifold_from_is_read_modulo_a_turn(capsys):
     at_zero = call(capsys, *base, "--from=0")
     assert at_zero[0] == 0
     assert call(capsys, *base, "--from=6.283185307179586") == at_zero
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibria", "--builtin", "isosceles", "--set", "alpha=1"),
+    ("manifold", "--builtin", "yoshida_g", "--set", "epsilon=4", "--from", "0",
+     "--sign", "-", "--branch", "unstable"),
+], ids=["equilibria", "manifold"])
+def test_subcommand_scans_the_potential_once(argv, capsys, monkeypatch):
+    # both subcommands read the critical points twice; the second read
+    # finds the stored scan
+    grids = []
+    plain = Potential.V
+
+    def counted(self, theta):
+        if isinstance(theta, np.ndarray) and theta.size == _SCAN_GRID:
+            grids.append(theta.size)
+        return plain(self, theta)
+
+    monkeypatch.setattr(Potential, "V", counted)
+    assert call(capsys, *argv)[0] == 0
+    assert grids == [_SCAN_GRID]
 
 
 # ---------------------------------------------------------------- compare-mr

@@ -125,6 +125,29 @@ def test_scan_is_deterministic():
     assert [cp.curvature for cp in a] == [cp.curvature for cp in b]
 
 
+def test_a_potential_is_scanned_once(monkeypatch):
+    pot = builtin("yoshida_g", epsilon=4.0)
+    first = find_critical_points(pot)
+    calls = []
+    plain = Potential.V
+
+    def counted(self, theta):
+        calls.append(theta)
+        return plain(self, theta)
+
+    monkeypatch.setattr(Potential, "V", counted)
+    second = find_critical_points(pot)
+    assert calls == []
+    assert second == first and second is not first
+
+
+def test_a_failed_scan_is_not_stored():
+    pot = expr_pot("0*theta - 2")
+    for _ in range(2):
+        with pytest.raises(DegeneratePotentialError):
+            find_critical_points(pot)
+
+
 def test_every_reported_angle_has_tiny_residual():
     for pot in (builtin("yoshida_g", epsilon=4.0), builtin("isosceles", alpha=5.0)):
         for cp in find_critical_points(pot):

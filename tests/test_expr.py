@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from mcgehee import expr
@@ -119,28 +118,3 @@ def test_unbound_parameter_at_compile():
         expr.compile_node(parse("a*theta"), {})
     with pytest.raises(UnboundParameterError, match=r"^expression needs parameter\(s\): a, b$"):
         expr.compile_node(parse("b*theta + a*c"), {"c": 1.0})
-
-
-# ----------------------------------------------------------------- round trip
-ROUND_TRIP_SOURCES = [
-    "2+3*4^2",
-    "-2^2",
-    "2^3^2",
-    "-(cos(theta)^4+sin(theta)^4)/4 - (e/2)*cos(theta)^2*sin(theta)^2",
-    "-1/cos(theta) - 4*a^(3/2)/sqrt(a + 2*sin(theta)^2)",
-    "1 - 2 - 3*theta/(4 - cos(theta))",
-    "exp(-theta^2) * log(2 + sin(theta))",
-    "abs(2 + cos(theta)) - tan(theta/4)",
-]
-
-
-@pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
-def test_print_parse_round_trip(source):
-    params = {"a": 1.3, "e": 4.0}
-    node = parse(source)
-    printed = expr.to_source(node)
-    _, f = expr.compile_node(node, params)
-    _, g = expr.compile_node(parse(printed), params)
-    grid = np.linspace(-1.2, 1.2, 100)
-    for a, b in zip(f(grid), g(grid)):
-        assert np.array_equal(a, b)

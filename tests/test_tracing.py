@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 
 from mcgehee import cli, potentials
+from mcgehee.critical import _SCAN_GRID
 
 
 def load_tracing():
@@ -52,3 +53,9 @@ def test_benchmark_tracer_sees_the_flow_layers(capsys):
     # six stages per attempt, plus the derivative after each projection
     assert 6.0 <= metrics["rk.rhs_calls"] / metrics["rk.steps_accepted"] <= 8.0
     assert metrics["rk.us_per_step"] > 0.0
+    # the subcommand and the trace both ask for the critical points; the
+    # second call reads the stored scan
+    assert metrics["critical.find_calls"] == 2
+    grids = [i for i, name in enumerate(tracer.names)
+             if name == "potentials.V_array" and tracer.amounts[i] == _SCAN_GRID]
+    assert len(grids) == 1
