@@ -229,10 +229,22 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     the conclusion is NonIntegrable.
     """
     echo = pot.spec.to_dict()
-    # each arc belongs to two triples on a periodic domain: sample it once
-    arc = functools.lru_cache(maxsize=None)(functools.partial(_arc, pot))
+    cps = find_critical_points(pot)
+    # an arc is keyed by the index of the critical angle it starts from, so
+    # each is sampled once: on a circle every arc belongs to two triples, and
+    # the last triple's second arc is the first arc one revolution on
+    start = {c.theta: i for i, c in enumerate(cps)}
+    if pot.domain.periodic:
+        start.update({c.theta + TWO_PI: i for i, c in enumerate(cps[:2])})
+    arcs: dict[int, tuple[float, float, float]] = {}
+
+    def arc(a: float, b: float) -> tuple[float, float, float]:
+        if start[a] not in arcs:
+            arcs[start[a]] = _arc(pot, a, b)
+        return arcs[start[a]]
+
     measured = []
-    for triple in _candidate_triples(pot, find_critical_points(pot)):
+    for triple in _candidate_triples(pot, cps):
         try:
             measured.append((triple, _measure(pot, triple, arc)))
         except McGeheeError:

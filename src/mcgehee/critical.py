@@ -3,10 +3,10 @@
 The scan evaluates V' on a uniform grid, brackets each sign change between
 neighbouring nodes, and runs a bracketed Newton iteration on V' from the
 secant point of every bracket at once.  A bracket whose limit leaves |V'|
-large straddles a pole, not a zero, and the residual filter drops it.  Only
-transversal zeros are found: a zero that V' touches without crossing is
-invisible to the bracketing step (unless it lands exactly on a grid node)
-and is a documented limitation of the scan.
+large against its median on the grid straddles a pole, not a zero, and the
+residual filter drops it.  Only transversal zeros are found: a zero that V'
+touches without crossing is invisible to the bracketing step (unless it
+lands exactly on a grid node) and is a documented limitation of the scan.
 
 Each potential is scanned once, on first use: the points are stored on the
 potential, so the certificate, the rest points of the flow and the
@@ -36,11 +36,10 @@ _GUARD = 1e-6
 _SCAN_GRID = 4096
 # max |V'| on the grid below which V is taken as constant
 _DEGENERACY_TOL = 1e-9
-# |V'| above which a converged bracket is a pole, not a critical point
-_RESIDUAL_TOL = 1e-9
-# |V'| above which an angle handed in as critical is rejected: the one rule by
-# which certificates and Yoshida coefficients accept an angle
-CRIT_RESIDUAL_TOL = 1e-8
+# |V'| above which an angle is not a critical point, relative to the median
+# |V'| on the scan grid: the one rule by which the scan tells a zero from a
+# pole and certificates and Yoshida coefficients accept an angle
+CRIT_RESIDUAL_RTOL = 3e-8
 # |V''| at or below which a critical point is degenerate
 _CLASS_TOL = 1e-9
 # 4 ulps of max(1, |t|): the overshoot a Newton step may be clipped by, and
@@ -69,7 +68,7 @@ def critical_jet(pot: Potential, theta: float) -> tuple[float, Jet2]:
     """The angle reduced into the domain's window and the jet of V there.
 
     Raises DomainViolationError for an angle outside the domain and
-    NotCriticalPointError when |V'| exceeds ``CRIT_RESIDUAL_TOL``.
+    NotCriticalPointError when |V'| exceeds ``_residual_tol(pot)``.
     """
     theta = float(theta)
     t = pot.domain.reduce(theta)
@@ -77,9 +76,24 @@ def critical_jet(pot: Potential, theta: float) -> tuple[float, Jet2]:
         raise DomainViolationError(f"angle {theta} lies outside the domain")
     jet = pot.V(t)
     resid = abs(float(jet.d1))
-    if resid > CRIT_RESIDUAL_TOL:
+    if resid > _residual_tol(pot):
         raise NotCriticalPointError(f"|V'({t})| = {resid:.3e}")
     return t, jet
+
+
+def _residual_tol(pot: Potential, d1: np.ndarray | None = None) -> float:
+    """The largest |V'| at a critical point of ``pot``: ``CRIT_RESIDUAL_RTOL``
+    times the median |V'| on the scan grid, the upper of the middle pair
+    (``np.median`` grows the process by about 2 MB on its first call).  The
+    bound scales with V, a pole on a few nodes does not move it, and |V'| at
+    a bracket converged onto a pole exceeds it by many orders.  Stored on
+    the potential; ``d1`` is V' on the scan grid, when the caller has it."""
+    if pot._residual_tol is None:
+        if d1 is None:
+            d1 = _grid_jet(pot, pot.domain.sample_grid(_SCAN_GRID, _GUARD)).d1
+        mid = d1.size // 2
+        pot._residual_tol = CRIT_RESIDUAL_RTOL * float(np.partition(np.abs(d1), mid)[mid])
+    return pot._residual_tol
 
 
 def _grid_jet(pot: Potential, grid: np.ndarray):
@@ -151,6 +165,7 @@ def _scan(pot: Potential) -> list[CriticalPoint]:
         raise DegeneratePotentialError(
             f"max |V'| = {float(np.max(np.abs(d1))):.3e} on the scan grid"
         )
+    tol = _residual_tol(pot, d1)
 
     on_nodes = grid[d1 == 0.0]
     if pot.domain.periodic:  # the last node brackets with the first, one turn on
@@ -169,7 +184,7 @@ def _scan(pot: Potential) -> list[CriticalPoint]:
     for theta in np.sort(pot.domain.reduce(roots)):
         jet = pot.V(float(theta))
         # a sign change of V' across a pole converges onto the pole
-        if abs(jet.d1) <= _RESIDUAL_TOL:
+        if abs(jet.d1) <= tol:
             out.append(CriticalPoint(float(theta), float(jet.val), float(jet.d2),
                                      classify(jet.d2)))
     return out

@@ -235,11 +235,32 @@ def free_parameters(node: Node) -> frozenset[str]:
 #
 # Each rule has one operation order, the same in both closures; they differ
 # only where numpy's tan, exp, log and power round differently from the C
-# library's.  Operations on literals are done while emitting; otherwise the
-# only folds are those exact for every double (x*1, x/1, x - 0, x + (-0)).
-# A term x*0 stays: dropping it can flip the sign of a zero result.  The
-# source holds only names the emitter makes, names from FUNCTIONS, float
-# reprs, and reprs of parameter names, used as keys of ``p``.
+# library's.  Operations on literals are done while emitting, and three rules
+# shorten the rest:
+#
+# - A literal 0 is a structural zero, such as theta'' or the derivatives of a
+#   constant.  Against a function of theta, x*0 and 0/x fold to that 0,
+#   x + 0 and x - 0 to x, and 0 - x to -x; on literals and prologue names the
+#   arithmetic stays exact.  So a constant acts componentwise,
+#   c*(f, f', f'') -> (cf, cf', cf''), and c + f touches only V.  x*1, x/1,
+#   x^0 and x^1 fold as well.
+# - A power with an exponent of 2, 3 or 4 is a product: x*x, (x*x)*x and
+#   (x*x)*(x*x), whether the exponent is a literal or a parameter (``_ipow``).
+# - + and * order their operands (``_ordered``), so a*b and b*a are one name.
+#
+# Assignments nothing reads are dropped from the closures; the domain checks
+# stay.  The folds can change the sign of an exact zero: -0.0 + 0 gives -0.0
+# where the sum gave +0.0, and x*0 takes the sign of the literal 0, not of
+# x.  Neither the scan's ``d1 == 0.0`` node test nor its sign-change test
+# sees the sign of a zero.  Where an operand overflows, a product with 0
+# that gave nan is gone: a derivative that was nan becomes +-inf, which the
+# non-finite checks of ``Potential.V`` and of its float path
+# ``_float_path`` still reject, and sqrt, log, tan, abs, ^ and / keep their
+# DomainError and ZeroDivisionError checks.  Only a product with a 0
+# written in the source loses the overflow of its other operand:
+# 0*exp(exp(theta)) is 0.  The source holds only names the emitter makes,
+# names from FUNCTIONS, float reprs, and reprs of parameter names, used as
+# keys of ``p``.
 
 # tan is rejected this close to a pole of the tangent
 _TAN_POLE_TOL = 1e-12
@@ -254,8 +275,19 @@ def _src(x) -> str:
     return f"({text})" if math.copysign(1.0, x) < 0.0 else text
 
 
-def _is_zero(x, sign: float) -> bool:
-    return isinstance(x, float) and x == 0.0 and math.copysign(1.0, x) == sign
+def _ordered(a, b) -> tuple:
+    """The operands of a commutative operation in one order, so that a*b and
+    b*a are one operation."""
+    return (a, b) if _src(a) <= _src(b) else (b, a)
+
+
+def _ipow(x, c):
+    """x**c, with the products the emitter writes for a literal exponent of
+    2, 3 or 4; the body calls it for an exponent read from a parameter."""
+    if c in (2.0, 3.0, 4.0):
+        x2 = x * x
+        return x2 if c == 2.0 else x2 * (x if c == 3.0 else x2)
+    return x ** c
 
 
 class _Emitter:
@@ -287,7 +319,8 @@ class _Emitter:
             names[text] = name = f"{'v' if body else 'k'}{len(names)}"
             stmt = f"{name} = {text}" if assign else text
             if body:
-                self.body.append((stmt, {a for a in atoms if self.varies(a)}))
+                self.body.append((name if assign else None, stmt,
+                                  {a for a in atoms if self.varies(a)}))
             else:
                 self.prologue.append(stmt)
         return names[text]
@@ -313,28 +346,43 @@ class _Emitter:
             test = f"{when} and {test}"
         self._place(f"if {test}: raise {error.__name__}(f{message!r})", (x,), assign=False)
 
+    def zero(self, x, other) -> bool:
+        """Whether x is a literal zero to fold against ``other``, a function
+        of theta; on literals and prologue names the arithmetic is exact."""
+        return isinstance(x, float) and x == 0.0 and self.varies(other)
+
     def add(self, a, b):
-        if _is_zero(b, -1.0):
-            return a
-        return b if _is_zero(a, -1.0) else self.op("{} + {}", operator.add, a, b)
+        if self.zero(a, b) or self.zero(b, a):
+            return b if isinstance(a, float) else a
+        return self.op("{} + {}", operator.add, *_ordered(a, b))
 
     def sub(self, a, b):
-        return a if _is_zero(b, 1.0) else self.op("{} - {}", operator.sub, a, b)
+        if self.zero(b, a):
+            return a
+        return self.neg(b) if self.zero(a, b) else self.op("{} - {}", operator.sub, a, b)
 
     def mul(self, a, b):
         if a == 1.0 or b == 1.0:
             return b if a == 1.0 else a
-        return self.op("{} * {}", operator.mul, a, b)
+        if self.zero(a, b) or self.zero(b, a):
+            return a if isinstance(a, float) else b
+        return self.op("{} * {}", operator.mul, *_ordered(a, b))
 
     def div(self, a, b):
-        return a if b == 1.0 else self.op("{} / {}", operator.truediv, a, b)
+        return a if b == 1.0 or self.zero(a, b) else self.op("{} / {}", operator.truediv, a, b)
 
     def neg(self, a):
         return self.op("-{}", operator.neg, a)
 
     def pow(self, x, c):
+        """x**c; an exponent of 2, 3 or 4 as the products ``_ipow`` takes."""
+        if not isinstance(c, float):
+            return self.op("_ipow({}, {})", _ipow, x, c)
         if c == 0.0 or c == 1.0:
             return 1.0 if c == 0.0 else x
+        if c in (2.0, 3.0, 4.0):
+            x2 = self.mul(x, x)
+            return x2 if c == 2.0 else self.mul(x2, x if c == 3.0 else x2)
         return self.op("{} ** {}", operator.pow, x, c)
 
     def chain(self, f, fp, fpp, a1, a2):
@@ -388,7 +436,7 @@ class _Emitter:
             elif n < 0:
                 self.check(x, "==", 0.0, ZeroDivisionError, "0 raised to a negative power")
             # for an integer c, c*(c - 1) is the rounded integer product n(n - 1)
-            e1, e2, c2, z = c - 1.0, c - 2.0, c * (c - 1.0), -0.0
+            e1, e2, c2 = c - 1.0, c - 2.0, c * (c - 1.0)
         else:
             self._place(f"if not math.isfinite({c}): "
                         "raise DomainError('exponent of ^ must be finite')", (), assign=False)
@@ -398,18 +446,33 @@ class _Emitter:
             self.check(x, "==", 0.0, ZeroDivisionError, "0 raised to a negative power",
                        when=self.op("{} and {} < 0.0", None, whole, c))
             # with these exponents and coefficients the general rule returns,
-            # for finite (u', u''), u at c = 1 and (1, +0, +0) at c = 0 exactly:
-            # adding z = +0.0 turns a zero positive, z = -0.0 changes nothing
+            # for finite (u', u''), u at c = 1 and (1, 0, 0) at c = 0, up to the
+            # sign of a zero, which ``settle`` puts right
             e1 = self.op("{0} - 1.0 if {0} != 0.0 else 0.0", None, c)
             e2 = self.op("{0} - 2.0 if {0} != 0.0 and {0} != 1.0 else 0.0", None, c)
             c2 = self.op("{0} * ({0} - 1.0) if {0} != 1.0 else -0.0", None, c)
-            z = self.op("0.0 if {0} == 0.0 else -0.0", None, c)
         f = self.pow(x, c)
         if not isinstance(u, tuple):
             return f
         fp, fpp = self.mul(c, self.pow(x, e1)), self.mul(c2, self.pow(x, e2))
         _, d1, d2 = self.chain(f, fp, fpp, u[1], u[2])
-        return f, self.add(d1, z), self.add(d2, z)
+        if isinstance(c, float):
+            return f, d1, d2
+        return f, self.settle(c, d1, u[1]), self.settle(c, d2, u[2])
+
+    def settle(self, c, d, a):
+        """A derivative d of u^c, for an exponent c read from a parameter, with
+        the bits the rule of a literal c gives: +0 at c = 0, u's own
+        derivative a at c = 1, d otherwise.  A d folded to a literal is chosen
+        from in the prologue.  Otherwise, at c = 1, d is a exactly, or -0 when
+        a is a literal zero and the term with a was folded away; adding a
+        zero z changes nothing but that sign: z = +0 at c = 0, a at c = 1 when
+        a is a literal zero, else -0."""
+        if isinstance(d, float):
+            return self.op("0.0 if {0} == 0.0 else {1} if {0} == 1.0 else {2}", None, c, a, d)
+        z = self.op("0.0 if {0} == 0.0 else {1} if {0} == 1.0 else -0.0", None, c,
+                    a if isinstance(a, float) and a == 0.0 else -0.0)
+        return self.add(d, z)
 
     def walk(self, node: Node):
         if isinstance(node, Num):
@@ -449,20 +512,22 @@ class _Emitter:
         return v, d1, self.div(self.sub(self.sub(a2, mul(mul(2.0, d1), b1)), mul(v, b2)), b0)
 
     def closure(self, name: str, result) -> list[str]:
-        """The body since ``start`` returning ``result``; the array closure
-        broadcasts theta-free components and deletes temporaries after use."""
+        """The body since ``start`` returning ``result``, without the
+        assignments nothing reads; the array closure broadcasts theta-free
+        components and deletes temporaries after use."""
         if not isinstance(result, tuple):
             result = (result, 0.0, 0.0)
-        lines = [stmt for stmt, _ in self.body]
         if self.xp == "np":
             result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
-            live = {"t", *result}
-            for i in reversed(range(len(self.body))):
-                reads = self.body[i][1]
-                if reads - live:
-                    lines.insert(i + 1, "del " + ", ".join(sorted(reads - live)))
-                live |= reads
-        return [f"    def {name}(t):", *(f"        {s}" for s in lines),
+        live, lines = {"t", *result}, []
+        for target, stmt, reads in reversed(self.body):
+            if target is not None and target not in live:
+                continue
+            if self.xp == "np" and reads - live:
+                lines.append("del " + ", ".join(sorted(reads - live)))
+            lines.append(stmt)
+            live |= reads
+        return [f"    def {name}(t):", *(f"        {s}" for s in reversed(lines)),
                 f"        return {', '.join(map(_src, result))}"]
 
 
@@ -480,7 +545,7 @@ def _source(node: Node) -> str:
 def _compiled(node: Node):
     """The parameter names of ``node`` and its compiled ``bind``."""
     names = free_parameters(node)
-    namespace = {"math": math, "np": np, "DomainError": DomainError}
+    namespace = {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow}
     exec(compile(_source(node), "<mcgehee.expr>", "exec"), namespace)
     return names, namespace["bind"]
 

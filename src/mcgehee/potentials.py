@@ -87,15 +87,13 @@ class _Builtin:
     positive: tuple[str, ...] = ()  # parameters that must be > 0
 
 
-# yoshida_g negates by -1*( ), not -( ): the product rule leaves an exact
-# zero V' (at theta = 0, or everywhere for epsilon = 1) as +0.0
 _QUARTIC = ("(cos(theta)^4 + sin(theta)^4)/4"
             " + (epsilon/2)*(cos(theta)*cos(theta))*(sin(theta)*sin(theta))")
 BUILTINS: dict[str, _Builtin] = {
     "isosceles": _Builtin(
         -1.0, Domain(-math.pi / 2, math.pi / 2),
         "-1/cos(theta) - 4*alpha^1.5/sqrt(alpha + 2*sin(theta)*sin(theta))", ("alpha",)),
-    "yoshida_g": _Builtin(4.0, Domain.full_circle(), f"-1*({_QUARTIC})"),
+    "yoshida_g": _Builtin(4.0, Domain.full_circle(), f"-({_QUARTIC})"),
     "yoshida_h": _Builtin(4.0, Domain.full_circle(), _QUARTIC),
 }
 
@@ -211,9 +209,9 @@ class Jet2(NamedTuple):
 
 
 class Potential:
-    """Compiled shape potential.  Immutable but for the critical points,
-    which ``critical.find_critical_points`` stores on first use; evaluation
-    has no side effects."""
+    """Compiled shape potential.  Immutable but for the critical points and
+    the criticality bound, which the scan of ``mcgehee.critical`` stores on
+    first use; evaluation has no side effects."""
 
     def __init__(self, beta: float, domain: Domain, evaluators: tuple[Callable, Callable],
                  spec: PotentialSpec):
@@ -223,6 +221,7 @@ class Potential:
         self.spec = spec
         self.V_float = _float_path(domain, self._scalar)
         self._critical_points = None
+        self._residual_tol = None
 
     def __repr__(self):
         src = self.spec.builtin or self.spec.expr

@@ -184,10 +184,10 @@ def test_certify_samples_each_arc_once(monkeypatch):
     monkeypatch.setattr(potential, "V", counted)
     monkeypatch.setattr(module, "find_critical_points", scan)
     certify(pot, CertifyOptions(allow_sign_flip=True))
-    # eight triples on the circle read eight arcs plus (theta_0, theta_1)
-    # seen one revolution on
+    # eight triples on the circle read eight arcs; the last one reads
+    # (theta_0, theta_1) for the same arc seen one revolution on
     assert angles == 8
-    assert arrays == [_ARC_GRID] * 9
+    assert arrays == [_ARC_GRID] * 8
 
 
 def test_a3_reads_v_at_the_critical_angles():

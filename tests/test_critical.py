@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mcgehee.certify import check_triple
+from mcgehee.certify import CertifyOptions, certify, check_triple
 from mcgehee.critical import bracketed_newton, find_critical_points
+from mcgehee.flow import find_equilibria
 from mcgehee.errors import DegeneratePotentialError, NotCriticalPointError, PoleEncounteredError
 from mcgehee.morales import yoshida_lambda
 from mcgehee.potentials import Potential, compile_potential, spec_from_dict
@@ -184,6 +185,18 @@ def test_sign_change_across_a_pole_is_not_a_critical_point():
     cps = find_critical_points(expr_pot("1/cos(theta)^2", beta=-2.0))
     assert [cp.theta for cp in cps] == pytest.approx([0.0, math.pi], abs=1e-12)
     assert [cp.kind for cp in cps] == ["minimum", "minimum"]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_criticality_scales_with_the_potential(scale):
+    # Newton's residuals grow with V: at scale 1e8 they reach 6e-8, so an
+    # absolute bound took every critical point for a pole.  The margins
+    # scale with V too, so the strictness tolerance does
+    pot = expr_pot(f"-{scale!r}*(2 + cos(2*theta) + 0.1*sin(3*theta))")
+    assert len(find_critical_points(pot)) == 4 and len(find_equilibria(pot)) == 8
+    cert = certify(pot, CertifyOptions(strictness_tol=1e-9 * scale))
+    assert cert.conclusion == "NonIntegrable"
+    assert cert.triple == pytest.approx((math.pi / 2, 3.0681422094548103, 3 * math.pi / 2))
 
 
 def test_bracketed_newton_stops_clips_and_bisects():

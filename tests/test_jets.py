@@ -8,12 +8,14 @@ theta = 0, so the chain rule is exercised up to u''.
 """
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from mcgehee.errors import DomainError
-from mcgehee.expr import compile_node, parse
+from mcgehee.expr import _source, compile_node, parse
+from mcgehee.potentials import BUILTINS
 
 from conftest import fd2
 
@@ -219,21 +221,80 @@ def test_theta_dependent_exponent_rejected():
         evaluators("2^theta")
 
 
-@pytest.mark.parametrize("c", [0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -2.5])
+@pytest.mark.parametrize("c", [0.0, 1.0, 2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 1.5, -2.5])
 def test_parameter_exponent_matches_literal_exponent(c):
     # an exponent read from a parameter takes the rule a literal exponent
-    # selects, with the same bits, signed zeros included
-    base = "(-sin(theta))" if c in (0.0, 1.0, 2.0, 3.0) else "(0.5 + sin(theta))"
-    by_param, by_literal = evaluators(f"{base}^k", k=c), evaluators(f"{base}^{c!r}")
+    # selects, with the same bits, signed zeros included; a whole exponent is
+    # also read on bases negative on the whole grid, one with the literal
+    # derivatives (1, 0) that the emitter folds
+    bases = ["(-sin(theta))" if c in (0.0, 1.0, 2.0, 3.0, 4.0) else "(0.5 + sin(theta))"]
+    if c == round(c):
+        bases += ["(sin(theta) - 2)", "(theta - 2)"]
     grid = np.linspace(-0.4, 1.2, 33)
-    for t in (0.0, -0.0, 0.3, 1.1):
-        assert _bits(by_param[0](t)) == _bits(by_literal[0](t))
-    for got, want in zip(by_param[1](grid), by_literal[1](grid)):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for base in bases:
+        by_param, by_literal = evaluators(f"{base}^k", k=c), evaluators(f"{base}^{c!r}")
+        for t in (0.0, -0.0, 0.3, 1.1):
+            assert _bits(by_param[0](t)) == _bits(by_literal[0](t))
+        for got, want in zip(by_param[1](grid), by_literal[1](grid)):
+            got, want = np.broadcast_to(got, grid.shape), np.broadcast_to(want, grid.shape)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _bits(j):
     return [(x, math.copysign(1.0, x)) for x in j]
+
+
+def _ulps(got, want):
+    """|got - want| in units of the last place of ``want``."""
+    return np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_power_products_match_pow(n):
+    # x^2, x^3 and x^4 are products, within 2 ulps of the C library's pow
+    rnd = random.Random(n)
+    xs = [rnd.uniform(-3.0, 3.0) for _ in range(400)]
+    xs += [s * 10.0 ** e for s in (-1.0, 1.0) for e in range(-30, 31, 5)]
+    scalar, array = evaluators(f"theta^{n}")
+    want = np.array([math.pow(x, n) for x in xs])
+    assert max(_ulps(scalar(x)[0], w) for x, w in zip(xs, want)) <= 2.0
+    assert _ulps(array(np.array(xs))[0], want).max() <= 2.0
+
+
+@pytest.mark.parametrize("name, params", [
+    ("isosceles", {"alpha": 1.0}), ("isosceles", {"alpha": 13.75}),
+    ("yoshida_g", {"epsilon": 4.0}), ("yoshida_g", {"epsilon": -0.5}),
+    ("yoshida_h", {"epsilon": 5.0}), ("yoshida_h", {"epsilon": -0.9}),
+])
+def test_builtin_closures_agree_on_the_circle(name, params):
+    # the float and the array code of each builtin agree within 2 ulps on
+    # every component, over the whole circle (isosceles past its poles)
+    scalar, array = compile_node(parse(BUILTINS[name].source), params)
+    grid = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
+    rows = np.array([scalar(float(t)) for t in grid]).T
+    for got, want in zip(array(grid), rows):
+        assert _ulps(got, want).max() <= 2.0
+
+
+# ops of each builtin's float body, assignments and domain checks
+BODY_OPS = {"isosceles": 53, "yoshida_g": 63, "yoshida_h": 60}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_bodies_stay_lean(name):
+    # the op count of each float body is pinned, and none has an integer
+    # power written with **, a product with a literal 0.0, or the same
+    # product or sum twice with its operands swapped
+    source = _source(parse(BUILTINS[name].source))
+    body = source[source.index("def scalar(t):"):source.index("def array(t):")]
+    lines = [line.strip() for line in body.splitlines()[1:]
+             if line.strip() and not line.strip().startswith("return")]
+    assert len(lines) == BODY_OPS[name]
+    assert not re.search(r"\*\* \(?-?\d+\.0\)?(?![\d.e])", body)
+    assert not re.search(r"(^|[^\w.])0\.0 \*|\* \(?-?0\.0\)?(?![\d.e])", body)
+    pairs = [tuple(m.groups()) for m in (re.fullmatch(r"v\d+ = (\S+) ([*+]) (\S+)", line)
+                                        for line in lines) if m]
+    assert len({(op, frozenset((a, b))) for a, op, b in pairs}) == len(pairs)
 
 
 def test_array_domain_error_any_entry():
