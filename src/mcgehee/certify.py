@@ -9,22 +9,24 @@ never promoted to a verdict: the certificate comes back ``Inconclusive`` with
 the ``boundary`` flag set.
 
 V is sampled once per arc, the stretch between two neighbouring critical
-angles: one grid gives the arc's extremes of V and min |V'| inside it.  A
-triple [theta_-1, theta_0] + [theta_0, theta_1] reads its two arcs and the
-jets at its three angles, and the assumptions are judged from those numbers.
-With ``allow_sign_flip``, when no triple certifies V and V > 0 on the
-sampled span of some candidate triple, the same measurements are judged for
--V: negation maps them to those of -V exactly, so this route evaluates V
-no further.  A certificate obtained that way is tagged
-``kind="complexified"`` because it pertains to the analytically continued
-system and asserts (rather than verifies) analyticity along the continued
-orbit.
+angles: one grid gives the arc's extremes of V and min |V'| inside it, and
+the grids of all arcs are one array call of V.  A triple [theta_-1,
+theta_0] + [theta_0, theta_1] reads its two arcs and the jets at its three
+angles, which the scan has already taken but at the angles one revolution
+on, and the assumptions are judged from those numbers.  With
+``allow_sign_flip``, when no triple certifies V and V > 0 on the sampled
+span of some candidate triple, the same measurements are judged for -V:
+negation maps them to those of -V exactly, so this route evaluates V no
+further.  A certificate obtained that way is tagged ``kind="complexified"``
+because it pertains to the analytically continued system and asserts
+(rather than verifies) analyticity along the continued orbit.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -137,38 +139,76 @@ def _arc(pot: Potential, a: float, b: float) -> tuple[float, float, float]:
     return float(np.max(v)), float(np.min(v)), float(np.min(np.abs(d1)))
 
 
-def _measure(pot: Potential, triple: tuple[float, float, float], arc) -> _Measurement:
+def _arcs(pot: Potential, ends: dict) -> dict:
+    """``_arc`` of every arc (a, b) in ``ends`` from one call of V, under the
+    same keys; empty when that call raises a McGeheeError.  Row i of the
+    grid is ``linspace(a_i, b_i, _ARC_GRID)`` bit for bit, and C-contiguous,
+    so each row reduces as fast as one arc."""
+    a, b = (np.array(x) for x in zip(*ends.values()))
+    grid = np.arange(_ARC_GRID, dtype=float) * ((b - a) / (_ARC_GRID - 1))[:, None] + a[:, None]
+    grid[:, -1] = b
+    try:
+        jet = pot.V(grid)
+    except McGeheeError:
+        return {}
+    rows = zip(jet.val.max(axis=1).tolist(), jet.val.min(axis=1).tolist(),
+               np.abs(jet.d1[:, 4:-1:4]).min(axis=1).tolist())
+    return dict(zip(ends, rows))
+
+
+def _angles(triple: tuple[float, float, float], jet) -> tuple[tuple, tuple]:
+    """The triple as floats, checked, and ``jet`` at each of its angles."""
     tm, t0, tp = (float(t) for t in triple)
     if not (tm < t0 < tp):
         raise DomainViolationError(f"triple {triple} is not strictly increasing")
     if tp - tm > TWO_PI + 1e-12:
         raise DomainViolationError(f"triple {triple} spans more than one revolution")
-    jets = tuple(critical_jet(pot, t)[1] for t in (tm, t0, tp))
+    return (tm, t0, tp), tuple(jet(t) for t in (tm, t0, tp))
+
+
+def _measure(triple: tuple[float, float, float], jets, arc) -> _Measurement:
+    tm, t0, tp = triple
     vmax, vmin, m4 = zip(arc(tm, t0), arc(t0, tp))
-    return _Measurement((tm, t0, tp), jets, max(vmax), min(vmin), min(m4))
+    return _Measurement(triple, jets, max(vmax), min(vmin), min(m4))
+
+
+def _margins(beta: float, m: _Measurement) -> tuple[float, ...]:
+    """The six margins of the assumptions, in their order."""
+    (tm, t0, tp), (jm, j0, jp) = m.triple, m.jets
+    return (
+        min(abs(beta + 2.0), abs(beta)),
+        min(t0 - tm, tp - t0),
+        -m.vmax,
+        m.m4,
+        min(-float(jm.d2), -float(jp.d2)),
+        float(j0.d2) + (beta + 2.0) ** 2 * float(j0.val) / 8.0,
+    )
+
+
+def _bars(opts: CertifyOptions) -> tuple[float, ...]:
+    """What each margin must clear: ``_BETA_TOL`` for the degree,
+    ``strictness_tol`` for the other five."""
+    return (_BETA_TOL,) + (opts.strictness_tol,) * 5
 
 
 def _judge(beta: float, m: _Measurement, opts: CertifyOptions) -> tuple[AssumptionReport, ...]:
-    """Each assumption holds when its margin clears its bar: ``_BETA_TOL``
-    for the degree, ``strictness_tol`` for the other five."""
-    (tm, t0, tp), (jm, j0, jp) = m.triple, m.jets
-    tol = opts.strictness_tol
-    m1 = min(abs(beta + 2.0), abs(beta))
-    d1 = f"beta = {beta} at distance {m1:.3e} from the excluded degrees -2 and 0"
+    """The six reports of a measurement: each assumption holds when its
+    margin clears its bar."""
+    (tm, t0, tp), (jm, _, jp) = m.triple, m.jets
+    margins = _margins(beta, m)
+    d1 = f"beta = {beta} at distance {margins[0]:.3e} from the excluded degrees -2 and 0"
     if abs(beta + 2.0) <= _BETA_TOL:
         d1 += "; degree -2 carries the global quadratic integral (q.p)^2 - 2|q|^2 H"
-    m6 = float(j0.d2) + (beta + 2.0) ** 2 * float(j0.val) / 8.0
-    rows = (
-        (m1, _BETA_TOL, d1),
-        (min(t0 - tm, tp - t0), tol, f"ordering gaps ({t0 - tm:.6g}, {tp - t0:.6g})"),
-        (-m.vmax, tol, f"max V on [theta_-1, theta_1] = {m.vmax:.6g}"),
-        (m.m4, tol, f"min |V'| over open subintervals = {m.m4:.6g}"),
-        (min(-float(jm.d2), -float(jp.d2)), tol,
-         f"V''(theta_-1) = {float(jm.d2):.6g}, V''(theta_1) = {float(jp.d2):.6g}"),
-        (m6, tol, f"V''(theta_0) + (beta+2)^2 V(theta_0)/8 = {m6:.6g}"),
+    details = (
+        d1,
+        f"ordering gaps ({t0 - tm:.6g}, {tp - t0:.6g})",
+        f"max V on [theta_-1, theta_1] = {m.vmax:.6g}",
+        f"min |V'| over open subintervals = {m.m4:.6g}",
+        f"V''(theta_-1) = {float(jm.d2):.6g}, V''(theta_1) = {float(jp.d2):.6g}",
+        f"V''(theta_0) + (beta+2)^2 V(theta_0)/8 = {margins[5]:.6g}",
     )
     return tuple(AssumptionReport(i, margin > bar, margin, detail)
-                 for i, (margin, bar, detail) in enumerate(rows, 1))
+                 for i, (margin, bar, detail) in enumerate(zip(margins, _bars(opts), details), 1))
 
 
 def check_triple(
@@ -182,7 +222,8 @@ def check_triple(
     periodic domain the outer pair may be the same critical angle seen one
     revolution apart.  Every angle must actually be a critical point of V.
     """
-    return _judge(pot.beta, _measure(pot, triple, functools.partial(_arc, pot)), opts)
+    angles, jets = _angles(triple, lambda t: critical_jet(pot, t)[1])
+    return _judge(pot.beta, _measure(angles, jets, functools.partial(_arc, pot)), opts)
 
 
 def _candidate_triples(
@@ -194,23 +235,35 @@ def _candidate_triples(
     return [tuple(t[i : i + 3]) for i in range(len(t) - 2)]
 
 
-def _slack(results, opts: CertifyOptions) -> float:
+class _Scored(NamedTuple):
+    """A measurement, its six margins and how many of them clear their bars."""
+
+    m: _Measurement
+    margins: tuple[float, ...]
+    passed: int
+
+
+def _score(beta: float, m: _Measurement, bars: tuple[float, ...]) -> _Scored:
+    margins = _margins(beta, m)
+    return _Scored(m, margins, sum(map(operator.gt, margins, bars)))
+
+
+def _slack(scored: list[_Scored], bars: tuple[float, ...]) -> float:
     """How far the best triple clears all six bars: the max over triples of
-    the min over reports of ``margin - bar``.  A NaN margin, or no triple,
+    the min over margins of ``margin - bar``.  A NaN margin, or no triple,
     gives -inf.  ``margin > bar`` iff ``margin - bar > 0`` in doubles, so
     the slack is positive exactly when some triple satisfies all six."""
-    def triple_slack(reports):
-        gaps = [a.margin - (_BETA_TOL if a.index == 1 else opts.strictness_tol)
-                for a in reports]
+    def triple_slack(s: _Scored) -> float:
+        gaps = list(map(operator.sub, s.margins, bars))
         return -math.inf if any(map(math.isnan, gaps)) else min(gaps)
-    return max((triple_slack(reports) for _, reports in results), default=-math.inf)
+    return max(map(triple_slack, scored), default=-math.inf)
 
 
-def _pick(results):
-    """The (triple, reports) with the largest assumption-6 margin; margins
-    within ``_TIE_TOL`` of it tie, and the smallest theta_-1 among them wins."""
-    best = max(reports[5].margin for _, reports in results)
-    return min(results, key=lambda r: (r[1][5].margin < best - _TIE_TOL, r[0][0]))
+def _pick(scored: list[_Scored]) -> _Scored:
+    """The triple with the largest assumption-6 margin; margins within
+    ``_TIE_TOL`` of it tie, and the smallest theta_-1 among them wins."""
+    best = max(s.margins[5] for s in scored)
+    return min(scored, key=lambda s: (s.margins[5] < best - _TIE_TOL, s.m.triple[0]))
 
 
 def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certificate:
@@ -222,7 +275,8 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     assumptions.  Either pick breaks ties as ``_pick`` does.  The
     sign-flip route judges the same measurements negated: negation leaves
     the zeros of V' bit for bit where they are, so one scan and one
-    evaluation per arc serve both routes.
+    evaluation per arc serve both routes.  Triples are ranked on their
+    margins alone; only the returned one gets its reports.
 
     ``decision_margin`` is the ``_slack`` of the route that certified, else
     the larger slack of the routes tried, so it is positive exactly when
@@ -230,13 +284,36 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     """
     echo = pot.spec.to_dict()
     cps = find_critical_points(pot)
+    bars = _bars(opts)
+    # the jets at the triples' angles: the scan's at its own angles, and
+    # critical_jet's at the angles one revolution on
+    jets = {c.theta: c.jet for c in cps}
+
+    def jet(t: float) -> Jet2:
+        if t not in jets:
+            jets[t] = critical_jet(pot, t)[1]
+        return jets[t]
+
+    staged = []
+    for triple in _candidate_triples(pot, cps):
+        try:
+            staged.append(_angles(triple, jet))
+        except McGeheeError:
+            continue
+
     # an arc is keyed by the index of the critical angle it starts from, so
     # each is sampled once: on a circle every arc belongs to two triples, and
-    # the last triple's second arc is the first arc one revolution on
+    # the last triple's second arc is the first arc one revolution on.  All
+    # arcs are sampled in one call of V; when that fails, each arc is sampled
+    # on its own when first read and a failing arc drops its triples
     start = {c.theta: i for i, c in enumerate(cps)}
     if pot.domain.periodic:
         start.update({c.theta + TWO_PI: i for i, c in enumerate(cps[:2])})
-    arcs: dict[int, tuple[float, float, float]] = {}
+    ends: dict[int, tuple[float, float]] = {}
+    for (tm, t0, tp), _ in staged:
+        ends.setdefault(start[tm], (tm, t0))
+        ends.setdefault(start[t0], (t0, tp))
+    arcs = _arcs(pot, ends) if ends else {}
 
     def arc(a: float, b: float) -> tuple[float, float, float]:
         if start[a] not in arcs:
@@ -244,49 +321,50 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
         return arcs[start[a]]
 
     measured = []
-    for triple in _candidate_triples(pot, cps):
+    for angles, triple_jets in staged:
         try:
-            measured.append((triple, _measure(pot, triple, arc)))
+            measured.append(_measure(angles, triple_jets, arc))
         except McGeheeError:
             continue
 
-    def certificate(flipped: bool, conclusion: str, slack: float, triple, reports,
+    def certificate(flipped: bool, conclusion: str, slack: float, picked=None,
                     boundary=False):
         return Certificate(
             conclusion=conclusion,
             kind="complexified" if flipped else "direct",
             beta=pot.beta,
-            triple=triple,
-            assumptions=reports,
+            triple=None if picked is None else picked.m.triple,
+            assumptions=() if picked is None else _judge(pot.beta, picked.m, opts),
             potential=echo,
             boundary=boundary,
             complex_analyticity_asserted=flipped,
             decision_margin=slack,
         )
 
-    def winner(flipped: bool, results, slack: float):
-        wins = [r for r in results if all(a.satisfied for a in r[1])]
+    def winner(flipped: bool, scored: list[_Scored], slack: float):
+        wins = [s for s in scored if s.passed == 6]
         if not wins:
             return None
-        return certificate(flipped, "NonIntegrable", slack, *_pick(wins))
+        return certificate(flipped, "NonIntegrable", slack, _pick(wins))
 
-    results = [(triple, _judge(pot.beta, m, opts)) for triple, m in measured]
-    slack = _slack(results, opts)
-    cert = winner(False, results, slack)
-    if cert is None and opts.allow_sign_flip and any(m.vmin > 0.0 for _, m in measured):
-        flipped = [(t, _judge(pot.beta, m.negated(), opts)) for t, m in measured]
-        flipped_slack = _slack(flipped, opts)
+    scored = [_score(pot.beta, m, bars) for m in measured]
+    slack = _slack(scored, bars)
+    cert = winner(False, scored, slack)
+    if cert is None and opts.allow_sign_flip and any(m.vmin > 0.0 for m in measured):
+        flipped = [_score(pot.beta, m.negated(), bars) for m in measured]
+        flipped_slack = _slack(flipped, bars)
         cert = winner(True, flipped, flipped_slack)
         slack = max(slack, flipped_slack)
     if cert is not None:
         return cert
 
-    triple, reports = None, ()
-    if results:
-        most = max(sum(a.satisfied for a in r[1]) for r in results)
-        triple, reports = _pick([r for r in results if sum(a.satisfied for a in r[1]) == most])
-    boundary = any(abs(a.margin) <= opts.strictness_tol for a in reports)
-    return certificate(False, "Inconclusive", slack, triple, reports, boundary)
+    picked = None
+    if scored:
+        most = max(s.passed for s in scored)
+        picked = _pick([s for s in scored if s.passed == most])
+    boundary = picked is not None and any(abs(margin) <= opts.strictness_tol
+                                          for margin in picked.margins)
+    return certificate(False, "Inconclusive", slack, picked, boundary)
 
 
 @dataclass(frozen=True)

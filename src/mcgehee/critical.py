@@ -54,6 +54,13 @@ class CriticalPoint:
     value: float       # V(theta)
     curvature: float   # V''(theta)
     kind: str          # "minimum" | "maximum" | "degenerate"
+    slope: float = 0.0  # V'(theta), within the criticality bound of 0
+
+    @property
+    def jet(self) -> Jet2:
+        """V, V', V'' at theta, as the scan evaluated them: the jet
+        ``critical_jet`` gives at theta, bit for bit."""
+        return Jet2(self.value, self.slope, self.curvature)
 
 
 def classify(curvature: float) -> str:
@@ -186,5 +193,5 @@ def _scan(pot: Potential) -> list[CriticalPoint]:
         # a sign change of V' across a pole converges onto the pole
         if abs(jet.d1) <= tol:
             out.append(CriticalPoint(float(theta), float(jet.val), float(jet.d2),
-                                     classify(jet.d2)))
+                                     classify(jet.d2), float(jet.d1)))
     return out

@@ -19,8 +19,12 @@ domain; both kinds are parsed, checked and compiled alike:
 
 ``yoshida_g(epsilon)`` / ``yoshida_h(epsilon)``
     -/+ [ (cos^4 + sin^4)/4 + (epsilon/2) cos^2 sin^2 ], degree 4 quartic
-    pair; ``yoshida_h`` is everywhere positive, which matters for the
-    sign-flip (complexified) certification route.
+    pair, written in the closed form ((3 + epsilon) + (1 - epsilon)
+    cos(4 theta))/16, and ``yoshida_g`` as its negation term by term: the
+    two are negatives bit for bit up to the sign of an exact zero, which
+    needs epsilon <= -1 in V and epsilon = 1 in V' and V''.  ``yoshida_h``
+    is positive for epsilon > -1, which matters for the sign-flip
+    (complexified) certification route.
 """
 from __future__ import annotations
 
@@ -87,14 +91,14 @@ class _Builtin:
     positive: tuple[str, ...] = ()  # parameters that must be > 0
 
 
-_QUARTIC = ("(cos(theta)^4 + sin(theta)^4)/4"
-            " + (epsilon/2)*(cos(theta)*cos(theta))*(sin(theta)*sin(theta))")
 BUILTINS: dict[str, _Builtin] = {
     "isosceles": _Builtin(
         -1.0, Domain(-math.pi / 2, math.pi / 2),
         "-1/cos(theta) - 4*alpha^1.5/sqrt(alpha + 2*sin(theta)*sin(theta))", ("alpha",)),
-    "yoshida_g": _Builtin(4.0, Domain.full_circle(), f"-({_QUARTIC})"),
-    "yoshida_h": _Builtin(4.0, Domain.full_circle(), _QUARTIC),
+    "yoshida_g": _Builtin(4.0, Domain.full_circle(),
+                          "((epsilon - 1)*cos(4*theta) - (3 + epsilon))/16"),
+    "yoshida_h": _Builtin(4.0, Domain.full_circle(),
+                          "((3 + epsilon) + (1 - epsilon)*cos(4*theta))/16"),
 }
 
 

@@ -9,6 +9,7 @@ from mcgehee.certify import (
     _ARC_GRID,
     CertifyOptions,
     _arc,
+    _arcs,
     _candidate_triples,
     _zeroin,
     certify,
@@ -18,6 +19,7 @@ from mcgehee.certify import (
 from mcgehee.critical import CriticalPoint, find_critical_points
 from mcgehee.errors import (
     DegeneratePotentialError,
+    DomainError,
     DomainViolationError,
     NotCriticalPointError,
     UnboundParameterError,
@@ -165,12 +167,17 @@ def test_certify_samples_each_arc_once(monkeypatch):
     module = sys.modules["mcgehee.certify"]
     potential = sys.modules["mcgehee.potentials"].Potential
     raw_V = potential.V
-    scanning, arrays = [False], []
+    raw_jet = module.critical_jet
+    scanning, arrays, jets = [False], [], []
 
     def counted(self, theta):
         if isinstance(theta, np.ndarray) and not scanning[0]:
             arrays.append(theta.size)
         return raw_V(self, theta)
+
+    def counted_jet(*args, **kwargs):
+        jets.append(1)
+        return raw_jet(*args, **kwargs)
 
     def scan(*args, **kwargs):
         scanning[0] = True
@@ -183,11 +190,15 @@ def test_certify_samples_each_arc_once(monkeypatch):
     angles = len(find_critical_points(pot))
     monkeypatch.setattr(potential, "V", counted)
     monkeypatch.setattr(module, "find_critical_points", scan)
+    monkeypatch.setattr(module, "critical_jet", counted_jet)
     certify(pot, CertifyOptions(allow_sign_flip=True))
-    # eight triples on the circle read eight arcs; the last one reads
-    # (theta_0, theta_1) for the same arc seen one revolution on
+    # eight triples on the circle read eight arcs, all in one array call;
+    # the last one reads (theta_0, theta_1) for the same arc seen one
+    # revolution on.  Their 24 angles are 10 distinct ones: the scan has
+    # the jets of eight, and theta_0, theta_1 one revolution on remain
     assert angles == 8
-    assert arrays == [_ARC_GRID] * 8
+    assert arrays == [8 * _ARC_GRID]
+    assert len(jets) <= 2
 
 
 def test_a3_reads_v_at_the_critical_angles():
@@ -211,6 +222,75 @@ def test_arc_check_reads_the_256_point_grid():
             grid = np.linspace(a, b, 258)
             assert np.array_equal(np.linspace(a, b, _ARC_GRID)[::4], grid)
             assert _arc(pot, a, b)[2] == float(np.min(np.abs(pot.V(grid[1:-1]).d1)))
+
+
+def test_batched_arcs_match_each_arc_bit_for_bit(monkeypatch):
+    potential = sys.modules["mcgehee.potentials"].Potential
+    raw_V = potential.V
+    grids = []
+
+    def seen(self, theta):
+        grids.append(theta)
+        return raw_V(self, theta)
+
+    def bits(row):
+        return [x.hex() for x in row]
+
+    pots = (builtin("yoshida_g", epsilon=4.0), builtin("isosceles", alpha=1.0),
+            expr_pot(random_trig_poly(np.random.default_rng(7))))
+    for pot in pots:
+        cps = find_critical_points(pot)
+        ends = {arc: arc for tm, t0, tp in _candidate_triples(pot, cps)
+                for arc in ((tm, t0), (t0, tp))}
+        if pot.domain.periodic:
+            first, second, last = cps[0].theta, cps[1].theta, cps[-1].theta
+            assert {(last, first + TWO_PI), (first + TWO_PI, second + TWO_PI)} <= set(ends)
+            # an arc whose 1028 steps from a miss b by rounding
+            odd = (0.36414910745086726, 1.614495462956232)
+            assert 1028 * ((odd[1] - odd[0]) / 1028) + odd[0] != odd[1]
+            ends[odd] = odd
+        grids.clear()
+        with monkeypatch.context() as m:
+            m.setattr(potential, "V", seen)
+            rows = _arcs(pot, ends)
+        # one C-contiguous grid whose rows are the arcs' own grids
+        (grid,) = grids
+        assert grid.flags.c_contiguous
+        assert list(rows) == list(ends)
+        for i, (a, b) in enumerate(ends.values()):
+            assert np.array_equal(grid[i], np.linspace(a, b, _ARC_GRID))
+            assert bits(rows[a, b]) == bits(_arc(pot, a, b))
+
+
+def test_a_failing_arc_drops_the_triples_that_read_it(monkeypatch):
+    module = sys.modules["mcgehee.certify"]
+    potential = sys.modules["mcgehee.potentials"].Potential
+    raw_V, raw_measure = potential.V, module._measure
+    pot = builtin("yoshida_g", epsilon=4.0)
+    cps = find_critical_points(pot)
+    a, b = cps[3].theta, cps[4].theta
+    measured = []
+
+    def failing(self, theta):
+        # only the grid of the arc (a, b) holds both of its ends
+        if isinstance(theta, np.ndarray) and (theta == a).any() and (theta == b).any():
+            raise DomainError("the arc (a, b) fails")
+        return raw_V(self, theta)
+
+    def measure(*args):
+        m = raw_measure(*args)
+        measured.append(m.triple)
+        return m
+
+    monkeypatch.setattr(potential, "V", failing)
+    monkeypatch.setattr(module, "_measure", measure)
+    cert = certify(pot)
+    # the one call of V for all arcs fails, each arc is then sampled on its
+    # own, and the two triples around (a, b) are dropped
+    triples = _candidate_triples(pot, cps)
+    assert measured == [t for t in triples if (a, b) not in ((t[0], t[1]), (t[1], t[2]))]
+    assert len(measured) == len(triples) - 2
+    assert cert.triple in measured
 
 
 def test_candidate_triples_enumeration():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcgehee.certify import CertifyOptions, certify, check_triple
-from mcgehee.critical import bracketed_newton, find_critical_points
+from mcgehee.critical import bracketed_newton, critical_jet, find_critical_points
 from mcgehee.flow import find_equilibria
 from mcgehee.errors import DegeneratePotentialError, NotCriticalPointError, PoleEncounteredError
 from mcgehee.morales import yoshida_lambda
@@ -153,6 +153,16 @@ def test_every_reported_angle_has_tiny_residual():
     for pot in (builtin("yoshida_g", epsilon=4.0), builtin("isosceles", alpha=5.0)):
         for cp in find_critical_points(pot):
             assert abs(pot.V(cp.theta).d1) <= 1e-9
+
+
+def test_scan_keeps_the_jet_critical_jet_gives():
+    # certify reads these jets in place of critical_jet's at the same angles
+    for pot in (builtin("yoshida_g", epsilon=4.0), builtin("yoshida_h", epsilon=-0.5),
+                builtin("isosceles", alpha=5.0), expr_pot("cos(theta) - 2 + 0.3*sin(3*theta)")):
+        for cp in find_critical_points(pot):
+            theta, jet = critical_jet(pot, cp.theta)
+            assert theta == cp.theta
+            assert [x.hex() for x in cp.jet] == [float(x).hex() for x in jet]
 
 
 @pytest.mark.parametrize(

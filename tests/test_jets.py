@@ -277,7 +277,7 @@ def test_builtin_closures_agree_on_the_circle(name, params):
 
 
 # ops of each builtin's float body, assignments and domain checks
-BODY_OPS = {"isosceles": 53, "yoshida_g": 63, "yoshida_h": 60}
+BODY_OPS = {"isosceles": 53, "yoshida_g": 15, "yoshida_h": 15}
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

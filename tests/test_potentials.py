@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from mcgehee import expr
+from mcgehee.critical import find_critical_points
 from mcgehee.errors import (
+    DegeneratePotentialError,
     DomainError,
     OriginSingularityError,
     SpecError,
@@ -14,6 +16,7 @@ from mcgehee.errors import (
 )
 from mcgehee.potentials import (
     BUILTINS,
+    TWO_PI,
     Domain,
     Potential,
     PotentialSpec,
@@ -73,6 +76,41 @@ def test_yoshida_h_is_negated_g():
     h = builtin("yoshida_h", epsilon=4.0)
     grid = np.linspace(0.0, 2 * math.pi, 257, endpoint=False)
     assert np.array_equal(g.V(grid).val, -h.V(grid).val)
+
+
+# the product form of the Yoshida quartic, before its closed form
+PRODUCT_FORM = ("(cos(theta)^4 + sin(theta)^4)/4"
+                " + (epsilon/2)*(cos(theta)*cos(theta))*(sin(theta)*sin(theta))")
+EPSILONS = (-0.9, -0.5, 0.0, 4.0, 10.0)
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_yoshida_closed_form_matches_the_product_form(eps):
+    grid = np.linspace(0.0, TWO_PI, 1029, endpoint=False)
+    for name, sign in (("yoshida_h", ""), ("yoshida_g", "-")):
+        ref = compile_potential(spec_from_dict(
+            {"expr": f"{sign}({PRODUCT_FORM})", "beta": 4.0, "params": {"epsilon": eps}}))
+        for got, want in zip(builtin(name, epsilon=eps).V(grid), ref.V(grid)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("eps", EPSILONS)
+def test_yoshida_g_negates_yoshida_h_bit_for_bit(eps):
+    # the grid holds every multiple of pi/4, where V' and V'' may be zeros
+    grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+    g, h = builtin("yoshida_g", epsilon=eps), builtin("yoshida_h", epsilon=eps)
+    for a, b in zip(g.V(grid), h.V(grid)):
+        assert np.array_equal(a, -b)
+        assert np.array_equal(np.signbit(a), ~np.signbit(b))
+    for theta in (0.0, math.pi / 4, math.pi, 1.0, 5.5):
+        for a, b in zip(g.V(theta), h.V(theta)):
+            assert a == -b and math.copysign(1.0, a) == -math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("name", ["yoshida_g", "yoshida_h"])
+def test_yoshida_at_epsilon_one_is_degenerate(name):
+    with pytest.raises(DegeneratePotentialError):
+        find_critical_points(builtin(name, epsilon=1.0))
 
 
 def test_builtin_jets_match_finite_differences(iso1, yg4):
