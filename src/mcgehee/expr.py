@@ -254,13 +254,13 @@ def free_parameters(node: Node) -> frozenset[str]:
 # x.  Neither the scan's ``d1 == 0.0`` node test nor its sign-change test
 # sees the sign of a zero.  Where an operand overflows, a product with 0
 # that gave nan is gone: a derivative that was nan becomes +-inf, which the
-# non-finite checks of ``Potential.V`` and of its float path
-# ``_float_path`` still reject, and sqrt, log, tan, abs, ^ and / keep their
-# DomainError and ZeroDivisionError checks.  Only a product with a 0
-# written in the source loses the overflow of its other operand:
-# 0*exp(exp(theta)) is 0.  The source holds only names the emitter makes,
-# names from FUNCTIONS, float reprs, and reprs of parameter names, used as
-# keys of ``p``.
+# non-finite checks of ``Potential.V``, of its float path and of the flow's
+# charts, which inline the float body (``float_body``), still reject, and
+# sqrt, log, tan, abs, ^ and / keep their DomainError and ZeroDivisionError
+# checks.  Only a product with a 0 written in the source loses the overflow
+# of its other operand: 0*exp(exp(theta)) is 0.  The source holds only names
+# the emitter makes, names from FUNCTIONS, float reprs, and reprs of
+# parameter names, used as keys of ``p``.
 
 # tan is rejected this close to a pole of the tangent
 _TAN_POLE_TOL = 1e-12
@@ -511,14 +511,10 @@ class _Emitter:
         d1 = self.div(self.sub(a1, mul(v, b1)), b0)
         return v, d1, self.div(self.sub(self.sub(a2, mul(mul(2.0, d1), b1)), mul(v, b2)), b0)
 
-    def closure(self, name: str, result) -> list[str]:
-        """The body since ``start`` returning ``result``, without the
-        assignments nothing reads; the array closure broadcasts theta-free
-        components and deletes temporaries after use."""
-        if not isinstance(result, tuple):
-            result = (result, 0.0, 0.0)
-        if self.xp == "np":
-            result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
+    def lines(self, result) -> list[str]:
+        """The body since ``start`` that ``result`` reads: the assignments
+        nothing reads are dropped, and the array flavour deletes temporaries
+        after use."""
         live, lines = {"t", *result}, []
         for target, stmt, reads in reversed(self.body):
             if target is not None and target not in live:
@@ -527,8 +523,25 @@ class _Emitter:
                 lines.append("del " + ", ".join(sorted(reads - live)))
             lines.append(stmt)
             live |= reads
-        return [f"    def {name}(t):", *(f"        {s}" for s in reversed(lines)),
+        return lines[::-1]
+
+    def closure(self, name: str, result) -> list[str]:
+        """The body returning ``result`` as a closure; the array closure
+        broadcasts theta-free components."""
+        if self.xp == "np":
+            result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
+        return [f"    def {name}(t):", *(f"        {s}" for s in self.lines(result)),
                 f"        return {', '.join(map(_src, result))}"]
+
+    def triple(self, node: Node) -> tuple:
+        """(V, V', V'') of ``node`` in the flavour being emitted."""
+        result = self.walk(node)
+        return result if isinstance(result, tuple) else (result, 0.0, 0.0)
+
+
+def namespace() -> dict:
+    """The globals every emitted source runs in."""
+    return {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow}
 
 
 def _source(node: Node) -> str:
@@ -536,18 +549,30 @@ def _source(node: Node) -> str:
     closures = []
     for name, xp in (("scalar", "math"), ("array", "np")):
         em.start(xp)
-        closures += em.closure(name, em.walk(node))
+        closures += em.closure(name, em.triple(node))
     return "\n".join(["def bind(p):", *(f"    {s}" for s in em.prologue), *closures,
                       "    return scalar, array", ""])
+
+
+def float_body(node: Node) -> tuple[list[str], list[str], tuple[str, str, str]]:
+    """The prologue and the body of ``bind``'s scalar closure, and the source
+    of its results (V, V', V''), for code that inlines V's float evaluation.
+    The prologue reads the parameters from ``p``; the body reads the angle
+    ``t`` and defines names ``v<i>``, the prologue names ``k<i>``.  Both run
+    in ``namespace()`` and raise as the scalar closure does."""
+    em = _Emitter()
+    em.start("math")
+    result = em.triple(node)
+    return em.prologue, em.lines(result), tuple(map(_src, result))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compiled(node: Node):
     """The parameter names of ``node`` and its compiled ``bind``."""
     names = free_parameters(node)
-    namespace = {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow}
-    exec(compile(_source(node), "<mcgehee.expr>", "exec"), namespace)
-    return names, namespace["bind"]
+    ns = namespace()
+    exec(compile(_source(node), "<mcgehee.expr>", "exec"), ns)
+    return names, ns["bind"]
 
 
 def compile_node(node: Node, params: Mapping[str, float]) -> tuple[Callable, Callable]:

@@ -35,15 +35,24 @@ form is not cosmetic; it is what makes the reported energy honest:
     power of two, e.g. the builtins).  Energy drift lands at the 1e-12
     level, and r^beta z never overflows because only beta rho + ell is
     ever exponentiated.
+
+The fields are evaluated in generated charts (see "charts" below), which
+reject a stage wherever ``Potential.V`` would raise, also where only V'' is
+not finite, although the fields read only V and V'.  A state the flow
+accepts is then one whose jet ``Potential.V`` evaluates, as ``linearize``,
+``find_equilibria`` and ``validate`` assume.  Dropping V'' would leave
+isosceles 26 of its 53 float-body operations and yoshida_g 10 of 15.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import expr
 from .critical import bracketed_newton, find_critical_points
 from .errors import (
     DomainError,
@@ -53,7 +62,7 @@ from .errors import (
     NotSaddleError,
     OriginSingularityError,
 )
-from .potentials import Potential
+from .potentials import TWO_PI, Potential, float_source
 from .rk import ATOL, RTOL, RawSolution, solve
 
 __all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
@@ -257,77 +266,84 @@ def energy(state: McGeheeState, pot: Potential) -> float:
     return state.r**pot.beta * state.z(pot)
 
 
-def _vw_rates(b: float, v: float, w: float, val: float, d1: float) -> tuple[float, float]:
-    """(dv, dw)/dtau, given V and V' at theta; shared by every chart."""
-    return -(b / 2.0) * v * v + w * w - b * val, -(b / 2.0 + 1.0) * v * w - d1
+# ------------------------------------------------------------------ charts
+#
+# The flow runs on three functions generated per potential, its charts:
+# ``manifold(tau, (theta, v, w))`` and ``full(tau, (log r, theta, v, w, t,
+# log|z|))`` are the right-hand sides of the subsystem and of the full system,
+# and ``project(tau, (theta, v, w))`` is the Newton step onto z = 0.  Each is
+# one straight-line function with V's float body inlined (``float_source``),
+# so a stage is one call.  The source is emitted and compiled once per
+# expression and kind of domain, and bound, like ``expr``'s ``bind(p)``, to
+# the parameters, degree and domain of a potential when the flow first uses
+# it; potentials that differ only in their parameters share the code.
+
+
+class _Charts(NamedTuple):
+    manifold: Callable
+    full: Callable
+    project: Callable
+
+
+# (dv, dw)/dtau from V and V' at theta, with cv = -(beta/2) and
+# cw = -(beta/2 + 1): the one text of these equations, which every chart, and
+# so ``vector_field``, evaluates
+_RATES = "cv * v * v + w * w - b * {val}, cw * v * w - {d1}"
+
+
+@functools.lru_cache(maxsize=expr._CACHE_SIZE)
+def _chart_bind(node: expr.Node, periodic: bool) -> Callable:
+    """``bind(p, b, lo, hi)`` returning the three charts of ``node``."""
+    prologue, V, val, d1 = float_source(node, periodic)
+    rates = _RATES.format(val=val, d1=d1)
+
+    def chart(name: str, state: str, *tail: str) -> list[str]:
+        return [f"def {name}(tau, y):", f"    {state} = y", *(f"    {s}" for s in V),
+                *(f"    {s}" for s in tail)]
+
+    charts = [
+        *chart("manifold", "th, v, w", f"return w, {rates}"),
+        # an overflowing exp raises OverflowError, which rejects the step
+        *chart("full", "rho, th, v, w, _, _", f"return v, w, {rates}, exp(texp * rho), nb * v"),
+        # one Newton step of z through the steeper of v and w, unless the
+        # gradient of z is too flat to project safely; f at the result from
+        # the same V and V'
+        *chart("project", "th, v, w", f"z = 0.5 * (v * v + w * w) + {val}",
+               "if z != 0.0:", "    if abs(v) >= abs(w):", "        if abs(v) >= 1e-8:",
+               "            v = v - z / v", "    else:", "        w = w - z / w",
+               f"return (th, v, w), (w, {rates})"),
+    ]
+    source = "\n".join([
+        "def bind(p, b, lo, hi):", *(f"    {s}" for s in prologue),
+        "    cv, cw, texp, nb = -(b / 2.0), -(b / 2.0 + 1.0), 1.0 - b / 2.0, -b",
+        "    exp = math.exp", *(f"    {s}" for s in charts),
+        "    return manifold, full, project", ""])
+    namespace = {**expr.namespace(), "TWO_PI": TWO_PI}
+    exec(compile(source, "<mcgehee.flow charts>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _charts(pot: Potential) -> _Charts:
+    """The charts of ``pot``, bound and stored on first use."""
+    if pot._charts is None:
+        bind = _chart_bind(pot.node, pot.domain.periodic)
+        pot._charts = _Charts(*bind(pot.spec.params, pot.beta, pot.domain.lo, pot.domain.hi))
+    return pot._charts
 
 
 def vector_field(state: McGeheeState, pot: Potential) -> np.ndarray:
     """(dr, dtheta, dv, dw)/dtau at the given state."""
-    v, w = state.v, state.w
-    val, d1, _ = pot.V(state.theta)
-    return np.array([state.r * v, w, *_vw_rates(pot.beta, v, w, val, d1)])
-
-
-def _full_rhs(pot: Potential):
-    b, V, exp = pot.beta, pot.V_float, math.exp
-    texp = 1.0 - b / 2.0
-
-    def rhs(tau: float, y: tuple) -> tuple:
-        # an overflowing exp raises OverflowError, which rejects the step
-        rho, th, v, w, _, _ = y
-        val, d1, _ = V(th)
-        return (v, w, *_vw_rates(b, v, w, val, d1), exp(texp * rho), -b * v)
-
-    return rhs
-
-
-def _manifold_rhs(pot: Potential):
-    b, V = pot.beta, pot.V_float
-
-    def rhs(tau: float, y: tuple) -> tuple:
-        th, v, w = y
-        val, d1, _ = V(th)
-        return (w, *_vw_rates(b, v, w, val, d1))
-
-    return rhs
-
-
-def _manifold_projector(pot: Potential):
-    """One Newton step of z -> 0 through the steeper of v, w.
-
-    The collision manifold z = (v^2 + w^2)/2 + V(theta) = 0 is exactly
-    invariant, but the transversal direction is *expanding* whenever
-    beta * v < 0 along the run (rate -beta*v), so integration noise off the
-    manifold grows exponentially and eventually dominates the on-manifold
-    dynamics.  Re-projecting each accepted step removes that spurious
-    channel without touching the (theta, w) spiral coordinates; the
-    residual after one Newton step is quadratic in the (tiny) per-step
-    drift, i.e. negligible.
-    """
-
-    V = pot.V_float
-
-    def project(tau: float, y: tuple) -> tuple:
-        th, v, w = y
-        z = 0.5 * (v * v + w * w) + V(th)[0]
-        if z == 0.0:
-            return y
-        if abs(v) >= abs(w):
-            if abs(v) < 1e-8:
-                return y  # gradient of z too flat to project safely
-            return th, v - z / v, w
-        return th, v, w - z / w
-
-    return project
+    rates = _charts(pot).manifold(0.0, (float(state.theta), state.v, state.w))
+    return np.array([state.r * state.v, *rates])
 
 
 def _subsystem_stop(eq_tol: float | None, slice_from: int):
     if eq_tol is None:
         return None
+    i, j, k = slice_from, slice_from + 1, slice_from + 2
 
     def stop(tau: float, y: tuple, f: tuple) -> str | None:
-        if all(abs(x) < eq_tol for x in f[slice_from : slice_from + 3]):
+        if abs(f[i]) < eq_tol and abs(f[j]) < eq_tol and abs(f[k]) < eq_tol:
             return "reached_equilibrium"
         return None
 
@@ -401,7 +417,7 @@ def integrate(
                 return "t_stop"
             return eq_stop(tau, y, f) if eq_stop is not None else None
 
-    sol = solve(_full_rhs(pot), tau0, y0, tau1, rtol=rtol, atol=atol, stop=stop)
+    sol = solve(_charts(pot).full, tau0, y0, tau1, rtol=rtol, atol=atol, stop=stop)
     ys = sol.ys
     with np.errstate(over="ignore"):
         rs = np.exp(ys[:, 0])
@@ -428,8 +444,9 @@ def integrate_manifold(
     In on-M mode the start must satisfy |z| <= 1e-12, and the trajectory's
     z column (reconstructed per sample) doubles as the invariance
     diagnostic ``max_abs_z``.  With ``project=True`` every accepted step is
-    Newton-projected back onto z = 0 (see ``_manifold_projector``); the z
-    column is then ~0 by construction and no longer measures drift.
+    Newton-projected back onto z = 0 (the ``project`` chart, see
+    ``_manifold_run``); the z column is then ~0 by construction and no longer
+    measures drift.
     """
     z0 = m0.z(pot)
     if on_manifold and abs(z0) > _MANIFOLD_TOL:
@@ -439,11 +456,24 @@ def integrate_manifold(
 
 def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
     """``integrate_manifold`` without its start check; ``eq_tol`` ends the
-    run at a rest point as in ``integrate``."""
+    run at a rest point as in ``integrate``.
+
+    The projection is one Newton step of z -> 0 through the steeper of v, w.
+    The collision manifold z = (v^2 + w^2)/2 + V(theta) = 0 is exactly
+    invariant, but the transversal direction is *expanding* whenever
+    beta * v < 0 along the run (rate -beta*v), so integration noise off the
+    manifold grows exponentially and eventually dominates the on-manifold
+    dynamics.  Re-projecting each accepted step removes that spurious
+    channel without touching the (theta, w) spiral coordinates; the
+    residual after one Newton step is quadratic in the (tiny) per-step
+    drift, i.e. negligible.  It moves v or w only, so it returns f at its
+    result from the V and V' it evaluates, and the next step keeps FSAL.
+    """
+    charts = _charts(pot)
     sol = solve(
-        _manifold_rhs(pot), float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
+        charts.manifold, float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
         rtol=rtol, atol=atol, stop=_subsystem_stop(eq_tol, slice_from=0),
-        postprocess=_manifold_projector(pot) if project else None,
+        postprocess=charts.project if project else None,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
     zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val

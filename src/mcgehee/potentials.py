@@ -213,19 +213,22 @@ class Jet2(NamedTuple):
 
 
 class Potential:
-    """Compiled shape potential.  Immutable but for the critical points and
-    the criticality bound, which the scan of ``mcgehee.critical`` stores on
-    first use; evaluation has no side effects."""
+    """Compiled shape potential.  Immutable but for what is stored on first
+    use: the critical points and the criticality bound of the scan of
+    ``mcgehee.critical``, and the flow's charts of ``mcgehee.flow``;
+    evaluation has no side effects."""
 
-    def __init__(self, beta: float, domain: Domain, evaluators: tuple[Callable, Callable],
-                 spec: PotentialSpec):
+    def __init__(self, beta: float, domain: Domain, node: expr_mod.Node,
+                 evaluators: tuple[Callable, Callable], spec: PotentialSpec):
         self.beta = float(beta)
         self.domain = domain
+        self.node = node
         self._scalar, self._array = evaluators
         self.spec = spec
         self.V_float = _float_path(domain, self._scalar)
         self._critical_points = None
         self._residual_tol = None
+        self._charts = None
 
     def __repr__(self):
         src = self.spec.builtin or self.spec.expr
@@ -276,7 +279,7 @@ def _float_path(domain: Domain, scalar: Callable) -> Callable:
     """The float branch of ``Potential.V`` as one closure returning the plain
     tuple (V, V', V''): the domain test and reduction (``Domain.contains``
     and ``Domain.reduce`` inlined) and every failure as DomainError.  The
-    right-hand sides of the flow call it directly."""
+    flow's charts inline the same steps around the same body."""
     lo, hi, periodic = domain.lo, domain.hi, domain.periodic
     isfinite = math.isfinite
 
@@ -294,6 +297,25 @@ def _float_path(domain: Domain, scalar: Callable) -> Callable:
         return val, d1, d2
 
     return V
+
+
+def float_source(node: expr_mod.Node, periodic: bool) -> tuple[list[str], list[str], str, str]:
+    """``_float_path`` as source, for code that inlines V: the prologue that
+    binds the parameters from ``p``, the lines that take the angle ``th`` to
+    V, V' and V'', and the source of V and V'.  The lines test ``th``
+    against ``lo`` and ``hi`` or reduce it by ``TWO_PI``, raise every failure
+    as ``_float_path`` does, and reject a non-finite V, V' or V'' with one
+    comparison: x - x is 0.0 for a finite double x and nan otherwise."""
+    prologue, body, (val, d1, d2) = expr_mod.float_body(node)
+    head = (["t = th % TWO_PI"] if periodic else
+            ["if not lo < th < hi:", "    raise DomainError('theta outside the potential domain')",
+             "t = th"])
+    lines = [*head, "try:", *(f"    {s}" for s in body or ["pass"]),
+             "except (ZeroDivisionError, OverflowError) as err:",
+             "    raise DomainError(f'potential singular: {err}') from err",
+             f"if ({val} - {val}) + ({d1} - {d1}) + ({d2} - {d2}) != 0.0:",
+             "    raise DomainError('potential evaluation produced a non-finite value')"]
+    return prologue, lines, val, d1
 
 
 def compile_potential(spec: PotentialSpec) -> Potential:
@@ -320,4 +342,4 @@ def compile_potential(spec: PotentialSpec) -> Potential:
     except (ZeroDivisionError, OverflowError) as err:
         raise DomainError(f"potential singular: {err}") from err
     domain = info.domain if spec.domain is None else Domain(*spec.domain)
-    return Potential(info.beta, domain, evaluators, spec)
+    return Potential(info.beta, domain, node, evaluators, spec)

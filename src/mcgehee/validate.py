@@ -232,7 +232,7 @@ def _check_gradient_like(rng: np.random.Generator) -> CheckResult:
                 continue
             # Trust only the prefix that is still on M: for beta < 0 the
             # transversal drift is expanding and eventually swamps the
-            # subsystem dynamics (see _manifold_projector).
+            # subsystem dynamics (see the projection chart in mcgehee.flow).
             bad = np.nonzero(np.abs(traj.zs) > 1e-9)[0]
             vs = traj.vs[: int(bad[0])] if len(bad) else traj.vs
             drops = np.diff(vs)

@@ -1,6 +1,7 @@
 """The Dormand-Prince solver on problems with closed-form solutions, and the
-contract of its right-hand side: FSAL call counts, domain walls, non-finite
-stages, the per-dimension step cache and the float path of V it calls."""
+contract of its right-hand side: FSAL call counts, through a postprocess too,
+domain walls, non-finite stages, the per-dimension step cache and the float
+path of V."""
 import math
 
 import numpy as np
@@ -88,7 +89,9 @@ def test_fsal_costs_six_calls_per_attempted_step(first_step, initial_calls):
     assert len(calls) == initial_calls + 6 * (sol.n_accepted + sol.n_rejected)
 
 
-def test_postprocess_re_evaluates_the_derivative_once_per_step():
+def test_postprocess_keeps_fsal():
+    # the postprocess returns the adjusted state and f there, so the next
+    # step starts from it and solve calls f only for the six stages
     calls = []
 
     def f(t, y):
@@ -97,11 +100,14 @@ def test_postprocess_re_evaluates_the_derivative_once_per_step():
 
     def renormalize(t, y):
         r = math.hypot(*y)
-        return y[0] / r, y[1] / r
+        y = (y[0] / r, y[1] / r)
+        return y, oscillator(t, y)
 
     sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize)
-    assert len(calls) == 1 + 7 * sol.n_accepted + 6 * sol.n_rejected
+    assert sol.n_accepted > 0
+    assert len(calls) == 1 + 6 * (sol.n_accepted + sol.n_rejected)
     assert np.allclose(np.hypot(sol.ys[:, 0], sol.ys[:, 1]), 1.0, rtol=0.0, atol=1e-15)
+    assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
 
 
 def wall(t, y):
@@ -138,6 +144,41 @@ def test_non_finite_stages_are_rejected_not_recorded(rate):
     assert sol.n_accepted > 0 and sol.n_rejected > 0
     assert np.all(np.isfinite(sol.ys)) and np.all(np.isfinite(sol.fs))
     assert sol.ts[-1] <= 1.02
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_step_rejects_a_non_finite_value_in_any_component(n, bad):
+    step = rk._step(n)
+    y, k0 = (0.5,) * n, (0.25,) * n
+
+    def poisoned(i, at_call):
+        """f that returns ``bad`` in component i on its ``at_call``-th call."""
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return tuple(bad if (j == i and len(calls) == at_call) else 0.25 for j in range(n))
+
+        return f
+
+    for i in range(n):
+        spoiled = tuple(bad if j == i else x for j, x in enumerate(y))
+        # a stage value, before f sees it
+        with pytest.raises(DomainError):
+            step(poisoned(i, 0), 0.0, spoiled, k0, 0.1, 1e-12, 1e-10)
+        # a derivative: the first one handed in, or that of stage 1 to 5,
+        # makes the next stage value non-finite
+        with pytest.raises(DomainError):
+            step(poisoned(i, 0), 0.0, y, tuple(bad if j == i else x for j, x in enumerate(k0)),
+                 0.1, 1e-12, 1e-10)
+        for stage in range(1, 6):
+            with pytest.raises(DomainError):
+                step(poisoned(i, stage), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+        # the last one enters no stage value, only the error estimate, which
+        # is then not finite and solve rejects the step
+        _, _, err = step(poisoned(i, 6), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+        assert not math.isfinite(err)
 
 
 def test_step_is_generated_once_per_dimension():

@@ -4,6 +4,8 @@ certify shows that the layers it reports are still reachable."""
 import importlib.util
 import pathlib
 
+import pytest
+
 from mcgehee import cli, potentials
 from mcgehee.critical import _SCAN_GRID
 
@@ -59,3 +61,30 @@ def test_benchmark_tracer_sees_the_flow_layers(capsys):
     grids = [i for i, name in enumerate(tracer.names)
              if name == "potentials.V_array" and tracer.amounts[i] == _SCAN_GRID]
     assert len(grids) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--builtin", "yoshida_g", "--set", "epsilon=4",
+     "--init", "1.0,0.3,0.1,0.2", "--tau-span", "0:5"],
+    ["manifold", "--builtin", "yoshida_g", "--set", "epsilon=4", "--from=0.0", "--sign", "-",
+     "--branch", "unstable", "--branch-dir", "+", "--max-tau", "5"],
+], ids=["simulate", "manifold"])
+def test_benchmark_tracer_sees_every_stage(argv, capsys):
+    # each solve calls f for its first derivative and its first-step
+    # estimate, then once per stage; the projection keeps FSAL, so the
+    # manifold run calls f no more often than the full system
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        rc = cli.run(argv)
+    finally:
+        uninstall()
+    capsys.readouterr()
+    assert rc == 0
+    m = tracing._round_metrics(tracer, 0, len(tracer.names))
+    assert m["rk.solve_calls"] == 1 and m["rk.steps_accepted"] > 0
+    assert m["rk.rhs_calls"] == (2 * m["rk.solve_calls"]
+                                 + 6 * (m["rk.steps_accepted"] + m["rk.steps_rejected"]))
+    if argv[0] == "manifold":
+        assert m["flow.project_calls"] == m["rk.steps_accepted"]
