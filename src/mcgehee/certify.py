@@ -23,7 +23,6 @@ because it pertains to the analytically continued system and asserts
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -50,7 +49,7 @@ __all__ = [
 
 # distance of beta from {-2, 0} that assumption 1 must clear
 _BETA_TOL = 1e-9
-# points of the grid of one arc, ends included: 4 * 257 steps (see _arc)
+# points of the grid of one arc, ends included: 4 * 257 steps (see _arcs)
 _ARC_GRID = 4 * 257 + 1
 # assumption-6 margins within this of the best tie: symmetric triples differ
 # only by rounding, and the smallest theta_-1 among them is reported
@@ -127,30 +126,20 @@ class _Measurement(NamedTuple):
         return self._replace(jets=jets, vmax=-self.vmin, vmin=-self.vmax)
 
 
-def _arc(pot: Potential, a: float, b: float) -> tuple[float, float, float]:
-    """Max V and min V over the grid of the arc (a, b), ends included, and
-    min |V'| over every 4th interior point.  1028 = 4 * 257 steps and a step
-    divides by 4 exactly, so those points are ``linspace(a, b, 258)[1:-1]``
+def _arcs(pot: Potential, ends: dict) -> dict:
+    """Max V and min V over the grid of each arc (a, b) in ``ends``, ends
+    included, and min |V'| over every 4th interior point, from one call of
+    V, under the same keys; a failing call raises.  Row i of the grid is
+    ``linspace(a_i, b_i, _ARC_GRID)`` bit for bit, and C-contiguous, so each
+    row reduces as fast as one arc.  1028 = 4 * 257 steps and a step divides
+    by 4 exactly, so the points read for |V'| are ``linspace(a, b, 258)[1:-1]``
     bit for bit.  An arc is shorter than its triple's span, so arc/1028 <
     span/1023: V is sampled at least as densely as on a 1024-point grid of
     the span, and at the critical angles themselves."""
-    jet = pot.V(np.linspace(a, b, _ARC_GRID))
-    v, d1 = jet.val, jet.d1[4:-1:4]
-    return float(np.max(v)), float(np.min(v)), float(np.min(np.abs(d1)))
-
-
-def _arcs(pot: Potential, ends: dict) -> dict:
-    """``_arc`` of every arc (a, b) in ``ends`` from one call of V, under the
-    same keys; empty when that call raises a McGeheeError.  Row i of the
-    grid is ``linspace(a_i, b_i, _ARC_GRID)`` bit for bit, and C-contiguous,
-    so each row reduces as fast as one arc."""
     a, b = (np.array(x) for x in zip(*ends.values()))
     grid = np.arange(_ARC_GRID, dtype=float) * ((b - a) / (_ARC_GRID - 1))[:, None] + a[:, None]
     grid[:, -1] = b
-    try:
-        jet = pot.V(grid)
-    except McGeheeError:
-        return {}
+    jet = pot.V(grid)
     rows = zip(jet.val.max(axis=1).tolist(), jet.val.min(axis=1).tolist(),
                np.abs(jet.d1[:, 4:-1:4]).min(axis=1).tolist())
     return dict(zip(ends, rows))
@@ -166,9 +155,9 @@ def _angles(triple: tuple[float, float, float], jet) -> tuple[tuple, tuple]:
     return (tm, t0, tp), tuple(jet(t) for t in (tm, t0, tp))
 
 
-def _measure(triple: tuple[float, float, float], jets, arc) -> _Measurement:
-    tm, t0, tp = triple
-    vmax, vmin, m4 = zip(arc(tm, t0), arc(t0, tp))
+def _measure(triple: tuple[float, float, float], jets, arcs) -> _Measurement:
+    """A triple's measurement from its jets and its two ``_arcs`` rows."""
+    vmax, vmin, m4 = zip(*arcs)
     return _Measurement(triple, jets, max(vmax), min(vmin), min(m4))
 
 
@@ -222,8 +211,9 @@ def check_triple(
     periodic domain the outer pair may be the same critical angle seen one
     revolution apart.  Every angle must actually be a critical point of V.
     """
-    angles, jets = _angles(triple, lambda t: critical_jet(pot, t)[1])
-    return _judge(pot.beta, _measure(angles, jets, functools.partial(_arc, pot)), opts)
+    (tm, t0, tp), jets = _angles(triple, lambda t: critical_jet(pot, t)[1])
+    arcs = _arcs(pot, {0: (tm, t0), 1: (t0, tp)})
+    return _judge(pot.beta, _measure((tm, t0, tp), jets, arcs.values()), opts)
 
 
 def _candidate_triples(
@@ -305,7 +295,7 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     # each is sampled once: on a circle every arc belongs to two triples, and
     # the last triple's second arc is the first arc one revolution on.  All
     # arcs are sampled in one call of V; when that fails, each arc is sampled
-    # on its own when first read and a failing arc drops its triples
+    # on its own, and a failing arc drops the triples that read it
     start = {c.theta: i for i, c in enumerate(cps)}
     if pot.domain.periodic:
         start.update({c.theta + TWO_PI: i for i, c in enumerate(cps[:2])})
@@ -313,19 +303,21 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     for (tm, t0, tp), _ in staged:
         ends.setdefault(start[tm], (tm, t0))
         ends.setdefault(start[t0], (t0, tp))
-    arcs = _arcs(pot, ends) if ends else {}
-
-    def arc(a: float, b: float) -> tuple[float, float, float]:
-        if start[a] not in arcs:
-            arcs[start[a]] = _arc(pot, a, b)
-        return arcs[start[a]]
+    try:
+        arcs = _arcs(pot, ends) if ends else {}
+    except McGeheeError:
+        arcs = {}
+        for key, arc in ends.items():
+            try:
+                arcs.update(_arcs(pot, {key: arc}))
+            except McGeheeError:
+                continue
 
     measured = []
-    for angles, triple_jets in staged:
-        try:
-            measured.append(_measure(angles, triple_jets, arc))
-        except McGeheeError:
-            continue
+    for (tm, t0, tp), triple_jets in staged:
+        if start[tm] in arcs and start[t0] in arcs:
+            rows = arcs[start[tm]], arcs[start[t0]]
+            measured.append(_measure((tm, t0, tp), triple_jets, rows))
 
     def certificate(flipped: bool, conclusion: str, slack: float, picked=None,
                     boundary=False):

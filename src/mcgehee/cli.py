@@ -112,14 +112,21 @@ def _emit(text: str, path: str | None) -> None:
 # ------------------------------------------------------------- flag parsing
 
 
+def _finite(values: Sequence[float], flag: str, text) -> None:
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"{flag}: must be finite, got {text}")
+
+
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise _UsageError(f"{flag}: expected LO:HI, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"{flag}: expected two numbers, got {text!r}") from None
+    _finite((lo, hi), flag, text)
+    return lo, hi
 
 
 def _parse_init(text: str) -> McGeheeState:
@@ -130,6 +137,7 @@ def _parse_init(text: str) -> McGeheeState:
         r, theta, v, w = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--init: expected four numbers, got {text!r}") from None
+    _finite((r, theta, v, w), "--init", text)
     return McGeheeState(r, theta, v, w)
 
 
@@ -147,8 +155,8 @@ def _parse_sets(pairs: Sequence[str]) -> dict[str, float]:
 
 
 def _positive(value: float | None, flag: str) -> None:
-    if value is not None and not (value > 0.0):
-        raise _UsageError(f"{flag}: must be positive, got {value}")
+    if value is not None and not (0.0 < value < math.inf):
+        raise _UsageError(f"{flag}: must be positive and finite, got {value}")
 
 
 def _build_spec(args: argparse.Namespace) -> PotentialSpec:
@@ -230,6 +238,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _positive(args.atol, "--atol")
     state = _parse_init(args.init)
     tau0, tau1 = _parse_pair(args.tau_span, "--tau-span")
+    if tau0 == tau1:
+        raise _UsageError(f"--tau-span: empty span, got {args.tau_span!r}")
     pot = compile_potential(_build_spec(args))
     traj = integrate(state, pot, (tau0, tau1), rtol=args.rtol, atol=args.atol)
     buf = io.StringIO()
@@ -242,6 +252,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_manifold(args: argparse.Namespace) -> int:
     _positive(args.offset, "--offset")
     _positive(args.max_tau, "--max-tau")
+    _finite((args.from_theta,), "--from", args.from_theta)
     pot = compile_potential(_build_spec(args))
     eqs = [eq for eq in find_equilibria(pot) if eq.sign == args.sign]
     if not eqs:

@@ -2,9 +2,10 @@
 
 The scan evaluates V' on a uniform grid, brackets each sign change between
 neighbouring nodes, and runs a bracketed Newton iteration on V' from the
-secant point of every bracket at once.  A bracket whose limit leaves |V'|
-large against its median on the grid straddles a pole, not a zero, and the
-residual filter drops it.  Only transversal zeros are found: a zero that V'
+secant point of every bracket at once.  Each limit must pass
+``critical_jet``, the one criticality test: a bracket whose limit leaves
+|V'| large against its median on the grid straddles a pole, not a zero,
+and is dropped.  Only transversal zeros are found: a zero that V'
 touches without crossing is invisible to the bracketing step (unless it
 lands exactly on a grid node) and is a documented limitation of the scan.
 
@@ -58,8 +59,7 @@ class CriticalPoint:
 
     @property
     def jet(self) -> Jet2:
-        """V, V', V'' at theta, as the scan evaluated them: the jet
-        ``critical_jet`` gives at theta, bit for bit."""
+        """V, V', V'' at theta: the jet ``critical_jet`` gave the scan."""
         return Jet2(self.value, self.slope, self.curvature)
 
 
@@ -172,7 +172,7 @@ def _scan(pot: Potential) -> list[CriticalPoint]:
         raise DegeneratePotentialError(
             f"max |V'| = {float(np.max(np.abs(d1))):.3e} on the scan grid"
         )
-    tol = _residual_tol(pot, d1)
+    _residual_tol(pot, d1)  # stored for critical_jet, from the grid in hand
 
     on_nodes = grid[d1 == 0.0]
     if pot.domain.periodic:  # the last node brackets with the first, one turn on
@@ -189,9 +189,9 @@ def _scan(pot: Potential) -> list[CriticalPoint]:
 
     out = []
     for theta in np.sort(pot.domain.reduce(roots)):
-        jet = pot.V(float(theta))
-        # a sign change of V' across a pole converges onto the pole
-        if abs(jet.d1) <= tol:
-            out.append(CriticalPoint(float(theta), float(jet.val), float(jet.d2),
-                                     classify(jet.d2), float(jet.d1)))
+        try:
+            theta, jet = critical_jet(pot, theta)
+        except NotCriticalPointError:
+            continue  # a sign change of V' across a pole converges onto the pole
+        out.append(CriticalPoint(theta, jet.val, jet.d2, classify(jet.d2), jet.d1))
     return out

@@ -34,6 +34,7 @@ __all__ = ["parse", "free_parameters", "compile_node", "FUNCTIONS"]
 FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
 # parsed sources and compiled expressions kept per process; a sweep's potentials share one
 _CACHE_SIZE = 256
+TWO_PI = 2.0 * math.pi
 
 
 # ------------------------------------------------------------------- AST
@@ -221,22 +222,26 @@ def free_parameters(node: Node) -> frozenset[str]:
 
 # ------------------------------------------------------------------- compile
 #
-# An expression compiles, once per process, to the source of one function,
-# ``bind(p)``.  Its prologue reads the parameters from the dict ``p`` and
-# evaluates every theta-free subtree once.  It returns two closures,
-# ``scalar(t)`` on floats through ``math`` and ``array(t)`` on float arrays
-# through ``np``: straight lines of assignments returning (V, V', V'').
-# Theta enters as (t, 1, 0) and a theta-free value c as (c, 0, 0); the rules
-# are second-order forward differentiation by source transformation
-# (Griewank & Walther, *Evaluating Derivatives*, 2008):
+# An expression compiles, once per process and kind of domain, to the source
+# of one function, ``bind(p, lo, hi)``.  Its prologue reads the parameters
+# from the dict ``p`` and evaluates every theta-free subtree once.  It
+# returns two closures, ``scalar(t)`` on floats through ``math`` and
+# ``array(t)`` on float arrays through ``np``: straight lines of assignments
+# returning (V, V', V''), each under V's rules of evaluation (the domain,
+# and every failure as DomainError: ``_Emitter.checked``), which the flow's
+# charts inline too (``float_body``).  Theta enters as (t, 1, 0) and a
+# theta-free value c as (c, 0, 0); the rules are second-order forward
+# differentiation by source transformation (Griewank & Walther, *Evaluating
+# Derivatives*, 2008):
 #
 #     (a, a', a'') * (b, b', b'')  ->  (ab, a'b + ab', a''b + 2a'b' + ab'')
 #     f(a)                         ->  (f(a), f'(a) a', f''(a) a'^2 + f'(a) a'')
 #
 # Each rule has one operation order, the same in both closures; they differ
 # only where numpy's tan, exp, log and power round differently from the C
-# library's.  Operations on literals are done while emitting, and three rules
-# shorten the rest:
+# library's, and where ``math`` overflows with an error and numpy to inf.
+# Operations on literals are done while emitting, and three rules shorten
+# the rest:
 #
 # - A literal 0 is a structural zero, such as theta'' or the derivatives of a
 #   constant.  Against a function of theta, x*0 and 0/x fold to that 0,
@@ -254,13 +259,12 @@ def free_parameters(node: Node) -> frozenset[str]:
 # x.  Neither the scan's ``d1 == 0.0`` node test nor its sign-change test
 # sees the sign of a zero.  Where an operand overflows, a product with 0
 # that gave nan is gone: a derivative that was nan becomes +-inf, which the
-# non-finite checks of ``Potential.V``, of its float path and of the flow's
-# charts, which inline the float body (``float_body``), still reject, and
-# sqrt, log, tan, abs, ^ and / keep their DomainError and ZeroDivisionError
-# checks.  Only a product with a 0 written in the source loses the overflow
-# of its other operand: 0*exp(exp(theta)) is 0.  The source holds only names
-# the emitter makes, names from FUNCTIONS, float reprs, and reprs of
-# parameter names, used as keys of ``p``.
+# non-finite check still rejects, and sqrt, log, tan, abs, ^ and / keep
+# their DomainError and ZeroDivisionError checks.  Only a product with a 0
+# written in the source loses the overflow of its other operand:
+# 0*exp(exp(theta)) is 0.  The source holds only names the emitter makes,
+# names from FUNCTIONS, float reprs, and reprs of parameter names, used as
+# keys of ``p``.
 
 # tan is rejected this close to a pole of the tangent
 _TAN_POLE_TOL = 1e-12
@@ -525,12 +529,38 @@ class _Emitter:
             live |= reads
         return lines[::-1]
 
-    def closure(self, name: str, result) -> list[str]:
-        """The body returning ``result`` as a closure; the array closure
-        broadcasts theta-free components."""
+    def checked(self, result, periodic: bool) -> list[str]:
+        """The body returning ``result`` under V's rules: the angle ``t``
+        reduced on a periodic domain, else tested against ``(lo, hi)``; a
+        ZeroDivisionError or OverflowError of the body, and a non-finite
+        result, raised as DomainError.  x - x is 0.0 for a finite double x
+        and nan otherwise, so one comparison tests all float components; an
+        array is tested per component, as a sum of large ones can overflow."""
+        array = self.xp == "np"
+        if periodic:
+            head = ["t = t % TWO_PI"]
+        else:
+            inside = "((lo < t) & (t < hi)).all()" if array else "lo < t < hi"
+            head = [f"if not {inside}:",
+                    "    raise DomainError('theta outside the potential domain')"]
+        tested = [_src(a) for a in result if not (isinstance(a, float) and math.isfinite(a))]
+        if array:
+            finite = f"not ({' and '.join(f'np.isfinite({x}).all()' for x in tested)})"
+        else:
+            finite = " + ".join(f"({x} - {x})" for x in tested) + " != 0.0"
+        return [*head, "try:", *(f"    {s}" for s in self.lines(result) or ["pass"]),
+                "except (ZeroDivisionError, OverflowError) as err:",
+                "    raise DomainError(f'potential singular: {err}') from err",
+                *([f"if {finite}:", "    raise DomainError("
+                   "'potential evaluation produced a non-finite value')"] if tested else [])]
+
+    def closure(self, name: str, result, periodic: bool) -> list[str]:
+        """The checked body returning ``result`` as a closure; the array
+        closure broadcasts theta-free components."""
+        body = self.checked(result, periodic)
         if self.xp == "np":
             result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
-        return [f"    def {name}(t):", *(f"        {s}" for s in self.lines(result)),
+        return [f"    def {name}(t):", *(f"        {s}" for s in body),
                 f"        return {', '.join(map(_src, result))}"]
 
     def triple(self, node: Node) -> tuple:
@@ -541,47 +571,49 @@ class _Emitter:
 
 def namespace() -> dict:
     """The globals every emitted source runs in."""
-    return {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow}
+    return {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow,
+            "TWO_PI": TWO_PI}
 
 
-def _source(node: Node) -> str:
+def _source(node: Node, periodic: bool) -> str:
     em = _Emitter()
     closures = []
     for name, xp in (("scalar", "math"), ("array", "np")):
         em.start(xp)
-        closures += em.closure(name, em.triple(node))
-    return "\n".join(["def bind(p):", *(f"    {s}" for s in em.prologue), *closures,
+        closures += em.closure(name, em.triple(node), periodic)
+    return "\n".join(["def bind(p, lo, hi):", *(f"    {s}" for s in em.prologue), *closures,
                       "    return scalar, array", ""])
 
 
-def float_body(node: Node) -> tuple[list[str], list[str], tuple[str, str, str]]:
-    """The prologue and the body of ``bind``'s scalar closure, and the source
-    of its results (V, V', V''), for code that inlines V's float evaluation.
-    The prologue reads the parameters from ``p``; the body reads the angle
-    ``t`` and defines names ``v<i>``, the prologue names ``k<i>``.  Both run
-    in ``namespace()`` and raise as the scalar closure does."""
+def float_body(node: Node, periodic: bool) -> tuple[list[str], list[str], tuple[str, str, str]]:
+    """The prologue and the checked body of ``bind``'s scalar closure, and
+    the source of its results (V, V', V''), for code that inlines V's float
+    evaluation.  The prologue reads the parameters from ``p``; the body
+    reads the angle ``t`` (and ``lo``, ``hi``) and defines names ``v<i>``,
+    the prologue names ``k<i>``.  Both run in ``namespace()``."""
     em = _Emitter()
     em.start("math")
     result = em.triple(node)
-    return em.prologue, em.lines(result), tuple(map(_src, result))
+    return em.prologue, em.checked(result, periodic), tuple(map(_src, result))
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(node: Node):
+def _compiled(node: Node, periodic: bool):
     """The parameter names of ``node`` and its compiled ``bind``."""
     names = free_parameters(node)
     ns = namespace()
-    exec(compile(_source(node), "<mcgehee.expr>", "exec"), ns)
+    exec(compile(_source(node, periodic), "<mcgehee.expr>", "exec"), ns)
     return names, ns["bind"]
 
 
-def compile_node(node: Node, params: Mapping[str, float]) -> tuple[Callable, Callable]:
-    """Bind parameters and return the evaluators ``(scalar, array)``, on a
-    float angle and on a float array, each returning (V, V', V'').  Domain
-    checks raise ``DomainError``, or ``ZeroDivisionError`` on a division by
-    an exact zero; theta-free subtrees are checked here, once."""
-    names, bind = _compiled(node)
+def compile_node(node: Node, params: Mapping[str, float], domain) -> tuple[Callable, Callable]:
+    """Bind parameters and a ``potentials.Domain`` and return the evaluators
+    ``(scalar, array)``, on a float angle and on a float array, each
+    returning (V, V', V'') or raising DomainError.  Theta-free subtrees are
+    checked here, once: DomainError, or ZeroDivisionError on a division by
+    an exact zero."""
+    names, bind = _compiled(node, domain.periodic)
     missing = sorted(names - set(params))
     if missing:
         raise UnboundParameterError(f"expression needs parameter(s): {', '.join(missing)}")
-    return bind(params)
+    return bind(params, domain.lo, domain.hi)

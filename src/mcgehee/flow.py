@@ -62,7 +62,7 @@ from .errors import (
     NotSaddleError,
     OriginSingularityError,
 )
-from .potentials import TWO_PI, Potential, float_source
+from .potentials import Potential
 from .rk import ATOL, RTOL, RawSolution, solve
 
 __all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
@@ -272,11 +272,12 @@ def energy(state: McGeheeState, pot: Potential) -> float:
 # ``manifold(tau, (theta, v, w))`` and ``full(tau, (log r, theta, v, w, t,
 # log|z|))`` are the right-hand sides of the subsystem and of the full system,
 # and ``project(tau, (theta, v, w))`` is the Newton step onto z = 0.  Each is
-# one straight-line function with V's float body inlined (``float_source``),
-# so a stage is one call.  The source is emitted and compiled once per
-# expression and kind of domain, and bound, like ``expr``'s ``bind(p)``, to
-# the parameters, degree and domain of a potential when the flow first uses
-# it; potentials that differ only in their parameters share the code.
+# one straight-line function with V's checked float body inlined
+# (``expr.float_body``, the text of ``Potential.V_float``), so a stage is one
+# call.  The source is emitted and compiled once per expression and kind of
+# domain, and bound, like ``expr``'s ``bind(p, lo, hi)``, to the parameters,
+# degree and domain of a potential when the flow first uses it; potentials
+# that differ only in their parameters share the code.
 
 
 class _Charts(NamedTuple):
@@ -294,7 +295,7 @@ _RATES = "cv * v * v + w * w - b * {val}, cw * v * w - {d1}"
 @functools.lru_cache(maxsize=expr._CACHE_SIZE)
 def _chart_bind(node: expr.Node, periodic: bool) -> Callable:
     """``bind(p, b, lo, hi)`` returning the three charts of ``node``."""
-    prologue, V, val, d1 = float_source(node, periodic)
+    prologue, V, (val, d1, _) = expr.float_body(node, periodic)
     rates = _RATES.format(val=val, d1=d1)
 
     def chart(name: str, state: str, *tail: str) -> list[str]:
@@ -302,23 +303,23 @@ def _chart_bind(node: expr.Node, periodic: bool) -> Callable:
                 *(f"    {s}" for s in tail)]
 
     charts = [
-        *chart("manifold", "th, v, w", f"return w, {rates}"),
+        *chart("manifold", "t, v, w", f"return w, {rates}"),
         # an overflowing exp raises OverflowError, which rejects the step
-        *chart("full", "rho, th, v, w, _, _", f"return v, w, {rates}, exp(texp * rho), nb * v"),
+        *chart("full", "rho, t, v, w, _, _", f"return v, w, {rates}, exp(texp * rho), nb * v"),
         # one Newton step of z through the steeper of v and w, unless the
         # gradient of z is too flat to project safely; f at the result from
-        # the same V and V'
-        *chart("project", "th, v, w", f"z = 0.5 * (v * v + w * w) + {val}",
+        # the same V and V'; the angle is returned as it came, unreduced
+        *chart("project", "t, v, w", f"z = 0.5 * (v * v + w * w) + {val}",
                "if z != 0.0:", "    if abs(v) >= abs(w):", "        if abs(v) >= 1e-8:",
                "            v = v - z / v", "    else:", "        w = w - z / w",
-               f"return (th, v, w), (w, {rates})"),
+               f"return (y[0], v, w), (w, {rates})"),
     ]
     source = "\n".join([
         "def bind(p, b, lo, hi):", *(f"    {s}" for s in prologue),
         "    cv, cw, texp, nb = -(b / 2.0), -(b / 2.0 + 1.0), 1.0 - b / 2.0, -b",
         "    exp = math.exp", *(f"    {s}" for s in charts),
         "    return manifold, full, project", ""])
-    namespace = {**expr.namespace(), "TWO_PI": TWO_PI}
+    namespace = expr.namespace()
     exec(compile(source, "<mcgehee.flow charts>", "exec"), namespace)
     return namespace["bind"]
 

@@ -5,11 +5,12 @@ its degree ``beta`` and the restriction to the unit circle
 
     V(theta) = U(cos theta, sin theta),        U(q) = |q|^beta V(theta).
 
-:class:`Potential` wraps the code :mod:`mcgehee.expr` compiles for V, so a
-single call yields V, V' and V'' at scalar or array arguments, as a
-:class:`Jet2` record.  Shapes come from an expression or from the builtin
-catalogue, whose entries are expression sources with a fixed degree and
-domain; both kinds are parsed, checked and compiled alike:
+:class:`Potential` wraps the code :mod:`mcgehee.expr` compiles for V on its
+domain, so a single call yields V, V' and V'' at scalar or array arguments,
+as a :class:`Jet2` record, or raises DomainError, never a non-finite value.
+Shapes come from an expression or from the builtin catalogue, whose entries
+are expression sources with a fixed degree and domain; both kinds are
+parsed, checked and compiled alike:
 
 ``isosceles(alpha)``
     V(theta) = -1/cos(theta) - 4 alpha^(3/2) / sqrt(alpha + 2 sin^2(theta)),
@@ -43,11 +44,10 @@ from .errors import (
     UnboundParameterError,
     UnknownBuiltinError,
 )
+from .expr import TWO_PI
 
 __all__ = ["Domain", "Jet2", "PotentialSpec", "Potential", "compile_potential", "load_spec",
            "BUILTINS"]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,8 @@ class Domain:
     def full_circle(cls) -> "Domain":
         return cls(0.0, TWO_PI, periodic=True)
 
-    def contains(self, theta) -> bool:
-        if self.periodic:
-            return True
-        if isinstance(theta, np.ndarray):
-            return bool(np.all((self.lo < theta) & (theta < self.hi)))
-        return self.lo < theta < self.hi
+    def contains(self, theta: float) -> bool:
+        return self.periodic or self.lo < theta < self.hi
 
     def reduce(self, theta):
         """Map angles into the fundamental window (identity for intervals)."""
@@ -223,9 +219,9 @@ class Potential:
         self.beta = float(beta)
         self.domain = domain
         self.node = node
-        self._scalar, self._array = evaluators
+        # V_float(theta) -> (V, V', V''): the scalar closure, checks and all
+        self.V_float, self._array = evaluators
         self.spec = spec
-        self.V_float = _float_path(domain, self._scalar)
         self._critical_points = None
         self._residual_tol = None
         self._charts = None
@@ -240,17 +236,8 @@ class Potential:
         than ever returning a non-finite component."""
         if not isinstance(theta, np.ndarray):
             return Jet2(*self.V_float(float(theta)))
-        theta = np.asarray(theta, dtype=float)
-        if not self.domain.contains(theta):
-            raise DomainError("theta outside the potential domain")
-        try:
-            with np.errstate(all="ignore"):
-                val, d1, d2 = self._array(self.domain.reduce(theta))
-        except (ZeroDivisionError, OverflowError) as err:
-            raise DomainError(f"potential singular: {err}") from err
-        if not (np.isfinite(val).all() and np.isfinite(d1).all() and np.isfinite(d2).all()):
-            raise DomainError("potential evaluation produced a non-finite value")
-        return Jet2(val, d1, d2)
+        with np.errstate(all="ignore"):
+            return Jet2(*self._array(np.asarray(theta, dtype=float)))
 
     # -------------------------------------------------------------- cartesian
     def U(self, q) -> float:
@@ -275,49 +262,6 @@ class Potential:
         return np.array([radial * c - tangential * s, radial * s + tangential * c])
 
 
-def _float_path(domain: Domain, scalar: Callable) -> Callable:
-    """The float branch of ``Potential.V`` as one closure returning the plain
-    tuple (V, V', V''): the domain test and reduction (``Domain.contains``
-    and ``Domain.reduce`` inlined) and every failure as DomainError.  The
-    flow's charts inline the same steps around the same body."""
-    lo, hi, periodic = domain.lo, domain.hi, domain.periodic
-    isfinite = math.isfinite
-
-    def V(theta: float) -> tuple[float, float, float]:
-        if periodic:
-            theta = theta % TWO_PI
-        elif not lo < theta < hi:
-            raise DomainError("theta outside the potential domain")
-        try:
-            val, d1, d2 = scalar(theta)
-        except (ZeroDivisionError, OverflowError) as err:
-            raise DomainError(f"potential singular: {err}") from err
-        if not (isfinite(val) and isfinite(d1) and isfinite(d2)):
-            raise DomainError("potential evaluation produced a non-finite value")
-        return val, d1, d2
-
-    return V
-
-
-def float_source(node: expr_mod.Node, periodic: bool) -> tuple[list[str], list[str], str, str]:
-    """``_float_path`` as source, for code that inlines V: the prologue that
-    binds the parameters from ``p``, the lines that take the angle ``th`` to
-    V, V' and V'', and the source of V and V'.  The lines test ``th``
-    against ``lo`` and ``hi`` or reduce it by ``TWO_PI``, raise every failure
-    as ``_float_path`` does, and reject a non-finite V, V' or V'' with one
-    comparison: x - x is 0.0 for a finite double x and nan otherwise."""
-    prologue, body, (val, d1, d2) = expr_mod.float_body(node)
-    head = (["t = th % TWO_PI"] if periodic else
-            ["if not lo < th < hi:", "    raise DomainError('theta outside the potential domain')",
-             "t = th"])
-    lines = [*head, "try:", *(f"    {s}" for s in body or ["pass"]),
-             "except (ZeroDivisionError, OverflowError) as err:",
-             "    raise DomainError(f'potential singular: {err}') from err",
-             f"if ({val} - {val}) + ({d1} - {d1}) + ({d2} - {d2}) != 0.0:",
-             "    raise DomainError('potential evaluation produced a non-finite value')"]
-    return prologue, lines, val, d1
-
-
 def compile_potential(spec: PotentialSpec) -> Potential:
     """Compile the evaluators of V for a validated spec, which must bind
     exactly the free parameters of its source."""
@@ -337,9 +281,9 @@ def compile_potential(spec: PotentialSpec) -> Potential:
         raise SpecError(f"params.{extra[0]}: not a parameter of {what}")
     if any(spec.params[p] <= 0.0 for p in info.positive):
         raise DomainError(f"{spec.builtin}: {', '.join(info.positive)} must be positive")
-    try:
-        evaluators = expr_mod.compile_node(node, dict(spec.params))
+    domain = info.domain if spec.domain is None else Domain(*spec.domain)
+    try:  # the prologue's theta-free subtrees, checked once here
+        evaluators = expr_mod.compile_node(node, dict(spec.params), domain)
     except (ZeroDivisionError, OverflowError) as err:
         raise DomainError(f"potential singular: {err}") from err
-    domain = info.domain if spec.domain is None else Domain(*spec.domain)
     return Potential(info.beta, domain, node, evaluators, spec)

@@ -143,10 +143,17 @@ def _rms(xs, scale) -> float:
     return math.sqrt(sum((x / s) * (x / s) for x, s in zip(xs, scale)) / len(scale))
 
 
+def _h_min(t: float, t1: float) -> float:
+    """The smallest step ``solve`` takes at t on its way to t1."""
+    return 16.0 * _EPS * max(abs(t), abs(t1), 1.0)
+
+
 def _initial_step(f, t0, y0, f0, t1, rtol, atol):
     scale = [atol + rtol * abs(x) for x in y0]
     d0, d1 = _rms(y0, scale), _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:  # d1 overflowed: start from the smallest step
+        return _h_min(t0, t1)
     direction = math.copysign(1.0, t1 - t0)
     h0 = min(h0, abs(t1 - t0), _MAX_STEP)
     try:
@@ -182,8 +189,14 @@ def solve(
     the adjusted state, which the next step takes as its first stage, so
     FSAL survives it.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"integration span must be finite, got [{t0}, {t1}]")
     if t0 == t1:
         raise ValueError("empty integration span")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be positive and finite, got {rtol}, {atol}")
+    if first_step is not None and not math.isfinite(first_step):
+        raise ValueError(f"first_step must be finite, got {first_step}")
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise LeftDomainError("initial state is not integrable: non-finite component")
@@ -209,7 +222,7 @@ def solve(
             return RawSolution(np.array(ts), np.array(ys), np.array(fs), early, 0, 0)
 
     while reason is None:
-        h_min = 16.0 * _EPS * max(abs(t), abs(t1), 1.0)
+        h_min = _h_min(t, t1)
         if abs(t1 - t) <= h_min:
             reason = "span_end"
             break

@@ -8,7 +8,6 @@ import pytest
 from mcgehee.certify import (
     _ARC_GRID,
     CertifyOptions,
-    _arc,
     _arcs,
     _candidate_triples,
     _zeroin,
@@ -221,7 +220,8 @@ def test_arc_check_reads_the_256_point_grid():
         for a, b in arcs:
             grid = np.linspace(a, b, 258)
             assert np.array_equal(np.linspace(a, b, _ARC_GRID)[::4], grid)
-            assert _arc(pot, a, b)[2] == float(np.min(np.abs(pot.V(grid[1:-1]).d1)))
+            d1 = pot.V(np.linspace(a, b, _ARC_GRID)).d1[4:-1:4]
+            assert float(np.min(np.abs(d1))) == float(np.min(np.abs(pot.V(grid[1:-1]).d1)))
 
 
 def test_batched_arcs_match_each_arc_bit_for_bit(monkeypatch):
@@ -259,7 +259,9 @@ def test_batched_arcs_match_each_arc_bit_for_bit(monkeypatch):
         assert list(rows) == list(ends)
         for i, (a, b) in enumerate(ends.values()):
             assert np.array_equal(grid[i], np.linspace(a, b, _ARC_GRID))
-            assert bits(rows[a, b]) == bits(_arc(pot, a, b))
+            jet = raw_V(pot, np.linspace(a, b, _ARC_GRID))
+            alone = (np.max(jet.val), np.min(jet.val), np.min(np.abs(jet.d1[4:-1:4])))
+            assert bits(rows[a, b]) == bits(map(float, alone))
 
 
 def test_a_failing_arc_drops_the_triples_that_read_it(monkeypatch):

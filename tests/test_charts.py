@@ -9,6 +9,7 @@ import pathlib
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from mcgehee import cli, flow, rk
@@ -180,9 +181,7 @@ def test_an_overflowing_exp_in_the_full_chart_rejects_the_step():
         with pytest.raises(OverflowError):
             rk._step(6)(f, 0.0, y0, f(0.0, y0), 30.0, 1e-12, 1e-10)
     # approached by small steps, the stage sums of t overflow first; the run
-    # ends on the domain, as the old composition's did, bit for bit.  The
-    # first step is given: solve's own estimate divides by zero when dt/dtau
-    # is this large
+    # ends on the domain, as the old composition's did, bit for bit
     y0 = (465.0, 0.0, 4.0, 0.0, 0.0, 0.0)
     sol = rk.solve(charts.full, 0.0, y0, 5.0, first_step=1e-3)
     assert sol.reason == "left_domain" and sol.n_accepted > 0 and sol.n_rejected > 0
@@ -201,6 +200,41 @@ def test_flow_rejects_a_stage_whose_second_derivative_is_not_finite():
                      (charts.full, (0.0, 0.0, 0.1, 0.2, 0.0, 0.0))):
         with pytest.raises(DomainError, match="non-finite"):
             chart(0.0, y)
+
+
+# (spec, angle, message of the float evaluators, message of the array one).
+# At pi, math.exp overflows with an error where numpy's exp returns inf; at
+# 1.88 V is finite and V' overflows to inf in a product, in both flavours
+BAD_INPUTS = [
+    ({"builtin": "isosceles", "params": {"alpha": 1.0}}, 2.0,
+     "theta outside the potential domain", "theta outside the potential domain"),
+    ({"expr": "1/(theta - 1) - 3", "beta": -1.0}, 1.0,
+     "potential singular: jet division by zero", "potential singular: jet division by zero"),
+    ({"expr": "exp(exp(exp(theta)))", "beta": -1.0}, math.pi,
+     "potential singular: math range error", "potential evaluation produced a non-finite value"),
+    ({"expr": "exp(exp(exp(theta)))", "beta": -1.0}, 1.88,
+     "potential evaluation produced a non-finite value",
+     "potential evaluation produced a non-finite value"),
+]
+EVALUATORS = {
+    "V_float": lambda pot, th: pot.V_float(th),
+    "V_array": lambda pot, th: pot.V(np.array([0.5, th])),
+    "manifold": lambda pot, th: flow._charts(pot).manifold(0.0, (th, 0.1, 0.2)),
+    "full": lambda pot, th: flow._charts(pot).full(0.0, (0.0, th, 0.1, 0.2, 0.0, 0.0)),
+    "project": lambda pot, th: flow._charts(pot).project(0.0, (th, 0.1, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@pytest.mark.parametrize("spec, theta, float_message, array_message", BAD_INPUTS,
+                         ids=["outside", "pole", "exp-overflow", "d1-overflow"])
+def test_every_evaluator_of_V_keeps_its_rules(spec, theta, float_message, array_message, name):
+    # the scalar closure, the array closure and the three charts run one
+    # emitted text of V's rules, so they fail alike
+    pot = potential(spec)
+    with pytest.raises(DomainError) as info:
+        EVALUATORS[name](pot, theta)
+    assert str(info.value) == (array_message if name == "V_array" else float_message)
 
 
 def test_potentials_that_differ_in_parameters_share_one_compiled_chart():

@@ -71,6 +71,38 @@ def test_domain_problems_exit_two(capsys):
     assert rc == 2
 
 
+SIMULATE = ("simulate", "--builtin", "yoshida_g", "--set", "epsilon=4", "--init", "1,0.3,1,1")
+MANIFOLD = ("manifold", "--builtin", "yoshida_g", "--set", "epsilon=4")
+
+
+@pytest.mark.parametrize("argv", [
+    (*SIMULATE, "--tau-span", "0:nan"), (*SIMULATE, "--tau-span", "nan:5"),
+    (*SIMULATE, "--tau-span", "0:inf"), (*SIMULATE, "--tau-span=0:-inf"),
+    (*SIMULATE, "--tau-span", "0:5", "--rtol", "inf"),
+    (*SIMULATE, "--tau-span", "0:5", "--atol", "nan"),
+    (*SIMULATE, "--tau-span", "0:0"), (*SIMULATE, "--tau-span", "5:5"),
+    ("simulate", "--builtin", "yoshida_g", "--set", "epsilon=4", "--init", "1,nan,1,1",
+     "--tau-span", "0:5"),
+    (*MANIFOLD, "--from=nan"), (*MANIFOLD, "--from", "0", "--max-tau", "inf"),
+    (*MANIFOLD, "--from", "0", "--offset", "inf"),
+    ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range=0:inf"),
+    ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range=1:20",
+     "--thresh-tol", "inf"),
+    ("certify", "--builtin", "isosceles", "--set", "alpha=1", "--strictness-tol", "inf"),
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_finite_and_empty_flag_values_are_usage_errors(argv, capsys):
+    rc, out, err = call(capsys, *argv)
+    assert (rc, out) == (1, "") and err.startswith("error: --")
+
+
+def test_a_start_whose_first_derivative_overflows_ends_on_the_domain(capsys):
+    # dt/dtau = r^1.5 overflows the tolerance scale of the first step
+    rc, _, err = call(capsys, "simulate", "--builtin", "isosceles", "--set", "alpha=1",
+                      "--init", "1e205,0.0,4.0,0.0", "--tau-span", "0:5")
+    assert (rc, err) == (2, "error: LeftDomainError: no progress from t=0.0: "
+                            "state leaves the domain\n")
+
+
 def test_help_exits_zero_and_lists_subcommands(capsys):
     rc, out, _ = call(capsys, "--help")
     assert rc == 0

@@ -5,10 +5,14 @@ import pytest
 from mcgehee import expr
 from mcgehee.errors import ParseError, UnboundParameterError, UnknownFunctionError
 from mcgehee.expr import BinOp, Call, Neg, Num, Pow, Theta, parse
+from mcgehee.potentials import Domain
+
+# an unbounded interval leaves the angle as it is
+UNBOUNDED = Domain(-math.inf, math.inf)
 
 
 def evaluate(text, theta=0.0, params=None):
-    scalar, _ = expr.compile_node(parse(text), params or {})
+    scalar, _ = expr.compile_node(parse(text), params or {}, UNBOUNDED)
     return scalar(theta)[0]
 
 
@@ -65,9 +69,9 @@ def test_parameter_in_exponent():
 def test_parameter_exponent_compiles_once():
     node = parse("cos(theta)^k + m^k")
     for k in (2.0, 0.5, 0.0, -3.0):
-        expr.compile_node(node, {"k": k, "m": 1.5})
+        expr.compile_node(node, {"k": k, "m": 1.5}, UNBOUNDED)
     hits = expr._compiled.cache_info().hits
-    expr.compile_node(node, {"k": 1.0, "m": 1.5})
+    expr.compile_node(node, {"k": 1.0, "m": 1.5}, UNBOUNDED)
     assert expr._compiled.cache_info().hits == hits + 1
 
 
@@ -115,6 +119,6 @@ def test_bad_character():
 
 def test_unbound_parameter_at_compile():
     with pytest.raises(UnboundParameterError):
-        expr.compile_node(parse("a*theta"), {})
+        expr.compile_node(parse("a*theta"), {}, UNBOUNDED)
     with pytest.raises(UnboundParameterError, match=r"^expression needs parameter\(s\): a, b$"):
-        expr.compile_node(parse("b*theta + a*c"), {"c": 1.0})
+        expr.compile_node(parse("b*theta + a*c"), {"c": 1.0}, UNBOUNDED)

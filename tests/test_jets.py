@@ -15,13 +15,17 @@ import pytest
 
 from mcgehee.errors import DomainError
 from mcgehee.expr import _source, compile_node, parse
-from mcgehee.potentials import BUILTINS
+from mcgehee.potentials import BUILTINS, Domain
 
 from conftest import fd2
 
 
+# an unbounded interval leaves the angle as it is
+UNBOUNDED = Domain(-math.inf, math.inf)
+
+
 def evaluators(text, **params):
-    return compile_node(parse(text), params)
+    return compile_node(parse(text), params, UNBOUNDED)
 
 
 def jet(text, theta, **params):
@@ -183,7 +187,9 @@ def test_theta_free_components_broadcast_over_arrays():
 
 # ----------------------------------------------------------------- errors
 def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
+    # the closure raises DomainError; the prologue's ZeroDivisionError at
+    # bind time is turned into DomainError by compile_potential
+    with pytest.raises(DomainError, match="potential singular: jet division by zero"):
         jet("1 / (theta - 1)", 1.0)
     with pytest.raises(ZeroDivisionError):
         evaluators("theta / (a - 1)", a=1.0)
@@ -269,14 +275,14 @@ def test_integer_power_products_match_pow(n):
 def test_builtin_closures_agree_on_the_circle(name, params):
     # the float and the array code of each builtin agree within 2 ulps on
     # every component, over the whole circle (isosceles past its poles)
-    scalar, array = compile_node(parse(BUILTINS[name].source), params)
+    scalar, array = compile_node(parse(BUILTINS[name].source), params, UNBOUNDED)
     grid = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
     rows = np.array([scalar(float(t)) for t in grid]).T
     for got, want in zip(array(grid), rows):
         assert _ulps(got, want).max() <= 2.0
 
 
-# ops of each builtin's float body, assignments and domain checks
+# ops of each builtin's float body inside its try, assignments and domain checks
 BODY_OPS = {"isosceles": 53, "yoshida_g": 15, "yoshida_h": 15}
 
 
@@ -285,10 +291,10 @@ def test_builtin_bodies_stay_lean(name):
     # the op count of each float body is pinned, and none has an integer
     # power written with **, a product with a literal 0.0, or the same
     # product or sum twice with its operands swapped
-    source = _source(parse(BUILTINS[name].source))
-    body = source[source.index("def scalar(t):"):source.index("def array(t):")]
-    lines = [line.strip() for line in body.splitlines()[1:]
-             if line.strip() and not line.strip().startswith("return")]
+    source = _source(parse(BUILTINS[name].source), BUILTINS[name].domain.periodic)
+    scalar = source[source.index("def scalar(t):"):source.index("def array(t):")]
+    body = scalar[scalar.index("try:\n") + 5:scalar.index("except (")]
+    lines = [line.strip() for line in body.splitlines() if line.strip()]
     assert len(lines) == BODY_OPS[name]
     assert not re.search(r"\*\* \(?-?\d+\.0\)?(?![\d.e])", body)
     assert not re.search(r"(^|[^\w.])0\.0 \*|\* \(?-?0\.0\)?(?![\d.e])", body)

@@ -204,3 +204,26 @@ def test_float_path_returns_the_jet_of_V(spec):
     if not pot.domain.periodic:
         with pytest.raises(DomainError):
             pot.V_float(math.pi / 2)
+
+
+@pytest.mark.parametrize("t0, t1, tols", [
+    (0.0, math.nan, {}), (math.nan, 5.0, {}), (0.0, math.inf, {}), (-math.inf, 0.0, {}),
+    (0.0, 5.0, {"rtol": math.inf}), (0.0, 5.0, {"rtol": math.nan}), (0.0, 5.0, {"rtol": 0.0}),
+    (0.0, 5.0, {"atol": math.inf}), (0.0, 5.0, {"atol": -1e-12}),
+    (0.0, 5.0, {"first_step": math.nan}),
+])
+def test_solve_rejects_a_span_or_tolerance_it_cannot_finish(t0, t1, tols):
+    with pytest.raises(ValueError):
+        rk.solve(decay, t0, (1.0,), t1, **tols)
+
+
+def test_an_overflowing_first_derivative_starts_from_the_smallest_step():
+    # f0 over its tolerance scale overflows the RMS to inf, so the estimate
+    # 0.01*d0/d1 is 0; solve starts from its smallest step instead of
+    # dividing by it, and grows the step from there
+    def steep(t, y):
+        return (1e300,)
+
+    assert rk._initial_step(steep, 0.0, (1.0,), (1e300,), 5.0, 1e-10, 1e-12) == rk._h_min(0.0, 5.0)
+    sol = rk.solve(steep, 0.0, (1.0,), 5.0)
+    assert sol.reason == "span_end" and sol.ts[1] == rk._h_min(0.0, 5.0)
