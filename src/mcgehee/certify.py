@@ -34,6 +34,7 @@ import numpy as np
 
 from .critical import CriticalPoint, critical_jet, find_critical_points
 from .errors import DomainViolationError, McGeheeError, UnboundParameterError
+from .expr import shared_tables
 from .potentials import TWO_PI, Jet2, Potential, PotentialSpec, compile_potential
 
 __all__ = [
@@ -447,6 +448,13 @@ def sweep_threshold(
     to a bracket at most ``thresh_tol`` wide whose ends are both evaluated.
     Samples that fail to certify at all are recorded and excluded from
     bracketing; a failure inside a bracket stops its refinement there.
+
+    The samples and the Brent steps run in one ``expr.shared_tables``
+    scope: the members of the family evaluate V on the same scan grid,
+    and on the same arc grids where the critical angles do not move with
+    the parameter, so the parameter-free part of V is computed once per
+    grid.  The scope ends with the sweep, and the results are bit for bit
+    those of certifying each member on its own.
     """
     if spec.params is None or param not in spec.params:
         raise UnboundParameterError(f"'{param}' is not a parameter of the potential")
@@ -454,29 +462,30 @@ def sweep_threshold(
         raise DomainViolationError(f"empty sweep range [{lo}, {hi}]")
 
     values = np.linspace(lo, hi, grid_m)
-    conclusions, margins = [], []
-    for v in values:
-        try:
-            cert = _certify_at(spec, param, float(v), opts)
-            conclusions.append(cert.conclusion)
-            margins.append(cert.decision_margin)
-        except McGeheeError as err:
-            conclusions.append(f"error:{type(err).__name__}")
-            margins.append(math.nan)
+    with shared_tables():
+        conclusions, margins = [], []
+        for v in values:
+            try:
+                cert = _certify_at(spec, param, float(v), opts)
+                conclusions.append(cert.conclusion)
+                margins.append(cert.decision_margin)
+            except McGeheeError as err:
+                conclusions.append(f"error:{type(err).__name__}")
+                margins.append(math.nan)
 
-    def margin(value: float) -> float:
-        return _certify_at(spec, param, value, opts).decision_margin
+        def margin(value: float) -> float:
+            return _certify_at(spec, param, value, opts).decision_margin
 
-    thresholds: list[float] = []
-    widths: list[float] = []
-    for i in range(grid_m - 1):
-        ca, cb = conclusions[i], conclusions[i + 1]
-        if ca.startswith("error") or cb.startswith("error") or ca == cb:
-            continue
-        a, b = _zeroin(margin, float(values[i]), margins[i],
-                       float(values[i + 1]), margins[i + 1], thresh_tol)
-        thresholds.append(0.5 * (a + b))
-        widths.append(b - a)
+        thresholds: list[float] = []
+        widths: list[float] = []
+        for i in range(grid_m - 1):
+            ca, cb = conclusions[i], conclusions[i + 1]
+            if ca.startswith("error") or cb.startswith("error") or ca == cb:
+                continue
+            a, b = _zeroin(margin, float(values[i]), margins[i],
+                           float(values[i + 1]), margins[i + 1], thresh_tol)
+            thresholds.append(0.5 * (a + b))
+            widths.append(b - a)
     return SweepResult(
         param=param,
         values=tuple(float(v) for v in values),

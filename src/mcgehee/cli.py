@@ -197,6 +197,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid_m < 2:
         raise _UsageError("--grid-m: need at least 2 samples")
     lo, hi = _parse_pair(args.range, "--range")
+    if not lo < hi:
+        raise _UsageError(f"--range: need LO < HI, got {args.range!r}")
     spec = _build_spec(args).with_params(**{args.param: 0.5 * (lo + hi)})
     compile_potential(spec)
     res = sweep_threshold(

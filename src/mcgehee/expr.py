@@ -13,10 +13,13 @@ named parameter that must be bound before evaluation.  Function calls are
 restricted to the names in :data:`FUNCTIONS`.  Exponents may be arbitrary
 subexpressions as long as they do not depend on ``theta``.  :func:`parse` is
 cached per source and :func:`free_parameters` per tree, so a builtin's source
-or a sweep's expression is parsed once per process.
+or a sweep's expression is parsed once per process, and each node keeps its
+hash, so a repeat compile hashes no tree.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import operator
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameterError, UnknownFunctionError
 
-__all__ = ["parse", "free_parameters", "compile_node", "FUNCTIONS"]
+__all__ = ["parse", "free_parameters", "compile_node", "shared_tables", "FUNCTIONS"]
 
 # names callable in an expression; each has a rule in ``_Emitter.call``
 FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
@@ -38,37 +41,60 @@ TWO_PI = 2.0 * math.pi
 
 
 # ------------------------------------------------------------------- AST
+def _hash_once(cls):
+    """``cls`` with each node's hash kept on it after the first call: a tree
+    is immutable, and the caches keyed on one look it up on every compile,
+    which would otherwise hash the whole tree each time."""
+    tree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = tree_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Num:
     value: float
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pi:
     pass
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Theta:
     pass
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Param:
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: "Node"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Neg:
     child: "Node"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BinOp:
     op: str  # one of + - * /
@@ -76,6 +102,7 @@ class BinOp:
     right: "Node"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pow:
     base: "Node"
@@ -229,7 +256,19 @@ def free_parameters(node: Node) -> frozenset[str]:
 # ``array(t)`` on float arrays through ``np``: straight lines of assignments
 # returning (V, V', V''), each under V's rules of evaluation (the domain,
 # and every failure as DomainError: ``_Emitter.checked``), which the flow's
-# charts inline too (``float_body``).  Theta enters as (t, 1, 0) and a
+# charts inline too (``float_body``).
+#
+# So the code has three parts.  The prologue runs once per binding.  For a
+# source with parameters, the array flavour's ``% TWO_PI`` and every
+# assignment and check that reads no prologue name form a module-level
+# ``table(t)``, once per source: it depends on the angles alone, so inside
+# ``shared_tables`` the potentials of a sweep compute it once per grid
+# (``tables``).  The parameter part is the rest of ``array``: the interval
+# test, the table unpacked, the body that reads the prologue, and the
+# non-finite test.  The table's checks now run before the parameter part's,
+# so where two rules fail on one array, the table's is the one raised.  A
+# source without parameters has no table: its array closure would compute
+# it once per call anyway.  Theta enters as (t, 1, 0) and a
 # theta-free value c as (c, 0, 0); the rules are second-order forward
 # differentiation by source transformation (Griewank & Walther, *Evaluating
 # Derivatives*, 2008):
@@ -310,7 +349,8 @@ class _Emitter:
         self.names: dict[str, str] = {}     # prologue text -> name
 
     def start(self, xp: str) -> None:
-        self.xp, self.body, self.body_names = xp, [], {}
+        # the body's names and checks, and which of them read no prologue name
+        self.xp, self.body, self.body_names, self.fixed = xp, [], {}, {"t"}
 
     @staticmethod
     def varies(*atoms) -> bool:
@@ -323,8 +363,12 @@ class _Emitter:
             names[text] = name = f"{'v' if body else 'k'}{len(names)}"
             stmt = f"{name} = {text}" if assign else text
             if body:
-                self.body.append((name if assign else None, stmt,
-                                  {a for a in atoms if self.varies(a)}))
+                reads = {a for a in atoms if self.varies(a)}
+                fixed = reads <= self.fixed and not any(
+                    isinstance(a, str) and a[0] == "k" for a in atoms)
+                if fixed and assign:
+                    self.fixed.add(name)
+                self.body.append((name if assign else None, stmt, reads, fixed))
             else:
                 self.prologue.append(stmt)
         return names[text]
@@ -348,7 +392,7 @@ class _Emitter:
             test = f"({test}).any()"
         if when is not None:
             test = f"{when} and {test}"
-        self._place(f"if {test}: raise {error.__name__}(f{message!r})", (x,), assign=False)
+        self._place(f"if {test}: raise {error.__name__}(f{message!r})", (x, when), assign=False)
 
     def zero(self, x, other) -> bool:
         """Whether x is a literal zero to fold against ``other``, a function
@@ -515,12 +559,12 @@ class _Emitter:
         d1 = self.div(self.sub(a1, mul(v, b1)), b0)
         return v, d1, self.div(self.sub(self.sub(a2, mul(mul(2.0, d1), b1)), mul(v, b2)), b0)
 
-    def lines(self, result) -> list[str]:
-        """The body since ``start`` that ``result`` reads: the assignments
-        nothing reads are dropped, and the array flavour deletes temporaries
-        after use."""
+    def lines(self, result, entries=None) -> list[str]:
+        """The body since ``start``, or its ``entries``, that ``result``
+        reads: the assignments nothing reads are dropped, and the array
+        flavour deletes temporaries after use."""
         live, lines = {"t", *result}, []
-        for target, stmt, reads in reversed(self.body):
+        for target, stmt, reads, _ in reversed(self.body if entries is None else entries):
             if target is not None and target not in live:
                 continue
             if self.xp == "np" and reads - live:
@@ -529,16 +573,40 @@ class _Emitter:
             live |= reads
         return lines[::-1]
 
-    def checked(self, result, periodic: bool) -> list[str]:
+    def table(self, result, periodic: bool) -> tuple[list[str], list[str] | None]:
+        """The body split in two: the module-level ``table(t)``, the
+        reduction and every assignment and check that reads no prologue
+        name, returning what the rest reads of it; and the lines of the
+        rest, which start by unpacking that.  ``([], None)`` when the rest
+        reads nothing of the table."""
+        rest = [e for e in self.body if not e[3]]
+        read = set(result)
+        for target, _, reads, _ in reversed(rest):
+            if target is None or target in read:
+                read |= reads
+        made = (["t"] if periodic else []) + [e[0] for e in self.body if e[3] and e[0]]
+        out = [n for n in made if n in read]
+        if not out:
+            return [], None
+        head = ["t = t % TWO_PI"] if periodic else []
+        lines = head + self.lines(out, [e for e in self.body if e[3]])
+        unpack = f"{', '.join(out)},"
+        return (["def table(t):", *(f"    {s}" for s in lines), f"    return {unpack}",
+                 "tables = _shared(table)"],
+                [f"{unpack} = tables(t)", *self.lines(result, rest)])
+
+    def checked(self, result, periodic: bool, body=None) -> list[str]:
         """The body returning ``result`` under V's rules: the angle ``t``
         reduced on a periodic domain, else tested against ``(lo, hi)``; a
         ZeroDivisionError or OverflowError of the body, and a non-finite
         result, raised as DomainError.  x - x is 0.0 for a finite double x
         and nan otherwise, so one comparison tests all float components; an
-        array is tested per component, as a sum of large ones can overflow."""
+        array is tested per component, as a sum of large ones can overflow.
+        A ``body`` from ``table`` replaces the body, and the reduction is the
+        table's."""
         array = self.xp == "np"
         if periodic:
-            head = ["t = t % TWO_PI"]
+            head = ["t = t % TWO_PI"] if body is None else []
         else:
             inside = "((lo < t) & (t < hi)).all()" if array else "lo < t < hi"
             head = [f"if not {inside}:",
@@ -548,16 +616,17 @@ class _Emitter:
             finite = f"not ({' and '.join(f'np.isfinite({x}).all()' for x in tested)})"
         else:
             finite = " + ".join(f"({x} - {x})" for x in tested) + " != 0.0"
-        return [*head, "try:", *(f"    {s}" for s in self.lines(result) or ["pass"]),
+        body = self.lines(result) if body is None else body
+        return [*head, "try:", *(f"    {s}" for s in body or ["pass"]),
                 "except (ZeroDivisionError, OverflowError) as err:",
                 "    raise DomainError(f'potential singular: {err}') from err",
                 *([f"if {finite}:", "    raise DomainError("
                    "'potential evaluation produced a non-finite value')"] if tested else [])]
 
-    def closure(self, name: str, result, periodic: bool) -> list[str]:
+    def closure(self, name: str, result, periodic: bool, body=None) -> list[str]:
         """The checked body returning ``result`` as a closure; the array
         closure broadcasts theta-free components."""
-        body = self.checked(result, periodic)
+        body = self.checked(result, periodic, body)
         if self.xp == "np":
             result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
         return [f"    def {name}(t):", *(f"        {s}" for s in body),
@@ -569,20 +638,67 @@ class _Emitter:
         return result if isinstance(result, tuple) else (result, 0.0, 0.0)
 
 
+# inside ``shared_tables``: per ``table`` function, its results by the key of
+# their angles, least recently used first
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("tables", default=None)
+# results kept per table, and the fewest angles a kept one has: the scan
+# grid and the arc grids on both sides of a threshold Brent brackets, while
+# Newton's iterates, one angle per bracket, are computed and never kept
+_SHARED_TABLES = 3
+_SHARED_MIN_POINTS = 1024
+
+
+@contextlib.contextmanager
+def shared_tables():
+    """A scope in which the array evaluators of every source with parameters
+    compute the table of a grid once: ``table(t)`` depends on the angles
+    alone, so potentials that differ only in their parameters share it.
+    Results are kept per table, keyed by the exact bytes of ``t``, and
+    handed out read-only; all are dropped when the scope ends."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _shared(table: Callable) -> Callable:
+    """``table`` through the LRU of the current ``shared_tables`` scope,
+    if any; a hit moves to the back."""
+    def tables(t):
+        kept = _SHARED.get()
+        if kept is None or t.size < _SHARED_MIN_POINTS:
+            return table(t)
+        lru = kept.setdefault(table, {})
+        key = (t.dtype.str, t.shape, t.tobytes())
+        out = lru.pop(key, None)
+        if out is None:
+            out = table(t)
+            for a in out:
+                a.flags.writeable = False
+            if len(lru) >= _SHARED_TABLES:
+                del lru[next(iter(lru))]
+        lru[key] = out
+        return out
+    return tables
+
+
 def namespace() -> dict:
     """The globals every emitted source runs in."""
     return {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow,
-            "TWO_PI": TWO_PI}
+            "TWO_PI": TWO_PI, "_shared": _shared}
 
 
 def _source(node: Node, periodic: bool) -> str:
     em = _Emitter()
-    closures = []
-    for name, xp in (("scalar", "math"), ("array", "np")):
-        em.start(xp)
-        closures += em.closure(name, em.triple(node), periodic)
-    return "\n".join(["def bind(p, lo, hi):", *(f"    {s}" for s in em.prologue), *closures,
-                      "    return scalar, array", ""])
+    em.start("math")
+    closures = em.closure("scalar", em.triple(node), periodic)
+    em.start("np")
+    result = em.triple(node)
+    table, body = em.table(result, periodic) if free_parameters(node) else ([], None)
+    closures += em.closure("array", result, periodic, body)
+    return "\n".join([*table, "def bind(p, lo, hi):", *(f"    {s}" for s in em.prologue),
+                      *closures, "    return scalar, array", ""])
 
 
 def float_body(node: Node, periodic: bool) -> tuple[list[str], list[str], tuple[str, str, str]]:

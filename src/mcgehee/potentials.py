@@ -233,7 +233,9 @@ class Potential:
     # -------------------------------------------------------------- evaluation
     def V(self, theta) -> Jet2:
         """V, V', V'' at theta (scalar or array).  Raises DomainError rather
-        than ever returning a non-finite component."""
+        than ever returning a non-finite component.  Inside
+        ``expr.shared_tables`` an array component may be a read-only array
+        shared with other calls."""
         if not isinstance(theta, np.ndarray):
             return Jet2(*self.V_float(float(theta)))
         with np.errstate(all="ignore"):

@@ -86,6 +86,8 @@ MANIFOLD = ("manifold", "--builtin", "yoshida_g", "--set", "epsilon=4")
     (*MANIFOLD, "--from=nan"), (*MANIFOLD, "--from", "0", "--max-tau", "inf"),
     (*MANIFOLD, "--from", "0", "--offset", "inf"),
     ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range=0:inf"),
+    ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range", "5:5"),
+    ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range", "5:1"),
     ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range=1:20",
      "--thresh-tol", "inf"),
     ("certify", "--builtin", "isosceles", "--set", "alpha=1", "--strictness-tol", "inf"),

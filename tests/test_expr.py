@@ -5,7 +5,7 @@ import pytest
 from mcgehee import expr
 from mcgehee.errors import ParseError, UnboundParameterError, UnknownFunctionError
 from mcgehee.expr import BinOp, Call, Neg, Num, Pow, Theta, parse
-from mcgehee.potentials import Domain
+from mcgehee.potentials import Domain, PotentialSpec, compile_potential
 
 # an unbounded interval leaves the angle as it is
 UNBOUNDED = Domain(-math.inf, math.inf)
@@ -73,6 +73,21 @@ def test_parameter_exponent_compiles_once():
     hits = expr._compiled.cache_info().hits
     expr.compile_node(node, {"k": 1.0, "m": 1.5}, UNBOUNDED)
     assert expr._compiled.cache_info().hits == hits + 1
+
+
+def test_a_repeat_compile_hashes_no_tree(monkeypatch):
+    spec = PotentialSpec(-1.0, expr="a*cos(theta) + sin(2*theta)^3 - 0.5", params={"a": 1.0})
+    compile_potential(spec)
+    root, hashed = parse(spec.expr), []
+    for cls in (expr.Num, expr.Pi, expr.Theta, expr.Param, expr.Call, expr.Neg, expr.BinOp,
+                expr.Pow):
+        monkeypatch.setattr(cls, "__hash__", lambda node, h=cls.__hash__: hashed.append(node)
+                            or h(node))
+    hits = expr._compiled.cache_info().hits
+    compile_potential(spec.with_params(a=2.0))
+    assert expr._compiled.cache_info().hits == hits + 1
+    # the caches look the root up, whose hash is kept: no child is hashed
+    assert hashed and all(node is root for node in hashed)
 
 
 def test_parameter_names_bind_as_numbers():
