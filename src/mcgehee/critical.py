@@ -1,8 +1,10 @@
 """Critical points of the shape potential V on its angular domain.
 
-The scan evaluates V' on a uniform grid, brackets each sign change between
-neighbouring nodes, and runs a bracketed Newton iteration on V' from the
-secant point of every bracket at once.  Each limit must pass
+The scan evaluates V' in one array call on a uniform grid, brackets each
+sign change between neighbouring nodes (on the circle, the last node with
+the first, one turn on), and runs a bracketed Newton iteration on V' from
+the secant point of each bracket in turn, on floats: its evaluations are
+scalar calls of V, one angle each.  Each limit must pass
 ``critical_jet``, the one criticality test: a bracket whose limit leaves
 |V'| large against its median on the grid straddles a pole, not a zero,
 and is dropped.  Only transversal zeros are found: a zero that V'
@@ -15,6 +17,7 @@ subcommands that list critical angles all read the same scan.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,18 +91,18 @@ def critical_jet(pot: Potential, theta: float) -> tuple[float, Jet2]:
     return t, jet
 
 
-def _residual_tol(pot: Potential, d1: np.ndarray | None = None) -> float:
+def _residual_tol(pot: Potential, size: np.ndarray | None = None) -> float:
     """The largest |V'| at a critical point of ``pot``: ``CRIT_RESIDUAL_RTOL``
     times the median |V'| on the scan grid, the upper of the middle pair
     (``np.median`` grows the process by about 2 MB on its first call).  The
     bound scales with V, a pole on a few nodes does not move it, and |V'| at
     a bracket converged onto a pole exceeds it by many orders.  Stored on
-    the potential; ``d1`` is V' on the scan grid, when the caller has it."""
+    the potential; ``size`` is |V'| on the scan grid, when the caller has it."""
     if pot._residual_tol is None:
-        if d1 is None:
-            d1 = _grid_jet(pot, pot.domain.sample_grid(_SCAN_GRID, _GUARD)).d1
-        mid = d1.size // 2
-        pot._residual_tol = CRIT_RESIDUAL_RTOL * float(np.partition(np.abs(d1), mid)[mid])
+        if size is None:
+            size = np.abs(_grid_jet(pot, pot.domain.sample_grid(_SCAN_GRID, _GUARD)).d1)
+        mid = size.size // 2
+        pot._residual_tol = CRIT_RESIDUAL_RTOL * float(np.partition(size, mid)[mid])
     return pot._residual_tol
 
 
@@ -117,36 +120,37 @@ def _grid_jet(pot: Potential, grid: np.ndarray):
         raise
 
 
-def bracketed_newton(fdf, lo, hi, sign_lo, t0) -> np.ndarray:
-    """Newton's method in many brackets at once: one zero of f per bracket.
+def bracketed_newton(fdf, lo: float, hi: float, sign_lo: float, t: float) -> float:
+    """Newton's method on floats in one bracket: a zero of f in [lo, hi].
 
-    ``fdf(t, i)`` returns the arrays f and f' at the points ``t`` of the
-    brackets numbered ``i``.  f has the sign ``sign_lo`` at ``lo`` and the
-    other sign at ``hi``; the iteration starts from ``t0`` and each
-    evaluation narrows the bracket.  A Newton step that leaves the bracket
-    by more than 4 ulps bisects it instead, and a smaller overshoot is
-    clipped to the bracket, so a zero on an end converges onto that end.
-    A bracket is done at an exact zero or once its step or width is within
-    4 ulps; all stop after 100 iterations.  Returns the last iterates.
+    ``fdf(t)`` returns the floats f and f' at ``t``.  f has the sign
+    ``sign_lo`` (1.0 or -1.0) at ``lo`` and the other sign at ``hi``; the
+    iteration starts from ``t`` and each evaluation narrows the bracket.  A
+    Newton step that leaves the bracket by more than 4 ulps bisects it
+    instead, and a smaller overshoot is clipped to the bracket (as
+    ``np.clip`` does on arrays), so a zero on an end converges onto that
+    end.  The iteration is done at an exact zero or once its step or width
+    is within 4 ulps, and stops after 100 iterations.  Returns the last
+    iterate.
     """
-    lo, hi, t = (np.array(x, dtype=float) for x in (lo, hi, t0))
-    sign_lo = np.broadcast_to(sign_lo, t.shape)
-    todo = np.arange(t.size)
     for _ in range(_NEWTON_ITERATIONS):
-        if not todo.size:
-            break
-        x = t[todo]
-        f, df = fdf(x, todo)
-        left = np.sign(f) == sign_lo[todo]
-        a = lo[todo] = np.where(left, x, lo[todo])
-        b = hi[todo] = np.where(left, hi[todo], x)
-        with np.errstate(all="ignore"):
-            step = x - f / df
-        ulps = _NEWTON_TOL * np.maximum(1.0, np.abs(x))
-        inside = (a - ulps <= step) & (step <= b + ulps)
-        nxt = np.where(f == 0.0, x, np.where(inside, np.clip(step, a, b), 0.5 * (a + b)))
-        t[todo] = nxt
-        todo = todo[(f != 0.0) & (np.abs(nxt - x) > ulps) & (b - a > ulps)]
+        f, df = fdf(t)
+        if f * sign_lo > 0.0:
+            lo = t
+        else:
+            hi = t
+        if f == 0.0:
+            return t
+        step = t - f / df if df != 0.0 else math.nan
+        ulps = _NEWTON_TOL * max(1.0, abs(t))
+        if lo - ulps <= step <= hi + ulps:
+            step = step if step > lo else lo
+            nxt = step if step < hi else hi
+        else:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= ulps or hi - lo <= ulps:
+            return nxt
+        t = nxt
     return t
 
 
@@ -167,28 +171,32 @@ def find_critical_points(pot: Potential) -> list[CriticalPoint]:
 def _scan(pot: Potential) -> list[CriticalPoint]:
     grid = pot.domain.sample_grid(_SCAN_GRID, _GUARD)
     d1 = _grid_jet(pot, grid).d1
+    size = np.abs(d1)
+    peak = float(size.max())
+    if peak < _DEGENERACY_TOL:
+        raise DegeneratePotentialError(f"max |V'| = {peak:.3e} on the scan grid")
+    _residual_tol(pot, size)  # stored for critical_jet, from the grid in hand
 
-    if float(np.max(np.abs(d1))) < _DEGENERACY_TOL:
-        raise DegeneratePotentialError(
-            f"max |V'| = {float(np.max(np.abs(d1))):.3e} on the scan grid"
-        )
-    _residual_tol(pot, d1)  # stored for critical_jet, from the grid in hand
+    sign = np.sign(d1)
+    i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    brackets = list(zip(grid[i].tolist(), grid[i + 1].tolist(),
+                        d1[i].tolist(), d1[i + 1].tolist()))
+    if pot.domain.periodic and sign[-1] * sign[0] < 0.0:
+        # the last node brackets with the first, one turn on
+        brackets.append((float(grid[-1]), float(grid[0]) + TWO_PI,
+                         float(d1[-1]), float(d1[0])))
 
-    on_nodes = grid[d1 == 0.0]
-    if pot.domain.periodic:  # the last node brackets with the first, one turn on
-        grid, d1 = np.append(grid, grid[0] + TWO_PI), np.append(d1, d1[0])
-    i = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0.0)
-    lo, hi = grid[i], grid[i + 1]
-    secant = lo - d1[i] * (hi - lo) / (d1[i + 1] - d1[i])
-
-    def fdf(t, _):
+    def fdf(t):
         jet = pot.V(t)
         return jet.d1, jet.d2
 
-    roots = np.concatenate([on_nodes, bracketed_newton(fdf, lo, hi, np.sign(d1[i]), secant)])
+    roots = grid[d1 == 0.0].tolist()
+    for lo, hi, d_lo, d_hi in brackets:
+        secant = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+        roots.append(bracketed_newton(fdf, lo, hi, 1.0 if d_lo > 0.0 else -1.0, secant))
 
     out = []
-    for theta in np.sort(pot.domain.reduce(roots)):
+    for theta in np.sort(pot.domain.reduce(np.array(roots))):
         try:
             theta, jet = critical_jet(pot, theta)
         except NotCriticalPointError:

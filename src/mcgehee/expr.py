@@ -638,12 +638,11 @@ class _Emitter:
         return result if isinstance(result, tuple) else (result, 0.0, 0.0)
 
 
-# inside ``shared_tables``: per ``table`` function, its results by the key of
-# their angles, least recently used first
+# inside ``shared_tables``: per ``table`` function, its kept results as
+# (angles, table) pairs, least recently used first
 _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("tables", default=None)
 # results kept per table, and the fewest angles a kept one has: the scan
-# grid and the arc grids on both sides of a threshold Brent brackets, while
-# Newton's iterates, one angle per bracket, are computed and never kept
+# grid and the arc grids on both sides of a threshold Brent brackets
 _SHARED_TABLES = 3
 _SHARED_MIN_POINTS = 1024
 
@@ -653,8 +652,10 @@ def shared_tables():
     """A scope in which the array evaluators of every source with parameters
     compute the table of a grid once: ``table(t)`` depends on the angles
     alone, so potentials that differ only in their parameters share it.
-    Results are kept per table, keyed by the exact bytes of ``t``, and
-    handed out read-only; all are dropped when the scope ends."""
+    Results are kept per table with their angles and handed out read-only.
+    A kept result is found for the same array (``Domain.sample_grid`` hands
+    out one per grid), else for an array of the same shape with the same
+    bits, so -0.0 and 0.0 differ; all are dropped when the scope ends."""
     token = _SHARED.set({})
     try:
         yield
@@ -664,21 +665,29 @@ def shared_tables():
 
 def _shared(table: Callable) -> Callable:
     """``table`` through the LRU of the current ``shared_tables`` scope,
-    if any; a hit moves to the back."""
+    if any; a hit moves to the back.  The angles are kept as they are when
+    they are read-only and own their memory, else as a read-only copy, so a
+    later write to the caller's array cannot change a kept key.  Float64
+    angles, as V's array closure passes them."""
     def tables(t):
         kept = _SHARED.get()
         if kept is None or t.size < _SHARED_MIN_POINTS:
             return table(t)
-        lru = kept.setdefault(table, {})
-        key = (t.dtype.str, t.shape, t.tobytes())
-        out = lru.pop(key, None)
-        if out is None:
-            out = table(t)
-            for a in out:
-                a.flags.writeable = False
-            if len(lru) >= _SHARED_TABLES:
-                del lru[next(iter(lru))]
-        lru[key] = out
+        lru = kept.setdefault(table, [])
+        for k, (grid, out) in enumerate(lru):
+            if grid is t or (grid.shape == t.shape
+                             and (grid.view(np.uint64) == t.view(np.uint64)).all()):
+                lru.append(lru.pop(k))
+                return out
+        out = table(t)
+        for a in out:
+            a.flags.writeable = False
+        if t.flags.writeable or not t.flags.owndata:
+            t = t.copy()
+            t.flags.writeable = False
+        if len(lru) >= _SHARED_TABLES:
+            del lru[0]
+        lru.append((t, out))
         return out
     return tables
 

@@ -45,6 +45,7 @@ isosceles 26 of its 53 float-body operations and yoshida_g 10 of 15.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -768,16 +769,43 @@ def sample_at_physical_times(traj: Trajectory, times: Sequence[float]) -> np.nda
     if not inside.all():
         raise ValueError(f"t = {float(t_star[~inside][0])} outside the integrated range")
     # Newton on t(tau) = t_star in each query's bracket of accepted nodes;
-    # the slope dt/dtau = exp((1 - beta/2) log r) is the carried derivative of t
+    # the slope dt/dtau = exp((1 - beta/2) log r) is the carried derivative
+    # of t.  t and log r come from the cubic ``hermite_sample`` picks for
+    # tau, on floats, in its order of operations
+    raw = traj.raw
+    if raw is None:
+        raise ValueError("trajectory carries no dense-output data")
+    direction = 1.0 if raw.ts[-1] >= raw.ts[0] else -1.0
+    s = (direction * raw.ts).tolist()
+    nodes = raw.ts.tolist()
+    t_col, t_rate = raw.ys[:, 4].tolist(), raw.fs[:, 4].tolist()
+    r_col, r_rate = raw.ys[:, 0].tolist(), raw.fs[:, 0].tolist()
+    last = len(nodes) - 2
+    power = 1.0 - traj.pot.beta / 2.0
+
+    def cubic(tau: float) -> tuple[float, float]:
+        k = min(max(bisect.bisect_right(s, direction * tau) - 1, 0), last)
+        t0 = nodes[k]
+        h = nodes[k + 1] - t0
+        x = (tau - t0) / h if h != 0.0 else 0.0
+        u = (1 - x) * (1 - x)
+        h00, h10 = (1 + 2 * x) * u, x * u
+        h01, h11 = x * x * (3 - 2 * x), x * x * (x - 1)
+        return tuple(h00 * y[k] + h10 * h * f[k] + h01 * y[k + 1] + h11 * h * f[k + 1]
+                     for y, f in ((t_col, t_rate), (r_col, r_rate)))
+
     i = np.clip(np.searchsorted(t_sorted, t_star), 1, len(t_sorted) - 1)
-    lo, hi = tau_sorted[i - 1], tau_sorted[i]
+    tau = np.empty(t_star.shape)
+    with np.errstate(over="ignore"):
+        for q, (lo, hi, target) in enumerate(zip(tau_sorted[i - 1].tolist(),
+                                                 tau_sorted[i].tolist(), t_star.tolist())):
+            def fdf(x, target=target):
+                t, log_r = cubic(x)
+                # numpy's exp, as on the rows below: math.exp rounds
+                # differently in the last bit
+                return t - target, float(np.exp(power * log_r))
 
-    def fdf(tau, k):
-        row = traj.sample(tau)
-        with np.errstate(over="ignore"):
-            return row[:, 4] - t_star[k], np.exp((1.0 - traj.pot.beta / 2.0) * row[:, 0])
-
-    tau = bracketed_newton(fdf, lo, hi, -1.0, 0.5 * (lo + hi))
+            tau[q] = bracketed_newton(fdf, lo, hi, -1.0, 0.5 * (lo + hi))
     rows = traj.sample(tau)
     # raw components are (log r, theta, v, w, t, log|z|); undo the logs
     z_sign = math.copysign(1.0, traj.zs[0]) if traj.zs[0] != 0.0 else 0.0

@@ -29,6 +29,7 @@ parsed, checked and compiled alike:
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,10 +73,22 @@ class Domain:
     def sample_grid(self, n: int, guard: float) -> np.ndarray:
         """Uniform scan grid.  Periodic domains cover [lo, hi) without the
         duplicate endpoint; open intervals keep a guard band away from the
-        (typically singular) ends."""
-        if self.periodic:
-            return np.linspace(self.lo, self.hi, n, endpoint=False)
-        return np.linspace(self.lo + guard, self.hi - guard, n)
+        (typically singular) ends.  Each (domain, n, guard) has one grid,
+        built on first use and handed out read-only, so the potentials of a
+        sweep evaluate V on the same array and ``expr.shared_tables`` finds
+        its table by identity."""
+        return _sample_grid(self, n, guard)
+
+
+@functools.lru_cache(maxsize=16)
+def _sample_grid(domain: Domain, n: int, guard: float) -> np.ndarray:
+    if domain.periodic:
+        grid = np.linspace(domain.lo, domain.hi, n, endpoint=False)
+    else:
+        grid = np.linspace(domain.lo + guard, domain.hi - guard, n)
+    grid = grid.copy()   # linspace returns a view; the kept grid owns its memory
+    grid.flags.writeable = False
+    return grid
 
 
 # ------------------------------------------------------------------ builtins

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mcgehee
 from mcgehee.cli import dumps_17, load_spec, run
 from mcgehee.critical import _SCAN_GRID
 from mcgehee.potentials import Potential
@@ -26,6 +30,18 @@ def test_certify_exit_codes_cover_the_verdicts(capsys):
     rc, out, _ = call(capsys, "certify", "--builtin", "isosceles", "--set", "alpha=14")
     assert rc == 3
     assert json.loads(out)["conclusion"] == "Inconclusive"
+
+
+@pytest.mark.parametrize("module", ["mcgehee", "mcgehee.cli"])
+def test_the_command_line_runs_as_a_module(module):
+    src = os.path.dirname(os.path.dirname(mcgehee.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "certify", "--builtin", "isosceles", "--set", "alpha=14"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert json.loads(proc.stdout)["conclusion"] == "Inconclusive"
 
 
 def test_usage_and_io_problems_exit_one(capsys):

@@ -9,7 +9,7 @@ from mcgehee import critical, expr
 from mcgehee.certify import sweep_threshold
 from mcgehee.errors import DomainError
 from mcgehee.expr import parse, shared_tables
-from mcgehee.potentials import BUILTINS, PotentialSpec, compile_potential
+from mcgehee.potentials import BUILTINS, Domain, PotentialSpec, compile_potential
 
 certify = sys.modules["mcgehee.certify"]   # the package exports the function
 
@@ -92,8 +92,8 @@ def test_an_isosceles_sweep_keeps_its_scan_grid_past_newton_and_the_arcs(table_c
     spec = PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 1.0})
     sweep_threshold(spec, "alpha", 1.0, 20.0, grid_m=6, thresh_tol=1e-3)
     assert table_calls.count(critical._SCAN_GRID) == 1
-    # Newton's iterates are computed on every call, never kept
-    assert any(n < expr._SHARED_MIN_POINTS for n in table_calls)
+    # Newton evaluates V on floats: no array too small to keep reaches a table
+    assert table_calls and min(table_calls) >= expr._SHARED_MIN_POINTS
 
 
 def test_a_hit_moves_to_the_back_and_small_grids_are_not_kept():
@@ -113,6 +113,50 @@ def test_a_hit_moves_to_the_back_and_small_grids_are_not_kept():
             tables(np.full(n - 1, -1.0))
     assert calls.count(0.0) == 1
     assert calls.count(-1.0) == 2 * expr._SHARED_TABLES - 1
+
+
+def test_grids_that_differ_in_the_sign_of_a_zero_do_not_share_a_table():
+    calls = []
+
+    def table(t):
+        calls.append(t.copy())
+        return (t + 1.0,)
+
+    tables = expr._shared(table)
+    plus = np.zeros(expr._SHARED_MIN_POINTS)
+    minus = plus.copy()
+    minus[7] = -0.0
+    with shared_tables():
+        tables(plus)
+        tables(minus)
+        tables(plus)
+    assert len(calls) == 2
+    assert np.signbit(calls[1][7]) and not np.signbit(calls[0]).any()
+
+
+def test_a_copy_of_a_kept_grid_with_the_same_bits_shares_its_table(table_calls):
+    pot = compile_potential(PotentialSpec(-1.0, expr="a + cos(theta)", params={"a": -2.0}))
+    grid = pot.domain.sample_grid(critical._SCAN_GRID, critical._GUARD)
+    written = grid.copy()
+    with shared_tables():
+        first = pot.V(written)
+        written[0] = 1.0   # a write after the call does not change the kept key
+        assert pot.V(grid).d1 is first.d1
+        assert pot.V(grid.copy()).d1 is first.d1
+        assert pot.V(written).d1 is not first.d1
+    assert table_calls == [grid.size, grid.size]
+
+
+def test_sample_grid_hands_out_one_read_only_array_per_domain():
+    circle, interval = BUILTINS["yoshida_g"].domain, BUILTINS["isosceles"].domain
+    grid = circle.sample_grid(critical._SCAN_GRID, critical._GUARD)
+    assert grid is Domain.full_circle().sample_grid(critical._SCAN_GRID, critical._GUARD)
+    assert not grid.flags.writeable and grid.flags.owndata
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    other = interval.sample_grid(critical._SCAN_GRID, critical._GUARD)
+    assert other is not grid and other[0] == interval.lo + critical._GUARD
+    assert interval.sample_grid(critical._SCAN_GRID, critical._GUARD) is other
 
 
 def test_arrays_handed_out_by_the_scope_are_read_only():
