@@ -64,7 +64,7 @@ from .errors import (
     OriginSingularityError,
 )
 from .potentials import Potential
-from .rk import ATOL, RTOL, RawSolution, solve
+from .rk import ATOL, DOP853, RTOL, RawSolution, solve
 
 __all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
            "CartesianTrajectory", "SpiralDiagnostics", "to_mcgehee", "from_mcgehee", "energy",
@@ -224,7 +224,16 @@ class Trajectory:
     def sample(self, taus) -> np.ndarray:
         """Dense-output states at requested times, one row per query, in the
         raw component order ((log r, theta, v, w, t, log|z|) for full runs,
-        (theta, v, w) for subsystem runs)."""
+        (theta, v, w) for subsystem runs).
+
+        The rows are the cubic Hermite interpolant between accepted nodes.
+        A full run's nodes are DP5 steps; a subsystem run's are DOP853 steps,
+        several times longer, so between them the cubic is much coarser than
+        the nodes: on yoshida_g(4) from theta = 0.3, v = 0.2 on M over
+        tau in [0, 20] at the default tolerances, 1.9e-6 at step midpoints
+        against 1.1e-8 with DP5, while the nodes themselves are within 5e-13
+        of the solution (7e-12 with DP5).  Nothing in the package samples a
+        subsystem run."""
         if self.raw is None:
             raise ValueError("trajectory carries no dense-output data")
         return self.raw.sample(taus)
@@ -470,12 +479,15 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
     residual after one Newton step is quadratic in the (tiny) per-step
     drift, i.e. negligible.  It moves v or w only, so it returns f at its
     result from the V and V' it evaluates, and the next step keeps FSAL.
+
+    The run takes DOP853: at the tracer's rtol of 1e-12 it needs about an
+    eighth of DP5's steps.
     """
     charts = _charts(pot)
     sol = solve(
         charts.manifold, float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
         rtol=rtol, atol=atol, stop=_subsystem_stop(eq_tol, slice_from=0),
-        postprocess=charts.project if project else None,
+        postprocess=charts.project if project else None, tableau=DOP853,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
     zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val

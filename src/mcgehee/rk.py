@@ -1,18 +1,30 @@
-"""Adaptive Dormand-Prince 5(4) integration with PI step control.
+"""Adaptive embedded Runge-Kutta integration with PI step control.
 
-The solver is deliberately small: one explicit embedded pair, RMS error
-norm against ``atol + rtol*max(|y|, |y_new|)``, a proportional-integral
-controller on the step size, and cubic Hermite interpolation between
-accepted steps (locally fourth-order, matching the sampling accuracy we
-need).
+Two pairs are data tables of one generator (``Tableau``):
+
+* ``DP5``, Dormand-Prince 5(4): seven stages, the last at the new state,
+  so its derivative is the first stage of the next step (FSAL) and enters
+  the 4th-order error estimate.  Six calls of f per attempt.  The default.
+* ``DOP853``, Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving
+  ODEs I*, II.5 and II.10): twelve stages, eleven calls of f per attempt.
+  Its error combines the 5th- and 3rd-order estimates as
+  ``|h| n5 / sqrt((n5 + 0.01 n3) n)``, and uses no derivative at the new
+  state, so f is called there only once the step is accepted.  The
+  collision-manifold runs of ``flow`` use it.
+
+The error norm is the RMS against ``atol + rtol*max(|y|, |y_new|)``; a
+proportional-integral controller with gains 0.7/q and 0.4/q, q the order
+of the pair, sets the step size; cubic Hermite interpolation runs between
+accepted steps (locally fourth-order).
 
 States and derivatives travel as tuples of floats.  The step itself is
-straight-line code generated once per state dimension and cached: every
-stage sum written out term by term, one finiteness test per stage, the
-scaled error norm and the FSAL stage.  The step calls the right-hand side
-once per stage; a ``postprocess`` of the accepted state returns the
-derivative at its result too, so FSAL holds through it.  The accepted nodes
-become arrays once, at the end of the run.
+straight-line code generated once per (tableau, state dimension) on first
+use and cached: every stage sum written out term by term with each
+coefficient scaled by h first, so the sum overflows no sooner than its
+terms; one finiteness test per stage value and on the new state; the scaled
+error norm; and f at the accepted state.  A ``postprocess`` of the accepted
+state returns the derivative at its result too, so FSAL holds through it.
+The accepted nodes become arrays once, at the end of the run.
 
 A right-hand side may raise DomainError (or OverflowError) to signal that a
 stage left the admissible region; the step is then retried with a smaller
@@ -32,29 +44,121 @@ import numpy as np
 
 from .errors import DomainError, LeftDomainError, StepUnderflowError
 
-__all__ = ["RawSolution", "solve", "hermite_sample"]
+__all__ = ["RawSolution", "Tableau", "DP5", "DOP853", "solve", "hermite_sample"]
 
-# Dormand-Prince coefficients.  The last row of A equals the 5th-order
-# weights, so the final stage of an accepted step is the first stage of the
-# next one (FSAL), and the last stage value is the new state.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+
+@dataclass(frozen=True, eq=False)
+class Tableau:
+    """An explicit embedded pair: stage s is f at ``t + c[s]*h`` and
+    ``y + h*sum(a[s][j]*k[j])``, the new state is ``y + h*sum(b[j]*k[j])``,
+    and each error vector of ``e`` holds the weights of one error estimate.
+    One error vector gives the RMS norm; two are DOP853's 5th- and 3rd-order
+    pair.  ``order`` is the q of the controller's gains."""
+
+    name: str
+    c: tuple[float, ...]
+    a: tuple[tuple[float, ...], ...]   # row s has s entries; row 0 is empty
+    b: tuple[float, ...]
+    e: tuple[tuple[float, ...], ...]
+    order: int
+
+    @property
+    def stages(self) -> int:
+        return len(self.c)
+
+    @property
+    def fsal(self) -> bool:
+        """Whether the last stage is f at the new state, so a plain step
+        makes ``stages - 1`` calls of f; otherwise it makes one more on
+        acceptance."""
+        return self.a[-1] + (0.0,) == self.b
+
+
+_DP5_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DP5 = Tableau(
+    name="DP5",
+    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    a=(
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        _DP5_B,
+    ),
+    b=_DP5_B + (0.0,),
+    # 5th-order weights minus those of the embedded 4th-order solution
+    e=((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),),
+    order=5,
 )
-# difference between the 5th- and embedded 4th-order weights
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+_DOP853_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+)
+# weights of the embedded 3rd-order solution; E3 is b minus them
+_DOP853_BHH = (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+)
+DOP853 = Tableau(
+    name="DOP853",
+    c=(
+        0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+        0.118350341907227396726757197510, 0.281649658092772603273242802490,
+        0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+        0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+    ),
+    a=(
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+        (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+         9.24834003261792003115737966543e-1),
+        (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+         1.25467687566822425016691814123e-1),
+        (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+         6.02165389804559606850219397283e-2, -1.7578125e-2),
+        (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+         1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+         8.27378916381402288758473766002e-3),
+        (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+         -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+         2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+        (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+         -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+         1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+         -2.03312017085086261358222928593e-2),
+        (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+         1.09143734899672957818500254654, -8.14978701074692612513997267357,
+         -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+         2.49360555267965238987089396762, -3.0467644718982195003823669022),
+        (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+         -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+         2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+         -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+         6.43392746015763530355970484046e-1),
+    ),
+    b=_DOP853_B,
+    e=(
+        (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+         -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+         0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+         0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+         -0.2235530786388629525884427845e-1),
+        tuple(b - bhh for b, bhh in zip(_DOP853_B, _DOP853_BHH)),
+    ),
+    order=8,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_K_I = 0.7 / 5.0   # integral gain on the current error
-_K_P = 0.4 / 5.0   # proportional gain on the previous error
 _EPS = sys.float_info.epsilon
 # largest step in the independent variable
 _MAX_STEP = math.pi / 8.0
@@ -100,42 +204,84 @@ def hermite_sample(ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, tq) -> np.nda
     return h00 * ys[idx] + h10 * hcol * fs[idx] + h01 * ys[idx + 1] + h11 * hcol * fs[idx + 1]
 
 
-def _step_source(n: int) -> str:
-    """Source of one Dormand-Prince attempt on n float components.
+def _step_source(tab: Tableau, n: int) -> str:
+    """Source of one attempt of the pair ``tab`` on n float components.
 
-    ``step(f, t, y, k0, h, atol, rtol)`` returns ``(y_new, k6, err)``: the
-    new state, f at it (FSAL) and the RMS of the error estimate against
-    ``atol + rtol*max(|y|, |y_new|)``.  Each stage sum is written out term by
-    term, left to right, over the nonzero coefficients; a non-finite stage
-    value raises DomainError before f sees it.  One comparison tests all n
-    values: x - x is 0.0 for a finite double x and nan otherwise.
+    ``step(f, t, y, k0, h, atol, rtol, post=None)`` returns ``(y_new, k_new,
+    err)``: the new state, f at it and the error norm against ``atol +
+    rtol*max(|y|, |y_new|)``.  Each coefficient is scaled by h once, and each
+    sum is written out term by term, left to right, over the nonzero
+    coefficients: ``y + ((a0*h)*k0 + (a1*h)*k1 + ...)``.  A non-finite stage
+    value or new state raises DomainError before f sees it.  One comparison
+    tests all n values: x - x is 0.0 for a finite double x and nan otherwise.
+    When the step is accepted (err <= 1) and ``post`` is given, the new
+    state and its derivative are ``post(t + h, y_new)``.  A rejected attempt
+    of a pair without FSAL returns ``(None, None, err)``.
     """
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(n))
 
-    lines = ["def step(f, t, y, k0, h, atol, rtol):",
+    def finite(prefix, what):
+        return [f"    if {' + '.join(f'({prefix}{i} - {prefix}{i})' for i in range(n))} != 0.0:",
+                f"        raise DomainError('non-finite {what}')"]
+
+    scaled: dict[float, str] = {}   # coefficient -> local holding coefficient*h
+
+    def combination(coefs, i):
+        for x in dict.fromkeys(x for x in coefs if x and x not in scaled):
+            scaled[x] = f"m{len(scaled)}"
+            lines.append(f"    {scaled[x]} = {x!r}*h")
+        return " + ".join(f"{scaled[x]}*k{j}_{i}" for j, x in enumerate(coefs) if x)
+
+    lines = ["def step(f, t, y, k0, h, atol, rtol, post=None):",
              f"    {names('y')}, = y", f"    {names('k0_')}, = k0"]
-    for s in range(1, 7):
+    last = tab.stages - 1
+    for s in range(1, tab.stages):
         for i in range(n):
-            terms = " + ".join(f"{a!r}*k{j}_{i}" for j, a in enumerate(_A[s]) if a)
-            lines.append(f"    s{i} = y{i} + h*({terms})")
-        lines += [f"    if {' + '.join(f'(s{i} - s{i})' for i in range(n))} != 0.0:",
-                  "        raise DomainError('non-finite stage value')",
-                  f"    {names(f'k{s}_')}, = f(t + {_C[s]!r}*h, ({names('s')},))"]
-    for i in range(n):
-        terms = " + ".join(f"{e!r}*k{j}_{i}" for j, e in enumerate(_E) if e)
-        lines += [f"    a = abs(y{i}); b = abs(s{i})",
-                  f"    q{i} = h*({terms})/(atol + rtol*(a if a > b else b))"]
-    squares = " + ".join(f"q{i}*q{i}" for i in range(n))
-    lines.append(f"    return ({names('s')},), ({names('k6_')},), sqrt(({squares})/{n})")
+            lines.append(f"    s{i} = y{i} + ({combination(tab.a[s], i)})")
+        lines += finite("s", "stage value")
+        lines.append(f"    {names(f'k{s}_')}, = f(t + {tab.c[s]!r}*h, ({names('s')},))")
+    new = "s"
+    if not tab.fsal:
+        new = "u"
+        for i in range(n):
+            lines.append(f"    u{i} = y{i} + ({combination(tab.b, i)})")
+        lines += finite("u", "new state")
+    norms = []
+    for v, e in enumerate(tab.e):
+        for i in range(n):
+            if v == 0:
+                lines += [f"    a = abs(y{i}); b = abs({new}{i})",
+                          f"    w{i} = atol + rtol*(a if a > b else b)"]
+            lines.append(f"    q{v}_{i} = ({combination(e, i)})/w{i}")
+        norms.append(" + ".join(f"q{v}_{i}*q{v}_{i}" for i in range(n)))
+    if len(norms) == 1:
+        lines.append(f"    err = sqrt(({norms[0]})/{n})")
+    else:
+        # Hairer's combination of the 5th- and 3rd-order estimates; h is
+        # already inside each q
+        lines += [f"    n5 = {norms[0]}", f"    n3 = {norms[1]}",
+                  f"    err = n5/sqrt((n5 + 0.01*n3)*{n}) if n5 else 0.0"]
+    y_new = f"({names(new)},)"
+    if tab.fsal:
+        lines += ["    if post is None or not err <= 1.0:",
+                  f"        return {y_new}, ({names(f'k{last}_')},), err"]
+    else:
+        lines += ["    if not err <= 1.0:", "        return None, None, err",
+                  "    if post is None:",
+                  f"        {names('k0_')}, = f(t + h, {y_new})",
+                  *("    " + s for s in finite("k0_", "derivative")),
+                  f"        return {y_new}, ({names('k0_')},), err"]
+    lines.append(f"    return (*post(t + h, {y_new}), err)")
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _step(n: int) -> Callable:
-    """The compiled step for dimension n, generated on first use."""
+def _step(tab: Tableau, n: int) -> Callable:
+    """The compiled step of ``tab`` for dimension n, generated on first use."""
     namespace = {"sqrt": math.sqrt, "DomainError": DomainError}
-    exec(compile(_step_source(n), f"<mcgehee.rk step {n}>", "exec"), namespace)
+    code = compile(_step_source(tab, n), f"<mcgehee.rk {tab.name} step {n}>", "exec")
+    exec(code, namespace)
     return namespace["step"]
 
 
@@ -178,16 +324,18 @@ def solve(
     first_step: float | None = None,
     stop: Callable[[float, tuple, tuple], str | None] | None = None,
     postprocess: Callable[[float, tuple], tuple[tuple, tuple]] | None = None,
+    tableau: Tableau = DP5,
 ) -> RawSolution:
     """Integrate ``dy/dt = f(t, y)`` from t0 to t1 (either direction).
 
     ``f`` takes the state as a tuple of floats and returns n floats; it is
-    called once per stage.  ``stop`` is evaluated at every accepted node and
-    may return a custom termination reason to end the run early.
+    called once per stage of ``tableau`` (DP5 unless given).  ``stop`` is
+    evaluated at every accepted node and may return a custom termination
+    reason to end the run early.
     ``postprocess(t, y)`` maps each accepted state before it is recorded
     (e.g. projection onto an invariant set) and returns ``(y, f(t, y))`` at
     the adjusted state, which the next step takes as its first stage, so
-    FSAL survives it.
+    FSAL survives it; a DomainError it raises rejects the step.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"integration span must be finite, got [{t0}, {t1}]")
@@ -200,7 +348,8 @@ def solve(
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise LeftDomainError("initial state is not integrable: non-finite component")
-    step = _step(len(y))
+    step = _step(tableau, len(y))
+    k_i, k_p = 0.7 / tableau.order, 0.4 / tableau.order
     direction = math.copysign(1.0, t1 - t0)
     try:
         k0 = f(t0, y)
@@ -234,7 +383,7 @@ def solve(
                 break
             hs = direction * h
             try:
-                y_new, k_new, err = step(f, t, y, k0, hs, atol, rtol)
+                y_new, k_new, err = step(f, t, y, k0, hs, atol, rtol, postprocess)
             except (DomainError, OverflowError):
                 err = math.nan
             if not math.isfinite(err):
@@ -245,15 +394,12 @@ def solve(
             if err <= 1.0:
                 break
             n_rej += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-_K_I))
+            h *= max(_MIN_FACTOR, _SAFETY * err ** -k_i)
         if reason is not None:
             break
 
         t = t + hs
-        if postprocess is not None:
-            y, k0 = postprocess(t, y_new)
-        else:
-            y, k0 = y_new, k_new  # FSAL: last stage is f(t, y_new)
+        y, k0 = y_new, k_new  # f at y_new, or the postprocess's pair: FSAL
         ts.append(t)
         ys.append(y)
         fs.append(k0)
@@ -262,7 +408,7 @@ def solve(
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = _SAFETY * err ** (-_K_I) * err_prev ** _K_P
+            factor = _SAFETY * err ** -k_i * err_prev ** k_p
         h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), _MAX_STEP)
         err_prev = max(err, 1e-4)  # keep the PI memory term well-conditioned
 

@@ -44,6 +44,19 @@ def test_the_command_line_runs_as_a_module(module):
     assert json.loads(proc.stdout)["conclusion"] == "Inconclusive"
 
 
+def test_importing_the_command_line_loads_no_scipy_and_generates_no_step():
+    # the RK tables are inline data and each step is generated on first use,
+    # so importing the program does no integrator work and loads no scipy
+    src = os.path.dirname(os.path.dirname(mcgehee.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, mcgehee.cli, mcgehee.rk; "
+             "print('scipy' in sys.modules, mcgehee.rk._step.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False 0\n", "")
+
+
 def test_usage_and_io_problems_exit_one(capsys):
     assert call(capsys, "certify", "--file", "does-not-exist.json")[0] == 1
     assert call(capsys, "certify", "--expr", "cos(theta)-2")[0] == 1  # no --beta
@@ -114,11 +127,15 @@ def test_non_finite_and_empty_flag_values_are_usage_errors(argv, capsys):
 
 
 def test_a_start_whose_first_derivative_overflows_ends_on_the_domain(capsys):
-    # dt/dtau = r^1.5 overflows the tolerance scale of the first step
-    rc, _, err = call(capsys, "simulate", "--builtin", "isosceles", "--set", "alpha=1",
-                      "--init", "1e205,0.0,4.0,0.0", "--tau-span", "0:5")
-    assert (rc, err) == (2, "error: LeftDomainError: no progress from t=0.0: "
-                            "state leaves the domain\n")
+    # dt/dtau = r^1.5 overflows the tolerance scale of the first step, so the
+    # run starts from the smallest step; each stage sum scales its terms by h
+    # before adding them, so t's stage values stay finite and the run
+    # advances until t leaves the double range
+    rc, out, err = call(capsys, "simulate", "--builtin", "isosceles", "--set", "alpha=1",
+                        "--init", "1e205,0.0,4.0,0.0", "--tau-span", "0:5")
+    assert rc == 0 and err.startswith("# stopped: left_domain after ")
+    rows = out.splitlines()[1:]
+    assert len(rows) >= 2 and all(map(math.isfinite, map(float, rows[-1].split(","))))
 
 
 def test_help_exits_zero_and_lists_subcommands(capsys):

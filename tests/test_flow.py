@@ -520,6 +520,32 @@ def test_focal_continuation_does_not_depend_on_the_handoff(pot_name, theta, sign
     assert abs(early.log_terminal_distance - late.log_terminal_distance) <= 0.5
 
 
+@pytest.mark.parametrize("pot_name, theta, sign, branch", [
+    ("isosceles", -math.pi / 4.0, "+", ("unstable", "+")),
+    ("yoshida_g", 0.0, "-", ("unstable", "+")),
+    ("yoshida_g", 0.0, "-", ("stable", "+")),
+])
+def test_each_step_of_a_separatrix_turns_less_than_half_a_turn(pot_name, theta, sign, branch):
+    # _signed_phase unwraps atan2(w, theta - theta_c) node by node, which
+    # counts the winding right only while no step turns by pi or more.
+    # Sixteen dense-output samples per step resolve each step's turn
+    # (measured at most 1.98 rad, on isosceles, with DOP853's long steps),
+    # and the resolved winding must equal the unwrapped one
+    pot = yoshida() if pot_name == "yoshida_g" else iso()
+    tr = trace_invariant_manifold(equilibrium_at(pot, theta, sign), pot, branch)
+    sp = tr.spiral
+    target = equilibrium_at(pot, sp.target_theta, "+" if sp.target_v_star > 0.0 else "-")
+    center = flow._nearest_center(pot, float(tr.thetas[-1]), target)
+    m, taus = 16, tr.taus
+    x = np.arange(m) / m
+    fine = tr.sample(np.append((taus[:-1, None] + np.diff(taus)[:, None] * x).ravel(), taus[-1]))
+    phase = np.unwrap(np.arctan2(fine[:, 2], fine[:, 0] - center))
+    assert np.max(np.abs(np.diff(phase))) < 0.5
+    assert np.max(np.abs(np.diff(phase[::m]))) < math.pi
+    assert phase[-1] - phase[0] == pytest.approx(
+        flow._signed_phase(tr.thetas, tr.ws, center), rel=0.0, abs=1e-9)
+
+
 def test_focal_continuation_engages_only_near_an_attracting_focus():
     pot = yoshida()
     eq = equilibrium_at(pot, 0.0, "-")

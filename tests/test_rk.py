@@ -1,7 +1,8 @@
-"""The Dormand-Prince solver on problems with closed-form solutions, and the
-contract of its right-hand side: FSAL call counts, through a postprocess too,
-domain walls, non-finite stages, the per-dimension step cache and the float
-path of V."""
+"""The embedded Runge-Kutta solver on problems with closed-form solutions,
+its two tables (DP5, and DOP853 against scipy's), and the contract of its
+right-hand side: call counts read from the tableau, FSAL through a
+postprocess too, domain walls, non-finite stages, the per-(tableau,
+dimension) step cache and the float path of V."""
 import math
 
 import numpy as np
@@ -47,6 +48,20 @@ def test_harmonic_oscillator_forward_and_backward(rtol, atol, t1):
     assert np.max(np.abs(sol.sample(tq)[:, 0] - np.cos(tq))) <= atol + rtol + hermite
 
 
+def stiff_ish(t, y):
+    return (y[1] + 0.1 * t, -math.sin(y[0]), y[0] * y[1])
+
+
+def attempt_by_matrix_products(f, t, y, h, c, a, b):
+    """One attempt in numpy, summed as the generated step sums: every
+    coefficient scaled by h first, ``y + (h*A) @ k``."""
+    k = [np.array(f(t, tuple(y)))]
+    for i in range(1, len(c)):
+        k.append(np.array(f(t + c[i] * h, tuple(y + np.stack(k, axis=1) @ (h * a[i, :i])))))
+    k = np.stack(k, axis=1)
+    return k, y + k @ (h * b)
+
+
 def test_one_generated_step_matches_the_tableau_by_matrix_products():
     a = np.zeros((7, 7))
     a[1, :1] = [1 / 5]
@@ -58,21 +73,99 @@ def test_one_generated_step_matches_the_tableau_by_matrix_products():
     e = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
     c = a.sum(axis=1)
 
-    def f(t, y):
-        return (y[1] + 0.1 * t, -math.sin(y[0]), y[0] * y[1])
-
     t, y, h, atol, rtol = 0.3, np.array([0.7, -0.2, 1.1]), 0.05, 1e-12, 1e-9
-    k = [np.array(f(t, tuple(y)))]
-    for i in range(1, 7):
-        k.append(np.array(f(t + c[i] * h, tuple(y + h * (np.stack(k, axis=1) @ a[i, :i])))))
-    y_new = y + h * (np.stack(k[:6], axis=1) @ a[6, :6])
+    k, y_new = attempt_by_matrix_products(stiff_ish, t, y, h, c, a, a[6])
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    err = math.sqrt(float(np.mean((h * (np.stack(k, axis=1) @ e) / scale) ** 2)))
+    err = math.sqrt(float(np.mean((k @ (h * e) / scale) ** 2)))
 
-    got_y, got_k, got_err = rk._step(3)(f, t, tuple(y), tuple(k[0]), h, atol, rtol)
+    got_y, got_k, got_err = rk._step(rk.DP5, 3)(stiff_ish, t, tuple(y), tuple(k[:, 0]), h,
+                                                atol, rtol)
     assert got_y == pytest.approx(y_new, rel=1e-15, abs=0.0)
-    assert got_k == pytest.approx(k[6], rel=1e-14, abs=0.0)
+    assert got_k == pytest.approx(k[:, 6], rel=1e-14, abs=0.0)
     assert got_err == pytest.approx(err, rel=1e-9)
+
+
+def test_one_generated_dop853_step_matches_scipys_tableau_by_matrix_products():
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    n = coef.N_STAGES
+
+    def f(t, y):
+        # five times faster than stiff_ish, so the error estimate is not
+        # a cancellation of nearly equal terms and its last bits stay put
+        return tuple(5.0 * x for x in stiff_ish(t, y))
+
+    t, y, h, atol, rtol = 0.3, np.array([0.7, -0.2, 1.1]), 0.2, 1e-8, 1e-5
+    k, y_new = attempt_by_matrix_products(f, t, y, h, coef.C[:n], coef.A[:n, :n], coef.B)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    # scipy's DOP853._estimate_error_norm, |h| n5 / sqrt((n5 + 0.01 n3) n),
+    # with h moved into the sums as the step sums them, and f at y_new left
+    # out: both error vectors weigh it 0
+    n5 = float(np.sum((k @ (h * coef.E5[:n]) / scale) ** 2))
+    n3 = float(np.sum((k @ (h * coef.E3[:n]) / scale) ** 2))
+    err = n5 / math.sqrt((n5 + 0.01 * n3) * 3)
+
+    got_y, got_k, got_err = rk._step(rk.DOP853, 3)(f, t, tuple(y), tuple(k[:, 0]), h, atol, rtol)
+    assert 0.01 < err <= 1.0
+    # twelve-term sums with coefficients up to 43: the matrix product and
+    # the step's left-to-right order differ by an ulp or two
+    assert got_y == pytest.approx(y_new, rel=2e-15, abs=0.0)
+    assert got_k == pytest.approx(f(t + h, tuple(y_new)), rel=1e-14, abs=0.0)
+    assert got_err == pytest.approx(err, rel=1e-9)
+
+
+def test_dop853_coefficients_equal_scipys():
+    # the package carries the table inline and never imports scipy
+    coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    tab, n = rk.DOP853, coef.N_STAGES
+    assert tab.stages == n and tab.order == 8 and not tab.fsal
+    assert tab.c == tuple(coef.C[:n])
+    for s in range(n):
+        assert tab.a[s] == tuple(coef.A[s, :s])
+        assert not coef.A[s, s:].any()
+    assert tab.b == tuple(coef.B)
+    assert tab.e == (tuple(coef.E5[:n]), tuple(coef.E3[:n]))
+    # neither error estimate weighs f at the new state
+    assert coef.E5[n] == coef.E3[n] == 0.0
+    # the sum rule c = A 1 holds to rounding
+    for s in range(n):
+        assert math.fsum(tab.a[s]) == pytest.approx(tab.c[s], rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("tab", [rk.DP5, rk.DOP853], ids=lambda tab: tab.name)
+def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order(tab):
+    # the harmonic oscillator over 16 time units with fixed steps; the
+    # generous tolerances accept every attempt
+    step = rk._step(tab, 2)
+    errors = []
+    for n in (16, 32, 64):
+        h, y, k, t = 16.0 / n, (1.0, 0.0), oscillator(0.0, (1.0, 0.0)), 0.0
+        for _ in range(n):
+            y, k, err = step(oscillator, t, y, k, h, 1.0, 1.0)
+            t += h
+        errors.append(math.hypot(y[0] - math.cos(16.0), y[1] + math.sin(16.0)))
+    order = 5 if tab is rk.DP5 else 8
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 0.75 * 2**order <= coarse / fine <= 1.25 * 2**order
+
+
+@pytest.mark.parametrize("t1", [10.0, -10.0])
+def test_dop853_meets_its_tolerance_on_the_oscillator_in_fewer_steps(t1):
+    rtol, atol = 1e-12, 1e-15
+    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), t1, rtol=rtol, atol=atol, tableau=rk.DOP853)
+    dp5 = rk.solve(oscillator, 0.0, (1.0, 0.0), t1, rtol=rtol, atol=atol)
+    assert sol.reason == "span_end" and sol.ts[-1] == t1
+    exact = np.stack([np.cos(sol.ts), -np.sin(sol.ts)], axis=1)
+    assert np.max(np.abs(sol.ys - exact)) <= 10.0 * (atol + rtol)
+    assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
+    assert 4 * sol.n_accepted < dp5.n_accepted
+
+
+def calls_after_the_first(tab, sol, postprocess=False):
+    """Calls of f a run makes after its first derivative: one per stage past
+    the first on every attempt, and f at the new state of an accepted step
+    unless its last stage is there or the postprocess returns it."""
+    per_accept = 0 if tab.fsal or postprocess else 1
+    return (tab.stages - 1) * (sol.n_accepted + sol.n_rejected) + per_accept * sol.n_accepted
 
 
 # a first step of 2 is far too long, so the count covers rejected attempts
@@ -86,28 +179,72 @@ def test_fsal_costs_six_calls_per_attempted_step(first_step, initial_calls):
 
     sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-8, atol=1e-10, first_step=first_step)
     assert sol.n_rejected > 0 or first_step is None
-    assert len(calls) == initial_calls + 6 * (sol.n_accepted + sol.n_rejected)
+    assert rk.DP5.stages - 1 == 6
+    assert len(calls) == initial_calls + calls_after_the_first(rk.DP5, sol)
 
 
-def test_postprocess_keeps_fsal():
-    # the postprocess returns the adjusted state and f there, so the next
-    # step starts from it and solve calls f only for the six stages
+@pytest.mark.parametrize("first_step, initial_calls", [(None, 2), (2.0, 1)])
+def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, initial_calls):
     calls = []
 
     def f(t, y):
         calls.append(t)
         return oscillator(t, y)
 
+    sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-10, atol=1e-12, first_step=first_step,
+                   tableau=rk.DOP853)
+    assert sol.n_rejected > 0 or first_step is None
+    assert len(calls) == initial_calls + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
+    assert len(calls) == initial_calls + calls_after_the_first(rk.DOP853, sol)
+
+
+def run_with_renormalization(tab):
+    calls, projections = [], []
+
+    def f(t, y):
+        calls.append(t)
+        return oscillator(t, y)
+
     def renormalize(t, y):
+        projections.append(t)
         r = math.hypot(*y)
         y = (y[0] / r, y[1] / r)
         return y, oscillator(t, y)
 
-    sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize)
+    sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize,
+                   tableau=tab)
     assert sol.n_accepted > 0
-    assert len(calls) == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+    assert len(calls) == 1 + calls_after_the_first(tab, sol, postprocess=True)
+    assert len(projections) == sol.n_accepted
     assert np.allclose(np.hypot(sol.ys[:, 0], sol.ys[:, 1]), 1.0, rtol=0.0, atol=1e-15)
     assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
+    return sol, calls
+
+
+def test_postprocess_keeps_fsal():
+    # the postprocess returns the adjusted state and f there, so the next
+    # step starts from it and solve calls f only for the six stages
+    sol, calls = run_with_renormalization(rk.DP5)
+    assert len(calls) == 1 + 6 * (sol.n_accepted + sol.n_rejected)
+
+
+def test_postprocess_keeps_fsal_with_dop853():
+    # DOP853's error estimate needs no f at the new state, so with a
+    # postprocess solve calls f for the eleven stages alone
+    sol, calls = run_with_renormalization(rk.DOP853)
+    assert len(calls) == 1 + 11 * (sol.n_accepted + sol.n_rejected)
+
+
+def test_a_domain_error_in_the_postprocess_rejects_the_step():
+    def renormalize(t, y):
+        if t > 1.0:
+            raise DomainError("past the wall")
+        return y, oscillator(t, y)
+
+    for tab in (rk.DP5, rk.DOP853):
+        sol = rk.solve(oscillator, 0.0, (1.0, 0.0), 5.0, postprocess=renormalize, tableau=tab)
+        assert sol.reason == "left_domain" and sol.n_rejected > 0
+        assert 1.0 - 1e-12 <= sol.ts[-1] <= 1.0
 
 
 def wall(t, y):
@@ -149,7 +286,7 @@ def test_non_finite_stages_are_rejected_not_recorded(rate):
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_step_rejects_a_non_finite_value_in_any_component(n, bad):
-    step = rk._step(n)
+    step = rk._step(rk.DP5, n)
     y, k0 = (0.5,) * n, (0.25,) * n
 
     def poisoned(i, at_call):
@@ -181,6 +318,37 @@ def test_step_rejects_a_non_finite_value_in_any_component(n, bad):
         assert not math.isfinite(err)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_dop853_step_rejects_a_non_finite_value_at_every_call(bad):
+    # every derivative of the eleven stages enters a later stage value or
+    # the new state, and f at the new state is tested too, so each raises
+    n = 3
+    step = rk._step(rk.DOP853, n)
+    y, k0 = (0.5,) * n, (0.25,) * n
+
+    def poisoned(i, at_call):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return tuple(bad if (j == i and len(calls) == at_call) else 0.25 for j in range(n))
+
+        return f
+
+    for i in range(n):
+        with pytest.raises(DomainError):
+            step(poisoned(i, 0), 0.0, tuple(bad if j == i else x for j, x in enumerate(y)), k0,
+                 0.1, 1e-12, 1e-10)
+        with pytest.raises(DomainError):
+            step(poisoned(i, 0), 0.0, y, tuple(bad if j == i else x for j, x in enumerate(k0)),
+                 0.1, 1e-12, 1e-10)
+        for call in range(1, rk.DOP853.stages + 1):
+            with pytest.raises(DomainError):
+                step(poisoned(i, call), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+    y_new, k_new, err = step(poisoned(0, 0), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+    assert err <= 1.0 and k_new == (0.25,) * n
+
+
 def test_step_is_generated_once_per_dimension():
     rk._step.cache_clear()
     rk.solve(decay, 0.0, (1.0,), 1.0)
@@ -190,6 +358,11 @@ def test_step_is_generated_once_per_dimension():
     info = rk._step.cache_info()
     assert info.misses == 2
     assert info.hits == 2
+    # and once per tableau
+    rk.solve(oscillator, 0.0, (1.0, 0.0), 1.0, tableau=rk.DOP853)
+    rk.solve(oscillator, 0.0, (0.0, 1.0), -1.0, tableau=rk.DOP853)
+    info = rk._step.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 @pytest.mark.parametrize("spec", [
