@@ -53,6 +53,8 @@ for t, row, qxy in zip(t_grid, rows, cart_q):
     worst = max(worst, gap)
     print(f"{t:4.1f}   {math.hypot(*qxy):.10f}   {r_blow:.10f}   {gap:.2e}")
 print(f"worst position gap over [0, 5]: {worst:.2e}")
+# `mcgehee validate` allows the two charts 1e-6 on its flow-equivalence check
+assert worst <= 1e-6, f"the charts disagree by {worst:.2e}"
 
 # ---------------------------------------------------------------------------
 # 2. Each chart carries its own conserved energy.

@@ -247,7 +247,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     buf = io.StringIO()
     traj.write_csv(buf)
     _emit(buf.getvalue(), args.output)
-    print(f"# stopped: {traj.reason} after {len(traj)} accepted steps", file=sys.stderr)
+    print(f"# stopped: {traj.reason} after {traj.raw.n_accepted} accepted steps", file=sys.stderr)
     return 0
 
 

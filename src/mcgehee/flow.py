@@ -45,7 +45,6 @@ isosceles 26 of its 53 float-body operations and yoshida_g 10 of 15.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -64,7 +63,7 @@ from .errors import (
     OriginSingularityError,
 )
 from .potentials import Potential
-from .rk import ATOL, DOP853, RTOL, RawSolution, solve
+from .rk import ATOL, RTOL, RawSolution, solve
 
 __all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
            "CartesianTrajectory", "SpiralDiagnostics", "to_mcgehee", "from_mcgehee", "energy",
@@ -226,14 +225,12 @@ class Trajectory:
         raw component order ((log r, theta, v, w, t, log|z|) for full runs,
         (theta, v, w) for subsystem runs).
 
-        The rows are the cubic Hermite interpolant between accepted nodes.
-        A full run's nodes are DP5 steps; a subsystem run's are DOP853 steps,
-        several times longer, so between them the cubic is much coarser than
-        the nodes: on yoshida_g(4) from theta = 0.3, v = 0.2 on M over
-        tau in [0, 20] at the default tolerances, 1.9e-6 at step midpoints
-        against 1.1e-8 with DP5, while the nodes themselves are within 5e-13
-        of the solution (7e-12 with DP5).  Nothing in the package samples a
-        subsystem run."""
+        Each row is one DOP853 step from the accepted node before its time
+        (``RawSolution.state_at``), so it is as accurate as the nodes: on
+        yoshida_g(4) from theta = 0.3, v = 0.2 on M over tau in [0, 20] at
+        the default tolerances, within 5e-13 of the solution at the nodes
+        and at the step midpoints alike.  A projected run's rows between
+        nodes are not projected."""
         if self.raw is None:
             raise ValueError("trajectory carries no dense-output data")
         return self.raw.sample(taus)
@@ -479,15 +476,12 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
     residual after one Newton step is quadratic in the (tiny) per-step
     drift, i.e. negligible.  It moves v or w only, so it returns f at its
     result from the V and V' it evaluates, and the next step keeps FSAL.
-
-    The run takes DOP853: at the tracer's rtol of 1e-12 it needs about an
-    eighth of DP5's steps.
     """
     charts = _charts(pot)
     sol = solve(
         charts.manifold, float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
         rtol=rtol, atol=atol, stop=_subsystem_stop(eq_tol, slice_from=0),
-        postprocess=charts.project if project else None, tableau=DOP853,
+        postprocess=charts.project if project else None,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
     zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val
@@ -781,43 +775,19 @@ def sample_at_physical_times(traj: Trajectory, times: Sequence[float]) -> np.nda
     if not inside.all():
         raise ValueError(f"t = {float(t_star[~inside][0])} outside the integrated range")
     # Newton on t(tau) = t_star in each query's bracket of accepted nodes;
-    # the slope dt/dtau = exp((1 - beta/2) log r) is the carried derivative
-    # of t.  t and log r come from the cubic ``hermite_sample`` picks for
-    # tau, on floats, in its order of operations
+    # the step that samples tau returns t and its rate dt/dtau there
     raw = traj.raw
     if raw is None:
         raise ValueError("trajectory carries no dense-output data")
-    direction = 1.0 if raw.ts[-1] >= raw.ts[0] else -1.0
-    s = (direction * raw.ts).tolist()
-    nodes = raw.ts.tolist()
-    t_col, t_rate = raw.ys[:, 4].tolist(), raw.fs[:, 4].tolist()
-    r_col, r_rate = raw.ys[:, 0].tolist(), raw.fs[:, 0].tolist()
-    last = len(nodes) - 2
-    power = 1.0 - traj.pot.beta / 2.0
-
-    def cubic(tau: float) -> tuple[float, float]:
-        k = min(max(bisect.bisect_right(s, direction * tau) - 1, 0), last)
-        t0 = nodes[k]
-        h = nodes[k + 1] - t0
-        x = (tau - t0) / h if h != 0.0 else 0.0
-        u = (1 - x) * (1 - x)
-        h00, h10 = (1 + 2 * x) * u, x * u
-        h01, h11 = x * x * (3 - 2 * x), x * x * (x - 1)
-        return tuple(h00 * y[k] + h10 * h * f[k] + h01 * y[k + 1] + h11 * h * f[k + 1]
-                     for y, f in ((t_col, t_rate), (r_col, r_rate)))
-
     i = np.clip(np.searchsorted(t_sorted, t_star), 1, len(t_sorted) - 1)
     tau = np.empty(t_star.shape)
-    with np.errstate(over="ignore"):
-        for q, (lo, hi, target) in enumerate(zip(tau_sorted[i - 1].tolist(),
-                                                 tau_sorted[i].tolist(), t_star.tolist())):
-            def fdf(x, target=target):
-                t, log_r = cubic(x)
-                # numpy's exp, as on the rows below: math.exp rounds
-                # differently in the last bit
-                return t - target, float(np.exp(power * log_r))
+    for q, (lo, hi, target) in enumerate(zip(tau_sorted[i - 1].tolist(),
+                                             tau_sorted[i].tolist(), t_star.tolist())):
+        def fdf(x, target=target):
+            y, f = raw.state_at(x)
+            return y[4] - target, f[4]
 
-            tau[q] = bracketed_newton(fdf, lo, hi, -1.0, 0.5 * (lo + hi))
+        tau[q] = bracketed_newton(fdf, lo, hi, -1.0, 0.5 * (lo + hi))
     rows = traj.sample(tau)
     # raw components are (log r, theta, v, w, t, log|z|); undo the logs
     z_sign = math.copysign(1.0, traj.zs[0]) if traj.zs[0] != 0.0 else 0.0

@@ -1,30 +1,26 @@
 """Adaptive embedded Runge-Kutta integration with PI step control.
 
-Two pairs are data tables of one generator (``Tableau``):
-
-* ``DP5``, Dormand-Prince 5(4): seven stages, the last at the new state,
-  so its derivative is the first stage of the next step (FSAL) and enters
-  the 4th-order error estimate.  Six calls of f per attempt.  The default.
-* ``DOP853``, Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving
-  ODEs I*, II.5 and II.10): twelve stages, eleven calls of f per attempt.
-  Its error combines the 5th- and 3rd-order estimates as
-  ``|h| n5 / sqrt((n5 + 0.01 n3) n)``, and uses no derivative at the new
-  state, so f is called there only once the step is accepted.  The
-  collision-manifold runs of ``flow`` use it.
-
-The error norm is the RMS against ``atol + rtol*max(|y|, |y_new|)``; a
-proportional-integral controller with gains 0.7/q and 0.4/q, q the order
-of the pair, sets the step size; cubic Hermite interpolation runs between
-accepted steps (locally fourth-order).
+One pair runs every integration: Dormand-Prince 8(5,3), ``DOP853``
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), twelve
+stages and eleven calls of f per attempt.  Its error combines the 5th- and
+3rd-order estimates as ``|h| n5 / sqrt((n5 + 0.01 n3) n)``, RMS-scaled by
+``atol + rtol*max(|y|, |y_new|)``, and uses no derivative at the new state,
+so f is called there only once the step is accepted.  A
+proportional-integral controller with gains 0.7/8 and 0.4/8 sets the step
+size.  Dense output re-steps: the state between two accepted nodes is one
+step of the pair from the earlier node with its error test not applied,
+so it is as accurate as the nodes.
 
 States and derivatives travel as tuples of floats.  The step itself is
-straight-line code generated once per (tableau, state dimension) on first
-use and cached: every stage sum written out term by term with each
-coefficient scaled by h first, so the sum overflows no sooner than its
-terms; one finiteness test per stage value and on the new state; the scaled
-error norm; and f at the accepted state.  A ``postprocess`` of the accepted
-state returns the derivative at its result too, so FSAL holds through it.
-The accepted nodes become arrays once, at the end of the run.
+straight-line code generated once per state dimension on first use and
+cached: every stage sum written out term by term with each coefficient
+scaled by h first, so the sum overflows no sooner than its terms; one
+finiteness test per stage value, on the new state and on its derivative;
+the scaled error norm; and f at the accepted state.  A ``postprocess`` of
+the accepted state returns the derivative at its result instead, so the
+next step still starts from a known derivative (FSAL) and f is not called
+at the new state.  The accepted nodes become arrays once, at the end of
+the run.
 
 A right-hand side may raise DomainError (or OverflowError) to signal that a
 stage left the admissible region; the step is then retried with a smaller
@@ -44,54 +40,27 @@ import numpy as np
 
 from .errors import DomainError, LeftDomainError, StepUnderflowError
 
-__all__ = ["RawSolution", "Tableau", "DP5", "DOP853", "solve", "hermite_sample"]
+__all__ = ["RawSolution", "Tableau", "DOP853", "solve"]
 
 
 @dataclass(frozen=True, eq=False)
 class Tableau:
     """An explicit embedded pair: stage s is f at ``t + c[s]*h`` and
     ``y + h*sum(a[s][j]*k[j])``, the new state is ``y + h*sum(b[j]*k[j])``,
-    and each error vector of ``e`` holds the weights of one error estimate.
-    One error vector gives the RMS norm; two are DOP853's 5th- and 3rd-order
-    pair.  ``order`` is the q of the controller's gains."""
+    and the two vectors of ``e`` hold the weights of DOP853's 5th- and
+    3rd-order error estimates.  ``order`` is the q of the controller's
+    gains."""
 
-    name: str
     c: tuple[float, ...]
     a: tuple[tuple[float, ...], ...]   # row s has s entries; row 0 is empty
     b: tuple[float, ...]
-    e: tuple[tuple[float, ...], ...]
+    e: tuple[tuple[float, ...], tuple[float, ...]]
     order: int
 
     @property
     def stages(self) -> int:
         return len(self.c)
 
-    @property
-    def fsal(self) -> bool:
-        """Whether the last stage is f at the new state, so a plain step
-        makes ``stages - 1`` calls of f; otherwise it makes one more on
-        acceptance."""
-        return self.a[-1] + (0.0,) == self.b
-
-
-_DP5_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-DP5 = Tableau(
-    name="DP5",
-    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
-    a=(
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        _DP5_B,
-    ),
-    b=_DP5_B + (0.0,),
-    # 5th-order weights minus those of the embedded 4th-order solution
-    e=((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),),
-    order=5,
-)
 
 _DOP853_B = (
     5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
@@ -106,7 +75,6 @@ _DOP853_BHH = (
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
 )
 DOP853 = Tableau(
-    name="DOP853",
     c=(
         0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
         0.118350341907227396726757197510, 0.281649658092772603273242802490,
@@ -170,54 +138,58 @@ RTOL, ATOL = 1e-10, 1e-12
 class RawSolution:
     ts: np.ndarray          # accepted nodes, monotone in integration direction
     ys: np.ndarray          # states at the nodes, shape (n, dim)
-    fs: np.ndarray          # derivatives at the nodes (for dense output)
+    fs: np.ndarray          # derivatives at the nodes
     reason: str             # "span_end" | "step_underflow" | "left_domain" | custom
     n_accepted: int
     n_rejected: int
+    f: Callable[[float, tuple], Sequence[float]]   # the right-hand side, for dense output
 
     def sample(self, tq) -> np.ndarray:
-        return hermite_sample(self.ts, self.ys, self.fs, tq)
+        """States at the query times ``tq``, shape (len(tq), dim), each
+        from ``state_at``."""
+        tq = np.atleast_1d(np.asarray(tq, dtype=float)).tolist()
+        return np.array([self.state_at(t)[0] for t in tq]).reshape(len(tq), self.ys.shape[1])
+
+    def state_at(self, t: float) -> tuple[tuple, tuple]:
+        """The state at t inside the integrated span, and f there.
+
+        At a node these are the recorded pair.  Between nodes they are one
+        step of the pair from the node before t, with its error test not
+        applied (an infinite atol zeroes the error norm): the step checks
+        its stage values, the state and f there as in a run, so a query
+        whose step leaves the domain raises DomainError (or OverflowError)
+        and no query returns a non-finite state.
+        """
+        direction = 1.0 if self.ts[-1] >= self.ts[0] else -1.0
+        s = direction * self.ts
+        if not s[0] - 1e-12 <= direction * t <= s[-1] + 1e-12:
+            raise ValueError(f"dense-output query {t} outside the integrated span")
+        k = max(int(np.searchsorted(s, direction * t, side="right")) - 1, 0)
+        t0, y0, k0 = float(self.ts[k]), tuple(self.ys[k].tolist()), tuple(self.fs[k].tolist())
+        if t == t0:
+            return y0, k0
+        y, k1, _ = _step(len(y0))(self.f, t0, y0, k0, t - t0, math.inf, 0.0)
+        if y is None:   # the error estimate itself overflowed
+            raise DomainError(f"non-finite error estimate at {t}")
+        return y, k1
 
 
-def hermite_sample(ts: np.ndarray, ys: np.ndarray, fs: np.ndarray, tq) -> np.ndarray:
-    """Cubic Hermite interpolation of the solution at query times ``tq``.
-
-    Queries must lie inside the integrated span; returns shape (len(tq), dim).
-    """
-    tq_arr = np.atleast_1d(np.asarray(tq, dtype=float))
-    direction = 1.0 if ts[-1] >= ts[0] else -1.0
-    s = direction * ts
-    lo, hi = s[0], s[-1]
-    q = direction * tq_arr
-    if np.any(q < lo - 1e-12) or np.any(q > hi + 1e-12):
-        raise ValueError("dense-output query outside the integrated span")
-    idx = np.clip(np.searchsorted(s, q, side="right") - 1, 0, len(ts) - 2)
-    t0, t1 = ts[idx], ts[idx + 1]
-    h = t1 - t0
-    x = np.where(h != 0.0, (tq_arr - t0) / np.where(h == 0.0, 1.0, h), 0.0)
-    x = x[:, None]
-    h00 = (1 + 2 * x) * (1 - x) ** 2
-    h10 = x * (1 - x) ** 2
-    h01 = x**2 * (3 - 2 * x)
-    h11 = x**2 * (x - 1)
-    hcol = h[:, None]
-    return h00 * ys[idx] + h10 * hcol * fs[idx] + h01 * ys[idx + 1] + h11 * hcol * fs[idx + 1]
-
-
-def _step_source(tab: Tableau, n: int) -> str:
-    """Source of one attempt of the pair ``tab`` on n float components.
+def _step_source(n: int) -> str:
+    """Source of one DOP853 attempt on n float components.
 
     ``step(f, t, y, k0, h, atol, rtol, post=None)`` returns ``(y_new, k_new,
     err)``: the new state, f at it and the error norm against ``atol +
     rtol*max(|y|, |y_new|)``.  Each coefficient is scaled by h once, and each
     sum is written out term by term, left to right, over the nonzero
     coefficients: ``y + ((a0*h)*k0 + (a1*h)*k1 + ...)``.  A non-finite stage
-    value or new state raises DomainError before f sees it.  One comparison
-    tests all n values: x - x is 0.0 for a finite double x and nan otherwise.
-    When the step is accepted (err <= 1) and ``post`` is given, the new
-    state and its derivative are ``post(t + h, y_new)``.  A rejected attempt
-    of a pair without FSAL returns ``(None, None, err)``.
+    value, new state or derivative there raises DomainError.  One
+    comparison tests all n values: x - x is 0.0 for a finite double x and
+    nan otherwise.  A rejected attempt (not err <= 1) returns ``(None, None,
+    err)``; when an accepted one has ``post``, the new state and its
+    derivative are ``post(t + h, y_new)``.
     """
+    tab = DOP853
+
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(n))
 
@@ -235,52 +207,41 @@ def _step_source(tab: Tableau, n: int) -> str:
 
     lines = ["def step(f, t, y, k0, h, atol, rtol, post=None):",
              f"    {names('y')}, = y", f"    {names('k0_')}, = k0"]
-    last = tab.stages - 1
     for s in range(1, tab.stages):
         for i in range(n):
             lines.append(f"    s{i} = y{i} + ({combination(tab.a[s], i)})")
         lines += finite("s", "stage value")
         lines.append(f"    {names(f'k{s}_')}, = f(t + {tab.c[s]!r}*h, ({names('s')},))")
-    new = "s"
-    if not tab.fsal:
-        new = "u"
-        for i in range(n):
-            lines.append(f"    u{i} = y{i} + ({combination(tab.b, i)})")
-        lines += finite("u", "new state")
+    for i in range(n):
+        lines.append(f"    u{i} = y{i} + ({combination(tab.b, i)})")
+    lines += finite("u", "new state")
     norms = []
     for v, e in enumerate(tab.e):
         for i in range(n):
             if v == 0:
-                lines += [f"    a = abs(y{i}); b = abs({new}{i})",
+                lines += [f"    a = abs(y{i}); b = abs(u{i})",
                           f"    w{i} = atol + rtol*(a if a > b else b)"]
             lines.append(f"    q{v}_{i} = ({combination(e, i)})/w{i}")
         norms.append(" + ".join(f"q{v}_{i}*q{v}_{i}" for i in range(n)))
-    if len(norms) == 1:
-        lines.append(f"    err = sqrt(({norms[0]})/{n})")
-    else:
-        # Hairer's combination of the 5th- and 3rd-order estimates; h is
-        # already inside each q
-        lines += [f"    n5 = {norms[0]}", f"    n3 = {norms[1]}",
-                  f"    err = n5/sqrt((n5 + 0.01*n3)*{n}) if n5 else 0.0"]
-    y_new = f"({names(new)},)"
-    if tab.fsal:
-        lines += ["    if post is None or not err <= 1.0:",
-                  f"        return {y_new}, ({names(f'k{last}_')},), err"]
-    else:
-        lines += ["    if not err <= 1.0:", "        return None, None, err",
-                  "    if post is None:",
-                  f"        {names('k0_')}, = f(t + h, {y_new})",
-                  *("    " + s for s in finite("k0_", "derivative")),
-                  f"        return {y_new}, ({names('k0_')},), err"]
-    lines.append(f"    return (*post(t + h, {y_new}), err)")
+    y_new = f"({names('u')},)"
+    # Hairer's combination of the 5th- and 3rd-order estimates; h is
+    # already inside each q
+    lines += [f"    n5 = {norms[0]}", f"    n3 = {norms[1]}",
+              f"    err = n5/sqrt((n5 + 0.01*n3)*{n}) if n5 else 0.0",
+              "    if not err <= 1.0:", "        return None, None, err",
+              "    if post is None:",
+              f"        {names('k0_')}, = f(t + h, {y_new})",
+              *("    " + s for s in finite("k0_", "derivative")),
+              f"        return {y_new}, ({names('k0_')},), err",
+              f"    return (*post(t + h, {y_new}), err)"]
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _step(tab: Tableau, n: int) -> Callable:
-    """The compiled step of ``tab`` for dimension n, generated on first use."""
+def _step(n: int) -> Callable:
+    """The compiled step for dimension n, generated on first use."""
     namespace = {"sqrt": math.sqrt, "DomainError": DomainError}
-    code = compile(_step_source(tab, n), f"<mcgehee.rk {tab.name} step {n}>", "exec")
+    code = compile(_step_source(n), f"<mcgehee.rk step {n}>", "exec")
     exec(code, namespace)
     return namespace["step"]
 
@@ -324,18 +285,18 @@ def solve(
     first_step: float | None = None,
     stop: Callable[[float, tuple, tuple], str | None] | None = None,
     postprocess: Callable[[float, tuple], tuple[tuple, tuple]] | None = None,
-    tableau: Tableau = DP5,
 ) -> RawSolution:
     """Integrate ``dy/dt = f(t, y)`` from t0 to t1 (either direction).
 
     ``f`` takes the state as a tuple of floats and returns n floats; it is
-    called once per stage of ``tableau`` (DP5 unless given).  ``stop`` is
-    evaluated at every accepted node and may return a custom termination
-    reason to end the run early.
+    called once per stage past the first on every attempt, and once at the
+    new state of each accepted step.  ``stop`` is evaluated at every
+    accepted node and may return a custom termination reason to end the
+    run early.
     ``postprocess(t, y)`` maps each accepted state before it is recorded
     (e.g. projection onto an invariant set) and returns ``(y, f(t, y))`` at
     the adjusted state, which the next step takes as its first stage, so
-    FSAL survives it; a DomainError it raises rejects the step.
+    f is not called there; a DomainError it raises rejects the step.
     """
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"integration span must be finite, got [{t0}, {t1}]")
@@ -348,8 +309,8 @@ def solve(
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise LeftDomainError("initial state is not integrable: non-finite component")
-    step = _step(tableau, len(y))
-    k_i, k_p = 0.7 / tableau.order, 0.4 / tableau.order
+    step = _step(len(y))
+    k_i, k_p = 0.7 / DOP853.order, 0.4 / DOP853.order
     direction = math.copysign(1.0, t1 - t0)
     try:
         k0 = f(t0, y)
@@ -368,7 +329,7 @@ def solve(
     if stop is not None:
         early = stop(t, y, k0)
         if early:
-            return RawSolution(np.array(ts), np.array(ys), np.array(fs), early, 0, 0)
+            return RawSolution(np.array(ts), np.array(ys), np.array(fs), early, 0, 0, f)
 
     while reason is None:
         h_min = _h_min(t, t1)
@@ -399,7 +360,7 @@ def solve(
             break
 
         t = t + hs
-        y, k0 = y_new, k_new  # f at y_new, or the postprocess's pair: FSAL
+        y, k0 = y_new, k_new  # f at y_new, or the postprocess's pair
         ts.append(t)
         ys.append(y)
         fs.append(k0)
@@ -427,5 +388,5 @@ def solve(
         if reason == "step_underflow":
             raise StepUnderflowError(f"step size underflow at t={t0}")
     return RawSolution(
-        np.array(ts), np.array(ys), np.array(fs), reason, n_acc, n_rej
+        np.array(ts), np.array(ys), np.array(fs), reason, n_acc, n_rej, f
     )

@@ -228,6 +228,17 @@ def test_simulate_writes_trajectory_csv(capsys, tmp_path):
     assert max(abs(h - hs[0]) for h in hs) <= 1e-10 * abs(hs[0])
 
 
+def test_simulate_reports_the_accepted_steps_not_the_rows(capsys):
+    # a run writes one row per node: the start and one per accepted step
+    rc, out, err = call(capsys, "simulate", "--builtin", "isosceles", "--set", "alpha=1",
+                        "--init", "1.0,0.0,0.3,0.0", "--tau-span", "0:50")
+    pot = mcgehee.compile_potential(mcgehee.spec_from_dict(
+        {"builtin": "isosceles", "params": {"alpha": 1.0}}))
+    traj = mcgehee.integrate(mcgehee.McGeheeState(1.0, 0.0, 0.3, 0.0), pot, (0.0, 50.0))
+    assert rc == 0 and len(out.splitlines()) - 1 == len(traj) == traj.raw.n_accepted + 1
+    assert err == f"# stopped: {traj.reason} after {traj.raw.n_accepted} accepted steps\n"
+
+
 # ---------------------------------------------------------------- manifold
 
 

@@ -1,8 +1,9 @@
 """The embedded Runge-Kutta solver on problems with closed-form solutions,
-its two tables (DP5, and DOP853 against scipy's), and the contract of its
-right-hand side: call counts read from the tableau, FSAL through a
-postprocess too, domain walls, non-finite stages, the per-(tableau,
-dimension) step cache and the float path of V."""
+its one pair (DOP853, against scipy's table), its re-stepping dense output,
+and the contract of its right-hand side: call counts read from the table,
+FSAL through a postprocess, domain walls, non-finite stages, the
+per-dimension step cache and the float path of V."""
+import dataclasses
 import math
 
 import numpy as np
@@ -42,10 +43,14 @@ def test_harmonic_oscillator_forward_and_backward(rtol, atol, t1):
     exact = np.stack([np.cos(sol.ts), -np.sin(sol.ts)], axis=1)
     # unit amplitude: the requested tolerance is atol + rtol
     assert np.max(np.abs(sol.ys - exact)) <= atol + rtol
-    # cubic Hermite dense output adds at most h^4 max|y''''| / 384 per step
-    tq = np.linspace(0.0, t1, 37)
-    hermite = np.max(np.abs(np.diff(sol.ts))) ** 4 / 384.0
-    assert np.max(np.abs(sol.sample(tq)[:, 0] - np.cos(tq))) <= atol + rtol + hermite
+    # dense output re-steps from the node before each query, so it meets
+    # the same tolerance where a step is least accurate, at its midpoint
+    tq = 0.5 * (sol.ts[1:] + sol.ts[:-1])
+    rows = sol.sample(tq)
+    assert rows.shape == (len(tq), 2)
+    assert np.max(np.abs(rows - np.stack([np.cos(tq), -np.sin(tq)], axis=1))) <= atol + rtol
+    # at a node it returns the recorded state
+    assert np.array_equal(sol.sample(sol.ts), sol.ys)
 
 
 def stiff_ish(t, y):
@@ -63,26 +68,30 @@ def attempt_by_matrix_products(f, t, y, h, c, a, b):
 
 
 def test_one_generated_step_matches_the_tableau_by_matrix_products():
-    a = np.zeros((7, 7))
-    a[1, :1] = [1 / 5]
-    a[2, :2] = [3 / 40, 9 / 40]
-    a[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-    a[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-    a[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-    a[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-    e = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-    c = a.sum(axis=1)
+    tab = rk.DOP853
+    a = np.zeros((tab.stages, tab.stages))
+    for i, row in enumerate(tab.a):
+        a[i, :i] = row
+    e5, e3 = (np.array(e) for e in tab.e)
 
-    t, y, h, atol, rtol = 0.3, np.array([0.7, -0.2, 1.1]), 0.05, 1e-12, 1e-9
-    k, y_new = attempt_by_matrix_products(stiff_ish, t, y, h, c, a, a[6])
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    err = math.sqrt(float(np.mean((k @ (h * e) / scale) ** 2)))
-
-    got_y, got_k, got_err = rk._step(rk.DP5, 3)(stiff_ish, t, tuple(y), tuple(k[:, 0]), h,
-                                                atol, rtol)
-    assert got_y == pytest.approx(y_new, rel=1e-15, abs=0.0)
-    assert got_k == pytest.approx(k[:, 6], rel=1e-14, abs=0.0)
-    assert got_err == pytest.approx(err, rel=1e-9)
+    t, y, h = 0.3, np.array([0.7, -0.2, 1.1]), 0.5
+    k, y_new = attempt_by_matrix_products(stiff_ish, t, y, h, np.array(tab.c), a,
+                                          np.array(tab.b))
+    for atol, rtol, accepted in ((1e-8, 1e-5, True), (1e-14, 1e-11, False)):
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        n5 = float(np.sum((k @ (h * e5) / scale) ** 2))
+        n3 = float(np.sum((k @ (h * e3) / scale) ** 2))
+        err = n5 / math.sqrt((n5 + 0.01 * n3) * 3)
+        got_y, got_k, got_err = rk._step(3)(stiff_ish, t, tuple(y), tuple(k[:, 0]), h,
+                                            atol, rtol)
+        assert (err <= 1.0) == accepted
+        assert got_err == pytest.approx(err, rel=1e-9)
+        if accepted:
+            assert got_y == pytest.approx(y_new, rel=2e-15, abs=0.0)
+            assert got_k == pytest.approx(stiff_ish(t + h, tuple(y_new)), rel=1e-14, abs=0.0)
+        else:
+            # a rejected attempt returns no state
+            assert got_y is None and got_k is None
 
 
 def test_one_generated_dop853_step_matches_scipys_tableau_by_matrix_products():
@@ -104,7 +113,7 @@ def test_one_generated_dop853_step_matches_scipys_tableau_by_matrix_products():
     n3 = float(np.sum((k @ (h * coef.E3[:n]) / scale) ** 2))
     err = n5 / math.sqrt((n5 + 0.01 * n3) * 3)
 
-    got_y, got_k, got_err = rk._step(rk.DOP853, 3)(f, t, tuple(y), tuple(k[:, 0]), h, atol, rtol)
+    got_y, got_k, got_err = rk._step(3)(f, t, tuple(y), tuple(k[:, 0]), h, atol, rtol)
     assert 0.01 < err <= 1.0
     # twelve-term sums with coefficients up to 43: the matrix product and
     # the step's left-to-right order differ by an ulp or two
@@ -117,7 +126,7 @@ def test_dop853_coefficients_equal_scipys():
     # the package carries the table inline and never imports scipy
     coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
     tab, n = rk.DOP853, coef.N_STAGES
-    assert tab.stages == n and tab.order == 8 and not tab.fsal
+    assert tab.stages == n and tab.order == 8
     assert tab.c == tuple(coef.C[:n])
     for s in range(n):
         assert tab.a[s] == tuple(coef.A[s, :s])
@@ -131,11 +140,10 @@ def test_dop853_coefficients_equal_scipys():
         assert math.fsum(tab.a[s]) == pytest.approx(tab.c[s], rel=1e-14, abs=1e-16)
 
 
-@pytest.mark.parametrize("tab", [rk.DP5, rk.DOP853], ids=lambda tab: tab.name)
-def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order(tab):
+def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order():
     # the harmonic oscillator over 16 time units with fixed steps; the
     # generous tolerances accept every attempt
-    step = rk._step(tab, 2)
+    step = rk._step(2)
     errors = []
     for n in (16, 32, 64):
         h, y, k, t = 16.0 / n, (1.0, 0.0), oscillator(0.0, (1.0, 0.0)), 0.0
@@ -143,46 +151,23 @@ def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order(tab):
             y, k, err = step(oscillator, t, y, k, h, 1.0, 1.0)
             t += h
         errors.append(math.hypot(y[0] - math.cos(16.0), y[1] + math.sin(16.0)))
-    order = 5 if tab is rk.DP5 else 8
     for coarse, fine in zip(errors, errors[1:]):
-        assert 0.75 * 2**order <= coarse / fine <= 1.25 * 2**order
+        assert 0.75 * 2**8 <= coarse / fine <= 1.25 * 2**8
 
 
 @pytest.mark.parametrize("t1", [10.0, -10.0])
 def test_dop853_meets_its_tolerance_on_the_oscillator_in_fewer_steps(t1):
     rtol, atol = 1e-12, 1e-15
-    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), t1, rtol=rtol, atol=atol, tableau=rk.DOP853)
-    dp5 = rk.solve(oscillator, 0.0, (1.0, 0.0), t1, rtol=rtol, atol=atol)
+    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), t1, rtol=rtol, atol=atol)
     assert sol.reason == "span_end" and sol.ts[-1] == t1
     exact = np.stack([np.cos(sol.ts), -np.sin(sol.ts)], axis=1)
     assert np.max(np.abs(sol.ys - exact)) <= 10.0 * (atol + rtol)
     assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
-    assert 4 * sol.n_accepted < dp5.n_accepted
-
-
-def calls_after_the_first(tab, sol, postprocess=False):
-    """Calls of f a run makes after its first derivative: one per stage past
-    the first on every attempt, and f at the new state of an accepted step
-    unless its last stage is there or the postprocess returns it."""
-    per_accept = 0 if tab.fsal or postprocess else 1
-    return (tab.stages - 1) * (sol.n_accepted + sol.n_rejected) + per_accept * sol.n_accepted
+    # a fifth-order pair, Dormand-Prince 5(4), needs 1047 steps for this
+    assert 4 * sol.n_accepted < 1047
 
 
 # a first step of 2 is far too long, so the count covers rejected attempts
-@pytest.mark.parametrize("first_step, initial_calls", [(None, 2), (2.0, 1)])
-def test_fsal_costs_six_calls_per_attempted_step(first_step, initial_calls):
-    calls = []
-
-    def f(t, y):
-        calls.append(t)
-        return oscillator(t, y)
-
-    sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-8, atol=1e-10, first_step=first_step)
-    assert sol.n_rejected > 0 or first_step is None
-    assert rk.DP5.stages - 1 == 6
-    assert len(calls) == initial_calls + calls_after_the_first(rk.DP5, sol)
-
-
 @pytest.mark.parametrize("first_step, initial_calls", [(None, 2), (2.0, 1)])
 def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, initial_calls):
     calls = []
@@ -191,14 +176,17 @@ def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, init
         calls.append(t)
         return oscillator(t, y)
 
-    sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-10, atol=1e-12, first_step=first_step,
-                   tableau=rk.DOP853)
+    sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-10, atol=1e-12, first_step=first_step)
     assert sol.n_rejected > 0 or first_step is None
+    # after the first derivative: one call per stage past the first on
+    # every attempt, and f at the new state of each accepted step
+    assert rk.DOP853.stages - 1 == 11
     assert len(calls) == initial_calls + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
-    assert len(calls) == initial_calls + calls_after_the_first(rk.DOP853, sol)
 
 
-def run_with_renormalization(tab):
+def test_postprocess_keeps_fsal():
+    # the postprocess returns the adjusted state and f there, so the next
+    # step starts from it and solve calls f for the eleven stages alone
     calls, projections = [], []
 
     def f(t, y):
@@ -211,28 +199,12 @@ def run_with_renormalization(tab):
         y = (y[0] / r, y[1] / r)
         return y, oscillator(t, y)
 
-    sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize,
-                   tableau=tab)
+    sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize)
     assert sol.n_accepted > 0
-    assert len(calls) == 1 + calls_after_the_first(tab, sol, postprocess=True)
+    assert len(calls) == 1 + (rk.DOP853.stages - 1) * (sol.n_accepted + sol.n_rejected)
     assert len(projections) == sol.n_accepted
     assert np.allclose(np.hypot(sol.ys[:, 0], sol.ys[:, 1]), 1.0, rtol=0.0, atol=1e-15)
     assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
-    return sol, calls
-
-
-def test_postprocess_keeps_fsal():
-    # the postprocess returns the adjusted state and f there, so the next
-    # step starts from it and solve calls f only for the six stages
-    sol, calls = run_with_renormalization(rk.DP5)
-    assert len(calls) == 1 + 6 * (sol.n_accepted + sol.n_rejected)
-
-
-def test_postprocess_keeps_fsal_with_dop853():
-    # DOP853's error estimate needs no f at the new state, so with a
-    # postprocess solve calls f for the eleven stages alone
-    sol, calls = run_with_renormalization(rk.DOP853)
-    assert len(calls) == 1 + 11 * (sol.n_accepted + sol.n_rejected)
 
 
 def test_a_domain_error_in_the_postprocess_rejects_the_step():
@@ -241,10 +213,9 @@ def test_a_domain_error_in_the_postprocess_rejects_the_step():
             raise DomainError("past the wall")
         return y, oscillator(t, y)
 
-    for tab in (rk.DP5, rk.DOP853):
-        sol = rk.solve(oscillator, 0.0, (1.0, 0.0), 5.0, postprocess=renormalize, tableau=tab)
-        assert sol.reason == "left_domain" and sol.n_rejected > 0
-        assert 1.0 - 1e-12 <= sol.ts[-1] <= 1.0
+    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), 5.0, postprocess=renormalize)
+    assert sol.reason == "left_domain" and sol.n_rejected > 0
+    assert 1.0 - 1e-12 <= sol.ts[-1] <= 1.0
 
 
 def wall(t, y):
@@ -283,39 +254,39 @@ def test_non_finite_stages_are_rejected_not_recorded(rate):
     assert sol.ts[-1] <= 1.02
 
 
+def poisoned(n, bad, i, at_call):
+    """f that returns ``bad`` in component i of n on its ``at_call``-th call."""
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return tuple(bad if (j == i and len(calls) == at_call) else 0.25 for j in range(n))
+
+    return f
+
+
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_step_rejects_a_non_finite_value_in_any_component(n, bad):
-    step = rk._step(rk.DP5, n)
+    # one comparison tests all n components of each value the step checks
+    step = rk._step(n)
     y, k0 = (0.5,) * n, (0.25,) * n
-
-    def poisoned(i, at_call):
-        """f that returns ``bad`` in component i on its ``at_call``-th call."""
-        calls = []
-
-        def f(t, y):
-            calls.append(t)
-            return tuple(bad if (j == i and len(calls) == at_call) else 0.25 for j in range(n))
-
-        return f
-
+    last = rk.DOP853.stages - 1
     for i in range(n):
         spoiled = tuple(bad if j == i else x for j, x in enumerate(y))
         # a stage value, before f sees it
-        with pytest.raises(DomainError):
-            step(poisoned(i, 0), 0.0, spoiled, k0, 0.1, 1e-12, 1e-10)
-        # a derivative: the first one handed in, or that of stage 1 to 5,
-        # makes the next stage value non-finite
-        with pytest.raises(DomainError):
-            step(poisoned(i, 0), 0.0, y, tuple(bad if j == i else x for j, x in enumerate(k0)),
-                 0.1, 1e-12, 1e-10)
-        for stage in range(1, 6):
-            with pytest.raises(DomainError):
-                step(poisoned(i, stage), 0.0, y, k0, 0.1, 1e-12, 1e-10)
-        # the last one enters no stage value, only the error estimate, which
-        # is then not finite and solve rejects the step
-        _, _, err = step(poisoned(i, 6), 0.0, y, k0, 0.1, 1e-12, 1e-10)
-        assert not math.isfinite(err)
+        with pytest.raises(DomainError, match="stage value"):
+            step(poisoned(n, bad, i, 0), 0.0, spoiled, k0, 0.1, 1e-12, 1e-10)
+        # the first derivative handed in makes the next stage value non-finite
+        with pytest.raises(DomainError, match="stage value"):
+            step(poisoned(n, bad, i, 0), 0.0, y,
+                 tuple(bad if j == i else x for j, x in enumerate(k0)), 0.1, 1e-12, 1e-10)
+        # the last stage's derivative enters the new state alone
+        with pytest.raises(DomainError, match="new state"):
+            step(poisoned(n, bad, i, last), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+        # and f at the new state is tested before it is returned
+        with pytest.raises(DomainError, match="derivative"):
+            step(poisoned(n, bad, i, last + 1), 0.0, y, k0, 0.1, 1e-12, 1e-10)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -323,29 +294,12 @@ def test_dop853_step_rejects_a_non_finite_value_at_every_call(bad):
     # every derivative of the eleven stages enters a later stage value or
     # the new state, and f at the new state is tested too, so each raises
     n = 3
-    step = rk._step(rk.DOP853, n)
+    step = rk._step(n)
     y, k0 = (0.5,) * n, (0.25,) * n
-
-    def poisoned(i, at_call):
-        calls = []
-
-        def f(t, y):
-            calls.append(t)
-            return tuple(bad if (j == i and len(calls) == at_call) else 0.25 for j in range(n))
-
-        return f
-
-    for i in range(n):
+    for call in range(1, rk.DOP853.stages + 1):
         with pytest.raises(DomainError):
-            step(poisoned(i, 0), 0.0, tuple(bad if j == i else x for j, x in enumerate(y)), k0,
-                 0.1, 1e-12, 1e-10)
-        with pytest.raises(DomainError):
-            step(poisoned(i, 0), 0.0, y, tuple(bad if j == i else x for j, x in enumerate(k0)),
-                 0.1, 1e-12, 1e-10)
-        for call in range(1, rk.DOP853.stages + 1):
-            with pytest.raises(DomainError):
-                step(poisoned(i, call), 0.0, y, k0, 0.1, 1e-12, 1e-10)
-    y_new, k_new, err = step(poisoned(0, 0), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+            step(poisoned(n, bad, 1, call), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+    y_new, k_new, err = step(poisoned(n, bad, 1, 0), 0.0, y, k0, 0.1, 1e-12, 1e-10)
     assert err <= 1.0 and k_new == (0.25,) * n
 
 
@@ -358,11 +312,34 @@ def test_step_is_generated_once_per_dimension():
     info = rk._step.cache_info()
     assert info.misses == 2
     assert info.hits == 2
-    # and once per tableau
-    rk.solve(oscillator, 0.0, (1.0, 0.0), 1.0, tableau=rk.DOP853)
-    rk.solve(oscillator, 0.0, (0.0, 1.0), -1.0, tableau=rk.DOP853)
+    # dense output re-steps through the same generated step
+    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), 1.0)
+    sol.sample([0.25, 0.5, 0.75])
     info = rk._step.cache_info()
-    assert (info.misses, info.hits) == (3, 3)
+    assert (info.misses, info.hits) == (2, 6)
+
+
+def test_a_query_whose_step_leaves_the_domain_raises():
+    # dense output checks its step as a run does: here f learns of a wall
+    # at y = 0.5 after the run, so a query whose step crosses it raises
+    # DomainError and never returns a non-finite row, while a node still
+    # returns its recorded row
+    sol = rk.solve(lambda t, y: (1.0,), 0.0, (0.0,), 1.0)
+    assert sol.n_accepted > 1
+
+    def walled(t, y):
+        if y[0] > 0.5:
+            raise DomainError("past the wall")
+        return (1.0,)
+
+    for f in (walled, lambda t, y: (math.nan if y[0] > 0.5 else 1.0,)):
+        raw = dataclasses.replace(sol, f=f)
+        assert np.array_equal(raw.sample(raw.ts), raw.ys)
+        assert raw.sample([0.25])[0, 0] == pytest.approx(0.25, rel=1e-15)
+        with pytest.raises(DomainError):
+            raw.sample([0.25, 0.75])
+        with pytest.raises(ValueError, match="outside the integrated span"):
+            raw.sample([1.5])
 
 
 @pytest.mark.parametrize("spec", [

@@ -52,8 +52,8 @@ def test_benchmark_tracer_sees_the_flow_layers(capsys):
     for name in ("rk.solve", "rk.rhs", "flow.project", "cli.emit"):
         assert name in tracer.names, name
     assert metrics["rk.steps_accepted"] > 0 and metrics["cli.bytes_out"] > 0
-    # a manifold run takes DOP853: a call per stage past the first on each
-    # attempt; the projection returns the derivative at its result
+    # a call per stage past the first on each attempt; the projection
+    # returns the derivative at its result
     stages = rk.DOP853.stages
     assert stages - 1 <= metrics["rk.rhs_calls"] / metrics["rk.steps_accepted"] <= stages + 1
     assert metrics["rk.us_per_step"] > 0.0
@@ -73,10 +73,10 @@ def test_benchmark_tracer_sees_the_flow_layers(capsys):
 ], ids=["simulate", "manifold"])
 def test_benchmark_tracer_sees_every_stage(argv, capsys):
     # each solve calls f for its first derivative and its first-step
-    # estimate, then once per stage past the first on every attempt: DP5's
-    # last stage is f at the new state, and on the manifold run DOP853's
-    # projection returns it, so neither calls f there again
-    tab = rk.DOP853 if argv[0] == "manifold" else rk.DP5
+    # estimate, then once per stage past the first on every attempt, and
+    # once at the new state of each accepted step unless, as on the
+    # manifold run, the projection returns f there
+    at_new_state = 0 if argv[0] == "manifold" else 1
     tracing = load_tracing()
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
@@ -89,7 +89,8 @@ def test_benchmark_tracer_sees_every_stage(argv, capsys):
     m = tracing._round_metrics(tracer, 0, len(tracer.names))
     assert m["rk.solve_calls"] == 1 and m["rk.steps_accepted"] > 0
     assert m["rk.rhs_calls"] == (2 * m["rk.solve_calls"]
-                                 + (tab.stages - 1) * (m["rk.steps_accepted"]
-                                                       + m["rk.steps_rejected"]))
+                                 + (rk.DOP853.stages - 1) * (m["rk.steps_accepted"]
+                                                              + m["rk.steps_rejected"])
+                                 + at_new_state * m["rk.steps_accepted"])
     if argv[0] == "manifold":
         assert m["flow.project_calls"] == m["rk.steps_accepted"]
