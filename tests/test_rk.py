@@ -140,7 +140,8 @@ def test_dop853_coefficients_equal_scipys():
         assert math.fsum(tab.a[s]) == pytest.approx(tab.c[s], rel=1e-14, abs=1e-16)
 
 
-def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order():
+@pytest.mark.parametrize("tab", [rk.DOP853], ids=["DOP853"])
+def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order(tab):
     # the harmonic oscillator over 16 time units with fixed steps; the
     # generous tolerances accept every attempt
     step = rk._step(2)
@@ -152,7 +153,7 @@ def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order():
             t += h
         errors.append(math.hypot(y[0] - math.cos(16.0), y[1] + math.sin(16.0)))
     for coarse, fine in zip(errors, errors[1:]):
-        assert 0.75 * 2**8 <= coarse / fine <= 1.25 * 2**8
+        assert 0.75 * 2**tab.order <= coarse / fine <= 1.25 * 2**tab.order
 
 
 @pytest.mark.parametrize("t1", [10.0, -10.0])
@@ -184,13 +185,11 @@ def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, init
     assert len(calls) == initial_calls + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
 
 
-def test_postprocess_keeps_fsal():
-    # the postprocess returns the adjusted state and f there, so the next
-    # step starts from it and solve calls f for the eleven stages alone
+def run_with_renormalization():
     calls, projections = [], []
 
     def f(t, y):
-        calls.append(t)
+        calls.append((t, tuple(y)))
         return oscillator(t, y)
 
     def renormalize(t, y):
@@ -201,10 +200,27 @@ def test_postprocess_keeps_fsal():
 
     sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize)
     assert sol.n_accepted > 0
-    assert len(calls) == 1 + (rk.DOP853.stages - 1) * (sol.n_accepted + sol.n_rejected)
     assert len(projections) == sol.n_accepted
     assert np.allclose(np.hypot(sol.ys[:, 0], sol.ys[:, 1]), 1.0, rtol=0.0, atol=1e-15)
+    return sol, calls
+
+
+def test_postprocess_keeps_fsal():
+    # the postprocess returns the adjusted state and f there, so the next
+    # step starts from it: solve records that f and never calls f at a node
+    # past the first
+    sol, calls = run_with_renormalization()
     assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
+    nodes = {(t, tuple(y)) for t, y in zip(sol.ts[1:], sol.ys[1:])}
+    assert calls[0] == (0.0, (1.0, 0.0))
+    assert nodes.isdisjoint(calls)
+
+
+def test_postprocess_keeps_fsal_with_dop853():
+    # DOP853's error estimate needs no f at the new state, so with a
+    # postprocess solve calls f for the eleven stages alone
+    sol, calls = run_with_renormalization()
+    assert len(calls) == 1 + (rk.DOP853.stages - 1) * (sol.n_accepted + sol.n_rejected)
 
 
 def test_a_domain_error_in_the_postprocess_rejects_the_step():
