@@ -733,10 +733,12 @@ def integrate_cartesian(
     atol: float = ATOL,
 ) -> CartesianTrajectory:
     def rhs(t: float, y: tuple) -> tuple:
+        # cartesian_vector_field on floats
         try:
-            return tuple(cartesian_vector_field(y[2:], y[:2], pot).tolist())
+            gx, gy = pot._grad_U(y[0], y[1])
         except OriginSingularityError as err:
             raise DomainError(str(err)) from err
+        return y[2], y[3], -gx, -gy
 
     y0 = (q0[0], q0[1], p0[0], p0[1])
     sol = solve(rhs, float(t_span[0]), y0, float(t_span[1]), rtol=rtol, atol=atol)
@@ -774,21 +776,25 @@ def sample_at_physical_times(traj: Trajectory, times: Sequence[float]) -> np.nda
     inside = (t_sorted[0] - 1e-12 <= t_star) & (t_star <= t_sorted[-1] + 1e-12)
     if not inside.all():
         raise ValueError(f"t = {float(t_star[~inside][0])} outside the integrated range")
-    # Newton on t(tau) = t_star in each query's bracket of accepted nodes;
-    # the step that samples tau returns t and its rate dt/dtau there
+    # Newton on t(tau) = t_star in each query's bracket of accepted nodes,
+    # from the linear interpolant of t there.  Each evaluation is the step
+    # that samples tau, which returns t and its rate dt/dtau; the row is the
+    # state of the last one, within Newton's 4 ulps of the root
     raw = traj.raw
     if raw is None:
         raise ValueError("trajectory carries no dense-output data")
     i = np.clip(np.searchsorted(t_sorted, t_star), 1, len(t_sorted) - 1)
-    tau = np.empty(t_star.shape)
-    for q, (lo, hi, target) in enumerate(zip(tau_sorted[i - 1].tolist(),
-                                             tau_sorted[i].tolist(), t_star.tolist())):
-        def fdf(x, target=target):
+    rows = np.empty((len(t_star), raw.ys.shape[1]))
+    for q, (lo, hi, t_lo, t_hi, target) in enumerate(zip(
+            tau_sorted[i - 1].tolist(), tau_sorted[i].tolist(), t_sorted[i - 1].tolist(),
+            t_sorted[i].tolist(), t_star.tolist())):
+        def fdf(x, q=q, target=target):
             y, f = raw.state_at(x)
+            rows[q] = y
             return y[4] - target, f[4]
 
-        tau[q] = bracketed_newton(fdf, lo, hi, -1.0, 0.5 * (lo + hi))
-    rows = traj.sample(tau)
+        x = lo + (target - t_lo) / (t_hi - t_lo) * (hi - lo) if t_hi > t_lo else 0.5 * (lo + hi)
+        bracketed_newton(fdf, lo, hi, -1.0, min(max(x, lo), hi))
     # raw components are (log r, theta, v, w, t, log|z|); undo the logs
     z_sign = math.copysign(1.0, traj.zs[0]) if traj.zs[0] != 0.0 else 0.0
     with np.errstate(over="ignore"):

@@ -266,15 +266,19 @@ class Potential:
     def grad_U(self, q) -> np.ndarray:
         """Gradient of U: radial part beta r^(beta-1) V, tangential r^(beta-1) V'."""
         q = np.asarray(q, dtype=float)
-        r = float(np.hypot(q[0], q[1]))
+        return np.array(self._grad_U(float(q[0]), float(q[1])))
+
+    def _grad_U(self, qx: float, qy: float) -> tuple[float, float]:
+        """``grad_U`` on floats, for the Cartesian right-hand side."""
+        r = math.hypot(qx, qy)
         if r == 0.0:
             raise OriginSingularityError("grad U is evaluated away from the origin")
-        theta = math.atan2(q[1], q[0])
-        j = self.V(theta)
-        radial = self.beta * r ** (self.beta - 1.0) * j.val
-        tangential = r ** (self.beta - 1.0) * j.d1
+        theta = math.atan2(qy, qx)
+        val, d1, _ = self.V_float(theta)
+        radial = self.beta * r ** (self.beta - 1.0) * val
+        tangential = r ** (self.beta - 1.0) * d1
         c, s = math.cos(theta), math.sin(theta)
-        return np.array([radial * c - tangential * s, radial * s + tangential * c])
+        return radial * c - tangential * s, radial * s + tangential * c
 
 
 def compile_potential(spec: PotentialSpec) -> Potential:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DomainError, LeftDomainError, StepUnderflowError
 
-__all__ = ["RawSolution", "Tableau", "DOP853", "solve"]
+__all__ = ["RawSolution", "DOP853", "solve"]
 
 
 @dataclass(frozen=True, eq=False)

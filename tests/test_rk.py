@@ -308,15 +308,23 @@ def test_step_rejects_a_non_finite_value_in_any_component(n, bad):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_dop853_step_rejects_a_non_finite_value_at_every_call(bad):
     # every derivative of the eleven stages enters a later stage value or
-    # the new state, and f at the new state is tested too, so each raises
-    n = 3
-    step = rk._step(n)
-    y, k0 = (0.5,) * n, (0.25,) * n
-    for call in range(1, rk.DOP853.stages + 1):
-        with pytest.raises(DomainError):
-            step(poisoned(n, bad, 1, call), 0.0, y, k0, 0.1, 1e-12, 1e-10)
-    y_new, k_new, err = step(poisoned(n, bad, 1, 0), 0.0, y, k0, 0.1, 1e-12, 1e-10)
-    assert err <= 1.0 and k_new == (0.25,) * n
+    # the new state, and f at the new state is tested too, so each raises,
+    # whichever component is spoiled
+    for n in (3, 6):
+        step = rk._step(n)
+        y, k0 = (0.5,) * n, (0.25,) * n
+        for i in range(n):
+            with pytest.raises(DomainError):
+                step(poisoned(n, bad, i, 0), 0.0,
+                     tuple(bad if j == i else x for j, x in enumerate(y)), k0, 0.1, 1e-12, 1e-10)
+            with pytest.raises(DomainError):
+                step(poisoned(n, bad, i, 0), 0.0, y,
+                     tuple(bad if j == i else x for j, x in enumerate(k0)), 0.1, 1e-12, 1e-10)
+            for call in range(1, rk.DOP853.stages + 1):
+                with pytest.raises(DomainError):
+                    step(poisoned(n, bad, i, call), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+        y_new, k_new, err = step(poisoned(n, bad, 0, 0), 0.0, y, k0, 0.1, 1e-12, 1e-10)
+        assert err <= 1.0 and k_new == (0.25,) * n
 
 
 def test_step_is_generated_once_per_dimension():
