@@ -504,7 +504,7 @@ def _eigen_data(b: float, v_star: float, c: float):
             roots = (0.0 + 0.0j, 0.0 + 0.0j)
         else:
             qq = -(p + math.copysign(sq, p)) / 2.0
-            if qq == 0.0:  # p == 0, c < 0: symmetric real pair
+            if qq == 0.0:  # p and sq so near 0 that -(p + sq)/2 underflows to 0
                 roots = (complex(sq / 2.0), complex(-sq / 2.0))
             else:
                 roots = (complex(qq), complex(c / qq))

@@ -1,7 +1,8 @@
 """Adaptive embedded Runge-Kutta integration with PI step control.
 
-One pair runs every integration: Dormand-Prince 8(5,3), ``DOP853``
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), twelve
+One pair runs every integration: Dormand-Prince 8(5,3), DOP853 (Hairer,
+Norsett & Wanner, *Solving ODEs I*, II.5 and II.10), whose coefficients
+are the constants ``_C``, ``_A``, ``_B``, ``_E5`` and ``_E3`` below: twelve
 stages and eleven calls of f per attempt.  Its error combines the 5th- and
 3rd-order estimates as ``|h| n5 / sqrt((n5 + 0.01 n3) n)``, RMS-scaled by
 ``atol + rtol*max(|y|, |y_new|)``, and uses no derivative at the new state,
@@ -22,11 +23,13 @@ next step still starts from a known derivative (FSAL) and f is not called
 at the new state.  The accepted nodes become arrays once, at the end of
 the run.
 
-A right-hand side may raise DomainError (or OverflowError) to signal that a
-stage left the admissible region; the step is then retried with a smaller
-h.  When the step size underflows the run ends gracefully with a
-termination reason, unless not even one step was accepted, which raises
-instead.
+A run ends by one rule, tested before its first step and after each
+accepted one: at t1 once it is within ``1e-14*max(|t1|, 1)`` of it, or
+where ``stop`` names a reason.  A right-hand side may raise DomainError (or
+OverflowError) to signal that a stage left the admissible region; the step
+is then retried with a smaller h.  When the step size underflows the run
+ends gracefully with a termination reason, unless not even one step was
+accepted, which raises instead.
 """
 from __future__ import annotations
 
@@ -40,89 +43,70 @@ import numpy as np
 
 from .errors import DomainError, LeftDomainError, StepUnderflowError
 
-__all__ = ["RawSolution", "DOP853", "solve"]
+__all__ = ["RawSolution", "solve"]
 
 
-@dataclass(frozen=True, eq=False)
-class Tableau:
-    """An explicit embedded pair: stage s is f at ``t + c[s]*h`` and
-    ``y + h*sum(a[s][j]*k[j])``, the new state is ``y + h*sum(b[j]*k[j])``,
-    and the two vectors of ``e`` hold the weights of DOP853's 5th- and
-    3rd-order error estimates.  ``order`` is the q of the controller's
-    gains."""
-
-    c: tuple[float, ...]
-    a: tuple[tuple[float, ...], ...]   # row s has s entries; row 0 is empty
-    b: tuple[float, ...]
-    e: tuple[tuple[float, ...], tuple[float, ...]]
-    order: int
-
-    @property
-    def stages(self) -> int:
-        return len(self.c)
-
-
-_DOP853_B = (
+# DOP853: stage s is f at ``t + _C[s]*h`` and ``y + h*sum(_A[s][j]*k[j])``
+# (row s has s entries), and the new state is ``y + h*sum(_B[j]*k[j])``
+_C = (
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+)
+_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_B = (
     5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
     4.45031289275240888144113950566, 1.89151789931450038304281599044,
     -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
     -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
     4.47106157277725905176885569043e-2,
 )
-# weights of the embedded 3rd-order solution; E3 is b minus them
-_DOP853_BHH = (
+# the weights of the 5th-order error estimate
+_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+)
+# the 3rd-order one: _B minus the weights of the embedded 3rd-order solution
+_E3 = tuple(b - bhh for b, bhh in zip(_B, (
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
-)
-DOP853 = Tableau(
-    c=(
-        0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
-        0.118350341907227396726757197510, 0.281649658092772603273242802490,
-        0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
-        0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
-    ),
-    a=(
-        (),
-        (5.26001519587677318785587544488e-2,),
-        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-        (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
-         9.24834003261792003115737966543e-1),
-        (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
-         1.25467687566822425016691814123e-1),
-        (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
-         6.02165389804559606850219397283e-2, -1.7578125e-2),
-        (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
-         1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-         8.27378916381402288758473766002e-3),
-        (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
-         -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-         2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
-        (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
-         -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-         1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-         -2.03312017085086261358222928593e-2),
-        (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
-         1.09143734899672957818500254654, -8.14978701074692612513997267357,
-         -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-         2.49360555267965238987089396762, -3.0467644718982195003823669022),
-        (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
-         -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-         2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-         -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-         6.43392746015763530355970484046e-1),
-    ),
-    b=_DOP853_B,
-    e=(
-        (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
-         -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
-         0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
-         0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
-         -0.2235530786388629525884427845e-1),
-        tuple(b - bhh for b, bhh in zip(_DOP853_B, _DOP853_BHH)),
-    ),
-    order=8,
-)
+)))
+# the proportional-integral controller's gains, 0.7/q and 0.4/q at order q = 8
+_K_I, _K_P = 0.7 / 8, 0.4 / 8
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -188,10 +172,11 @@ def _step_source(n: int) -> str:
     err)``; when an accepted one has ``post``, the new state and its
     derivative are ``post(t + h, y_new)``.
     """
-    tab = DOP853
-
     def names(prefix):
         return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def squares(prefix):
+        return " + ".join(f"{prefix}{i}*{prefix}{i}" for i in range(n))
 
     def finite(prefix, what):
         return [f"    if {' + '.join(f'({prefix}{i} - {prefix}{i})' for i in range(n))} != 0.0:",
@@ -207,26 +192,25 @@ def _step_source(n: int) -> str:
 
     lines = ["def step(f, t, y, k0, h, atol, rtol, post=None):",
              f"    {names('y')}, = y", f"    {names('k0_')}, = k0"]
-    for s in range(1, tab.stages):
+    for s in range(1, len(_C)):
         for i in range(n):
-            lines.append(f"    s{i} = y{i} + ({combination(tab.a[s], i)})")
+            lines.append(f"    s{i} = y{i} + ({combination(_A[s], i)})")
         lines += finite("s", "stage value")
-        lines.append(f"    {names(f'k{s}_')}, = f(t + {tab.c[s]!r}*h, ({names('s')},))")
+        lines.append(f"    {names(f'k{s}_')}, = f(t + {_C[s]!r}*h, ({names('s')},))")
     for i in range(n):
-        lines.append(f"    u{i} = y{i} + ({combination(tab.b, i)})")
+        lines.append(f"    u{i} = y{i} + ({combination(_B, i)})")
     lines += finite("u", "new state")
-    norms = []
-    for v, e in enumerate(tab.e):
-        for i in range(n):
-            if v == 0:
-                lines += [f"    a = abs(y{i}); b = abs(u{i})",
-                          f"    w{i} = atol + rtol*(a if a > b else b)"]
-            lines.append(f"    q{v}_{i} = ({combination(e, i)})/w{i}")
-        norms.append(" + ".join(f"q{v}_{i}*q{v}_{i}" for i in range(n)))
+    # the 5th-order estimate q0 and the 3rd-order q1, each over its weight
+    for i in range(n):
+        lines += [f"    a = abs(y{i}); b = abs(u{i})",
+                  f"    w{i} = atol + rtol*(a if a > b else b)"]
+        lines.append(f"    q0_{i} = ({combination(_E5, i)})/w{i}")
+    for i in range(n):
+        lines.append(f"    q1_{i} = ({combination(_E3, i)})/w{i}")
     y_new = f"({names('u')},)"
     # Hairer's combination of the 5th- and 3rd-order estimates; h is
     # already inside each q
-    lines += [f"    n5 = {norms[0]}", f"    n3 = {norms[1]}",
+    lines += [f"    n5 = {squares('q0_')}", f"    n3 = {squares('q1_')}",
               f"    err = n5/sqrt((n5 + 0.01*n3)*{n}) if n5 else 0.0",
               "    if not err <= 1.0:", "        return None, None, err",
               "    if post is None:",
@@ -290,9 +274,9 @@ def solve(
 
     ``f`` takes the state as a tuple of floats and returns n floats; it is
     called once per stage past the first on every attempt, and once at the
-    new state of each accepted step.  ``stop`` is evaluated at every
-    accepted node and may return a custom termination reason to end the
-    run early.
+    new state of each accepted step.  ``stop`` is evaluated at t0 and at
+    every accepted node and may return a custom termination reason to end
+    the run early.
     ``postprocess(t, y)`` maps each accepted state before it is recorded
     (e.g. projection onto an invariant set) and returns ``(y, f(t, y))`` at
     the adjusted state, which the next step takes as its first stage, so
@@ -310,38 +294,35 @@ def solve(
     if not all(map(math.isfinite, y)):
         raise LeftDomainError("initial state is not integrable: non-finite component")
     step = _step(len(y))
-    k_i, k_p = 0.7 / DOP853.order, 0.4 / DOP853.order
+    k_i, k_p = _K_I, _K_P
     direction = math.copysign(1.0, t1 - t0)
+    span_tol = 1e-14 * max(abs(t1), 1.0)   # a run within this of t1 has reached it
     try:
         k0 = f(t0, y)
     except (DomainError, OverflowError) as err:
         raise LeftDomainError(f"initial state is not integrable: {err}") from err
+    if not all(map(math.isfinite, k0)):
+        raise LeftDomainError("initial state is not integrable: non-finite derivative")
 
     h = first_step if first_step is not None else _initial_step(f, t0, y, k0, t1, rtol, atol)
     h = min(abs(h), abs(t1 - t0), _MAX_STEP)
 
     ts, ys, fs = [t0], [y], [k0]
-    reason = None
     err_prev = 1.0
     n_acc = n_rej = 0
     t = t0
 
-    if stop is not None:
-        early = stop(t, y, k0)
-        if early:
-            return RawSolution(np.array(ts), np.array(ys), np.array(fs), early, 0, 0, f)
-
-    while reason is None:
-        h_min = _h_min(t, t1)
-        if abs(t1 - t) <= h_min:
+    while True:   # a run ends here at t1 or at stop's reason, or below if h underflows
+        reason = stop(t, y, k0) if stop is not None else None
+        if reason:
+            break
+        if direction * (t1 - t) <= span_tol:
             reason = "span_end"
             break
+        h_min = _h_min(t, t1)
         h = min(h, abs(t1 - t))
         domain_hit = False
-        while True:
-            if h < h_min:
-                reason = "left_domain" if domain_hit else "step_underflow"
-                break
+        while h >= h_min:
             hs = direction * h
             try:
                 y_new, k_new, err = step(f, t, y, k0, hs, atol, rtol, postprocess)
@@ -356,7 +337,8 @@ def solve(
                 break
             n_rej += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -k_i)
-        if reason is not None:
+        else:
+            reason = "left_domain" if domain_hit else "step_underflow"
             break
 
         t = t + hs
@@ -366,21 +348,9 @@ def solve(
         fs.append(k0)
         n_acc += 1
 
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err ** -k_i * err_prev ** k_p
+        factor = _SAFETY * err ** -k_i * err_prev ** k_p if err else _MAX_FACTOR
         h = min(h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor)), _MAX_STEP)
         err_prev = max(err, 1e-4)  # keep the PI memory term well-conditioned
-
-        if stop is not None:
-            custom = stop(t, y, k0)
-            if custom:
-                reason = custom
-                break
-        if direction * (t1 - t) <= 1e-14 * max(abs(t1), 1.0):
-            reason = "span_end"
-            break
 
     if n_acc == 0:
         if reason == "left_domain":

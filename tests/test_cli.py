@@ -10,7 +10,7 @@ import pytest
 import mcgehee
 from mcgehee.cli import dumps_17, load_spec, run
 from mcgehee.critical import _SCAN_GRID
-from mcgehee.potentials import Potential
+from mcgehee.potentials import BUILTINS, Potential
 
 
 def call(capsys, *argv):
@@ -94,6 +94,10 @@ def test_domain_problems_exit_two(capsys):
     assert rc == 2  # no critical angle near 0.4
     rc, _, _ = call(capsys, "compare-mr", "--expr", "cos(theta)-2", "--beta", "0")
     assert rc == 2
+    # at epsilon = 0 yoshida_h has rest points of one sign only
+    rc, _, err = call(capsys, "manifold", "--builtin", "yoshida_h", "--set", "epsilon=0",
+                      "--from", "0")
+    assert rc == 2 and "no rest points with that sign" in err
     # the probe sits at the middle of the range, whatever --set gave alpha
     rc, _, _ = call(capsys, "sweep", "--builtin", "isosceles", "--set", "alpha=1",
                     "--param", "alpha", "--range=-1:0.5")
@@ -120,6 +124,12 @@ MANIFOLD = ("manifold", "--builtin", "yoshida_g", "--set", "epsilon=4")
     ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range=1:20",
      "--thresh-tol", "inf"),
     ("certify", "--builtin", "isosceles", "--set", "alpha=1", "--strictness-tol", "inf"),
+    ("certify", "--builtin", "isosceles", "--set", "alpha=1", "--strictness-tol", "0"),
+    ("sweep", "--builtin", "isosceles", "--param", "alpha", "--range=1:20", "--grid-m", "1"),
+    ("certify", "--builtin", "isosceles", "--set", "epsilon"),
+    ("simulate", "--builtin", "yoshida_g", "--set", "epsilon=4", "--tau-span", "0:5",
+     "--init", "1,a,0,0"),
+    ("certify", "--expr", "cos(theta)-2", "--beta", "-1", "--domain", "0.1"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_and_empty_flag_values_are_usage_errors(argv, capsys):
     rc, out, err = call(capsys, *argv)
@@ -160,6 +170,16 @@ def test_certificate_json_shape(capsys):
     assert all(a["satisfied"] for a in cert["assumptions"])
     assert cert["assumptions"][5]["margin"] == pytest.approx(0.375, rel=1e-9)
     assert cert["potential"]["builtin"] == "isosceles"
+
+
+def test_a_finite_strictness_tol_reaches_the_certificate(capsys):
+    # alpha = 1 is NonIntegrable at the default tolerance; margins must
+    # clear 1e3 to count, so none does, and the nearest miss is on the band
+    rc, out, _ = call(capsys, "certify", "--builtin", "isosceles", "--set", "alpha=1",
+                      "--strictness-tol", "1e3")
+    cert = json.loads(out)
+    assert rc == 3
+    assert cert["conclusion"] == "Inconclusive" and cert["boundary"] is True
 
 
 def test_sign_flip_produces_a_complexified_certificate(capsys):
@@ -366,6 +386,17 @@ def test_expr_spec_matches_the_builtin_on_a_grid(capsys):
     assert got["conclusion"] == want["conclusion"] == "NonIntegrable"
     for a, b in zip(got["assumptions"], want["assumptions"]):
         assert a["margin"] == pytest.approx(b["margin"], abs=1e-12)
+    # a builtin's source, degree and domain as an expression give the
+    # builtin's certificate; only the echo of the potential differs
+    iso = BUILTINS["isosceles"]
+    rc, out, _ = call(capsys, "certify", "--expr", iso.source, "--beta", "-1",
+                      "--set", "alpha=1", f"--domain={-math.pi / 2!r}:{math.pi / 2!r}")
+    rc2, out2, _ = call(capsys, "certify", "--builtin", "isosceles", "--set", "alpha=1")
+    got, want = json.loads(out), json.loads(out2)
+    assert rc == rc2 == 0
+    assert got.pop("potential")["domain"] == [-math.pi / 2, math.pi / 2]
+    want.pop("potential")
+    assert got == want
 
 
 # ---------------------------------------------------------------- validate

@@ -419,6 +419,21 @@ def test_linearization_matches_the_displayed_eigenvalues():
     assert sad.lambda23[1] == pytest.approx(-0.97035, abs=1e-5)
 
 
+@pytest.mark.parametrize("b, v_star, c, kind", [
+    (-2.0, 1.0, 0.0, "node"),         # p = 0 and c = 0: a double zero
+    (-2.0, 1.0, -4.0, "saddle"),      # p = 0: roots +-2
+    (-2.0, 1.0, 4.0, "center"),       # p = 0: roots +-2i
+    (-1.0, 1e-323, 0.0, "node"),      # -(p + sq)/2 underflows to 0
+])
+def test_degenerate_rest_point_spectra_match_numpy(b, v_star, c, kind):
+    lam1, roots, got_kind = flow._eigen_data(b, v_star, c)
+    assert lam1 == -b * v_star and got_kind == kind
+    p = (b / 2.0 + 1.0) * v_star
+    key = lambda z: (-z.real, -z.imag)
+    want = sorted(np.roots([1.0, p, c]).astype(complex).tolist(), key=key)
+    assert sorted(roots, key=key) == pytest.approx(want, abs=1e-15)
+
+
 def test_plus_equilibria_mirror_the_minus_spectrum():
     for pot in (iso(), yoshida()):
         eqs = find_equilibria(pot)

@@ -300,6 +300,22 @@ def test_spec_bad_param_value():
         spec_from_dict({"builtin": "isosceles", "params": {"alpha": "one"}})
 
 
+@pytest.mark.parametrize("raw, field", [
+    ([{"beta": 1, "expr": "1"}], "spec"),       # a JSON value that is not an object
+    ({"beta": 1, "expr": 1}, "expr"),
+    ({"builtin": ["isosceles"]}, "builtin"),
+    ({"beta": True, "expr": "cos(theta)"}, "beta"),
+    ({"beta": math.inf, "expr": "cos(theta)"}, "beta"),
+    ({"builtin": "isosceles", "params": [["alpha", 1.0]]}, "params"),
+    ({"beta": 1, "expr": "cos(theta)", "domain": [0.1]}, "domain"),
+    ({"beta": 1, "expr": "cos(theta)", "domain": ["a", 1]}, "domain"),
+], ids=["not-object", "expr", "builtin", "beta-bool", "beta-inf", "params", "domain-short",
+        "domain-string"])
+def test_spec_rejects_a_field_of_the_wrong_kind(raw, field):
+    with pytest.raises(SpecError, match=rf"^{field}: "):
+        spec_from_dict(raw)
+
+
 def test_expr_spec_matches_builtin():
     spec = spec_from_dict(
         {

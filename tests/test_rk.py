@@ -1,16 +1,18 @@
 """The embedded Runge-Kutta solver on problems with closed-form solutions,
 its one pair (DOP853, against scipy's table), its re-stepping dense output,
-and the contract of its right-hand side: call counts read from the table,
-FSAL through a postprocess, domain walls, non-finite stages, the
-per-dimension step cache and the float path of V."""
+how a run ends, the pinned text of its generated step, and the contract of
+its right-hand side: call counts read from the coefficients, FSAL through a
+postprocess, domain walls, non-finite stages, the per-dimension step cache
+and the float path of V."""
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mcgehee import rk
-from mcgehee.errors import DomainError, LeftDomainError
+from mcgehee.errors import DomainError, LeftDomainError, StepUnderflowError
 from mcgehee.potentials import compile_potential, spec_from_dict
 
 TOLS = [(1e-6, 1e-9), (1e-10, 1e-12)]
@@ -68,15 +70,15 @@ def attempt_by_matrix_products(f, t, y, h, c, a, b):
 
 
 def test_one_generated_step_matches_the_tableau_by_matrix_products():
-    tab = rk.DOP853
-    a = np.zeros((tab.stages, tab.stages))
-    for i, row in enumerate(tab.a):
+    stages = len(rk._C)
+    a = np.zeros((stages, stages))
+    for i, row in enumerate(rk._A):
         a[i, :i] = row
-    e5, e3 = (np.array(e) for e in tab.e)
+    e5, e3 = np.array(rk._E5), np.array(rk._E3)
 
     t, y, h = 0.3, np.array([0.7, -0.2, 1.1]), 0.5
-    k, y_new = attempt_by_matrix_products(stiff_ish, t, y, h, np.array(tab.c), a,
-                                          np.array(tab.b))
+    k, y_new = attempt_by_matrix_products(stiff_ish, t, y, h, np.array(rk._C), a,
+                                          np.array(rk._B))
     for atol, rtol, accepted in ((1e-8, 1e-5, True), (1e-14, 1e-11, False)):
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         n5 = float(np.sum((k @ (h * e5) / scale) ** 2))
@@ -125,23 +127,24 @@ def test_one_generated_dop853_step_matches_scipys_tableau_by_matrix_products():
 def test_dop853_coefficients_equal_scipys():
     # the package carries the table inline and never imports scipy
     coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-    tab, n = rk.DOP853, coef.N_STAGES
-    assert tab.stages == n and tab.order == 8
-    assert tab.c == tuple(coef.C[:n])
+    n = coef.N_STAGES
+    assert len(rk._C) == len(rk._A) == n
+    # the controller's gains are 0.7/q and 0.4/q at the pair's order q = 8
+    assert (rk._K_I, rk._K_P) == (0.7 / 8, 0.4 / 8)
+    assert rk._C == tuple(coef.C[:n])
     for s in range(n):
-        assert tab.a[s] == tuple(coef.A[s, :s])
+        assert rk._A[s] == tuple(coef.A[s, :s])
         assert not coef.A[s, s:].any()
-    assert tab.b == tuple(coef.B)
-    assert tab.e == (tuple(coef.E5[:n]), tuple(coef.E3[:n]))
+    assert rk._B == tuple(coef.B)
+    assert (rk._E5, rk._E3) == (tuple(coef.E5[:n]), tuple(coef.E3[:n]))
     # neither error estimate weighs f at the new state
     assert coef.E5[n] == coef.E3[n] == 0.0
     # the sum rule c = A 1 holds to rounding
     for s in range(n):
-        assert math.fsum(tab.a[s]) == pytest.approx(tab.c[s], rel=1e-14, abs=1e-16)
+        assert math.fsum(rk._A[s]) == pytest.approx(rk._C[s], rel=1e-14, abs=1e-16)
 
 
-@pytest.mark.parametrize("tab", [rk.DOP853], ids=["DOP853"])
-def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order(tab):
+def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order():
     # the harmonic oscillator over 16 time units with fixed steps; the
     # generous tolerances accept every attempt
     step = rk._step(2)
@@ -153,7 +156,7 @@ def test_halving_a_fixed_step_divides_the_global_error_by_two_to_the_order(tab):
             t += h
         errors.append(math.hypot(y[0] - math.cos(16.0), y[1] + math.sin(16.0)))
     for coarse, fine in zip(errors, errors[1:]):
-        assert 0.75 * 2**tab.order <= coarse / fine <= 1.25 * 2**tab.order
+        assert 0.75 * 2**8 <= coarse / fine <= 1.25 * 2**8
 
 
 @pytest.mark.parametrize("t1", [10.0, -10.0])
@@ -181,7 +184,7 @@ def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, init
     assert sol.n_rejected > 0 or first_step is None
     # after the first derivative: one call per stage past the first on
     # every attempt, and f at the new state of each accepted step
-    assert rk.DOP853.stages - 1 == 11
+    assert len(rk._C) - 1 == 11
     assert len(calls) == initial_calls + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
 
 
@@ -220,7 +223,7 @@ def test_postprocess_keeps_fsal_with_dop853():
     # DOP853's error estimate needs no f at the new state, so with a
     # postprocess solve calls f for the eleven stages alone
     sol, calls = run_with_renormalization()
-    assert len(calls) == 1 + (rk.DOP853.stages - 1) * (sol.n_accepted + sol.n_rejected)
+    assert len(calls) == 1 + (len(rk._C) - 1) * (sol.n_accepted + sol.n_rejected)
 
 
 def test_a_domain_error_in_the_postprocess_rejects_the_step():
@@ -287,7 +290,7 @@ def test_step_rejects_a_non_finite_value_in_any_component(n, bad):
     # one comparison tests all n components of each value the step checks
     step = rk._step(n)
     y, k0 = (0.5,) * n, (0.25,) * n
-    last = rk.DOP853.stages - 1
+    last = len(rk._C) - 1
     for i in range(n):
         spoiled = tuple(bad if j == i else x for j, x in enumerate(y))
         # a stage value, before f sees it
@@ -320,7 +323,7 @@ def test_dop853_step_rejects_a_non_finite_value_at_every_call(bad):
             with pytest.raises(DomainError):
                 step(poisoned(n, bad, i, 0), 0.0, y,
                      tuple(bad if j == i else x for j, x in enumerate(k0)), 0.1, 1e-12, 1e-10)
-            for call in range(1, rk.DOP853.stages + 1):
+            for call in range(1, len(rk._C) + 1):
                 with pytest.raises(DomainError):
                     step(poisoned(n, bad, i, call), 0.0, y, k0, 0.1, 1e-12, 1e-10)
         y_new, k_new, err = step(poisoned(n, bad, 0, 0), 0.0, y, k0, 0.1, 1e-12, 1e-10)
@@ -384,7 +387,7 @@ def test_float_path_returns_the_jet_of_V(spec):
     (0.0, math.nan, {}), (math.nan, 5.0, {}), (0.0, math.inf, {}), (-math.inf, 0.0, {}),
     (0.0, 5.0, {"rtol": math.inf}), (0.0, 5.0, {"rtol": math.nan}), (0.0, 5.0, {"rtol": 0.0}),
     (0.0, 5.0, {"atol": math.inf}), (0.0, 5.0, {"atol": -1e-12}),
-    (0.0, 5.0, {"first_step": math.nan}),
+    (0.0, 5.0, {"first_step": math.nan}), (2.0, 2.0, {}),
 ])
 def test_solve_rejects_a_span_or_tolerance_it_cannot_finish(t0, t1, tols):
     with pytest.raises(ValueError):
@@ -401,3 +404,62 @@ def test_an_overflowing_first_derivative_starts_from_the_smallest_step():
     assert rk._initial_step(steep, 0.0, (1.0,), (1e300,), 5.0, 1e-10, 1e-12) == rk._h_min(0.0, 5.0)
     sol = rk.solve(steep, 0.0, (1.0,), 5.0)
     assert sol.reason == "span_end" and sol.ts[1] == rk._h_min(0.0, 5.0)
+
+
+def test_no_accepted_step_raises_step_underflow():
+    # f swings by 1e150 within every representable step, so no attempt
+    # meets the tolerance before the step falls below its smallest size
+    with pytest.raises(StepUnderflowError):
+        rk.solve(lambda t, y: (1e150 * math.sin(1e20 * t),), 0.0, (0.0,), 1.0)
+
+
+def test_a_non_finite_first_derivative_is_not_integrable():
+    # the first-step estimate divides by the derivative's norm, so a nan
+    # there made the step nan, and a nan step never falls below the smallest
+    with pytest.raises(LeftDomainError, match="non-finite derivative"):
+        rk.solve(lambda t, y: (math.nan,), 0.0, (1.0,), 1.0)
+
+
+@pytest.mark.parametrize("t1", [2e-15, 5e-15, -5e-15, 1e6 + 5e-9])
+def test_a_span_within_the_end_tolerance_of_t1_takes_no_step(t1):
+    # a run has reached t1 once it is within 1e-14*max(|t1|, 1) of it, and
+    # that is tested before the first step too, so a span no longer than
+    # that ends where it starts, even one longer than the smallest step
+    t0 = 0.0 if abs(t1) < 1.0 else 1e6
+    assert abs(t1 - t0) <= 1e-14 * max(abs(t1), 1.0)
+    sol = rk.solve(oscillator, t0, (1.0, 0.0), t1)
+    assert sol.reason == "span_end" and sol.n_accepted == sol.n_rejected == 0
+    assert sol.ts.tolist() == [t0] and sol.ys.tolist() == [[1.0, 0.0]]
+
+
+def test_stop_is_asked_at_t0_and_at_every_accepted_node():
+    seen = []
+
+    def stop(t, y, k):
+        seen.append(t)
+        return "crossed" if y[0] < 0.0 else None
+
+    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), 10.0, stop=stop)
+    assert sol.reason == "crossed" and sol.ys[-1, 0] < 0.0 <= sol.ys[-2, 0]
+    assert seen == sol.ts.tolist()
+    # a reason at t0 ends the run before its first step
+    sol = rk.solve(oscillator, 0.0, (1.0, 0.0), 10.0, stop=lambda t, y, k: "at once")
+    assert sol.reason == "at once" and sol.n_accepted == sol.n_rejected == 0
+    assert sol.ts.tolist() == [0.0]
+
+
+# SHA-256 of the generated step's text.  Every trajectory's bits follow
+# from this text, so an edit of the generator that changes it must change
+# these on purpose.
+STEP_SOURCE_SHA256 = {
+    1: "8ff3b196e9e43a414bcabbf1fca4138e1293541e0875f9a262afdf8da24af11b",
+    2: "4c32d235e3fd2f65ce24fc44c6194b1567c5c327b547cd87f70b7571f6cf5cc7",
+    3: "5439d9522da1e02f553c980bb961d296ef36ab9d598134cd046c20936bdb7525",
+    4: "0fc48eb7dee32956aac8d3b4e0a2874b9387c4a2109db323ee72ce64dac60368",
+    6: "48d97faa55d547c6004bf478c0051deeac9265f40ebe8b6dada8fcb79dbf71ec",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STEP_SOURCE_SHA256))
+def test_generated_step_text_is_pinned(n):
+    assert hashlib.sha256(rk._step_source(n).encode()).hexdigest() == STEP_SOURCE_SHA256[n]
