@@ -8,12 +8,15 @@ non-integrability exactly when all six margins clear ``strictness_tol``.  Margin
 never promoted to a verdict: the certificate comes back ``Inconclusive`` with
 the ``boundary`` flag set.
 
-V is sampled once per arc, the stretch between two neighbouring critical
-angles: one grid gives the arc's extremes of V and min |V'| inside it, and
-the grids of all arcs are one array call of V.  A triple [theta_-1,
-theta_0] + [theta_0, theta_1] reads its two arcs and the jets at its three
-angles, which the scan has already taken but at the angles one revolution
-on, and the assumptions are judged from those numbers.  With
+The scan's critical angles are read by position; on a circle the first two
+are appended once more, one revolution on.  Triple i is angles i, i+1 and
+i+2, and it reads arcs i and i+1, arc k being the stretch from angle k to
+angle k+1.  V is sampled once per arc: one grid gives the arc's extremes
+of V and min |V'| inside it, and the grids of all arcs are one array call
+of V.  On a circle of n angles, arc n is arc 0 one revolution on and reads
+arc 0's row.  The jets at the angles are those the scan took, except at
+the two angles one revolution on, and the assumptions are judged from
+those numbers.  With
 ``allow_sign_flip``, when no triple certifies V and V > 0 on the sampled
 span of some candidate triple, the same measurements are judged for -V:
 negation maps them to those of -V exactly, so this route evaluates V no
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .critical import CriticalPoint, critical_jet, find_critical_points
+from .critical import critical_jet, find_critical_points
 from .errors import DomainViolationError, McGeheeError, UnboundParameterError
 from .expr import shared_tables
 from .potentials import TWO_PI, Jet2, Potential, PotentialSpec, compile_potential
@@ -146,16 +149,6 @@ def _arcs(pot: Potential, ends: dict) -> dict:
     return dict(zip(ends, rows))
 
 
-def _angles(triple: tuple[float, float, float], jet) -> tuple[tuple, tuple]:
-    """The triple as floats, checked, and ``jet`` at each of its angles."""
-    tm, t0, tp = (float(t) for t in triple)
-    if not (tm < t0 < tp):
-        raise DomainViolationError(f"triple {triple} is not strictly increasing")
-    if tp - tm > TWO_PI + 1e-12:
-        raise DomainViolationError(f"triple {triple} spans more than one revolution")
-    return (tm, t0, tp), tuple(jet(t) for t in (tm, t0, tp))
-
-
 def _measure(triple: tuple[float, float, float], jets, arcs) -> _Measurement:
     """A triple's measurement from its jets and its two ``_arcs`` rows."""
     vmax, vmin, m4 = zip(*arcs)
@@ -212,18 +205,14 @@ def check_triple(
     periodic domain the outer pair may be the same critical angle seen one
     revolution apart.  Every angle must actually be a critical point of V.
     """
-    (tm, t0, tp), jets = _angles(triple, lambda t: critical_jet(pot, t)[1])
+    tm, t0, tp = (float(t) for t in triple)
+    if not (tm < t0 < tp):
+        raise DomainViolationError(f"triple {triple} is not strictly increasing")
+    if tp - tm > TWO_PI + 1e-12:
+        raise DomainViolationError(f"triple {triple} spans more than one revolution")
+    jets = tuple(critical_jet(pot, t)[1] for t in (tm, t0, tp))
     arcs = _arcs(pot, {0: (tm, t0), 1: (t0, tp)})
     return _judge(pot.beta, _measure((tm, t0, tp), jets, arcs.values()), opts)
-
-
-def _candidate_triples(
-    pot: Potential, cps: list[CriticalPoint]
-) -> list[tuple[float, float, float]]:
-    t = [c.theta for c in cps]
-    if pot.domain.periodic and len(t) >= 2:
-        t += [t[0] + TWO_PI, t[1] + TWO_PI]
-    return [tuple(t[i : i + 3]) for i in range(len(t) - 2)]
 
 
 class _Scored(NamedTuple):
@@ -276,36 +265,28 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
     echo = pot.spec.to_dict()
     cps = find_critical_points(pot)
     bars = _bars(opts)
-    # the jets at the triples' angles: the scan's at its own angles, and
-    # critical_jet's at the angles one revolution on
-    jets = {c.theta: c.jet for c in cps}
+    # the critical angles by position, with their jets: the scan's, and on a
+    # circle critical_jet's at theta_0 and theta_1 one revolution on.  An
+    # angle there that fails it ends the list: the triples that read it drop
+    n = len(cps)
+    t, jets = [c.theta for c in cps], [c.jet for c in cps]
+    if pot.domain.periodic and n >= 2:
+        for c in cps[:2]:
+            try:
+                jets.append(critical_jet(pot, c.theta + TWO_PI)[1])
+            except McGeheeError:
+                break
+            t.append(c.theta + TWO_PI)
 
-    def jet(t: float) -> Jet2:
-        if t not in jets:
-            jets[t] = critical_jet(pot, t)[1]
-        return jets[t]
-
-    staged = []
-    for triple in _candidate_triples(pot, cps):
-        try:
-            staged.append(_angles(triple, jet))
-        except McGeheeError:
-            continue
-
-    # an arc is keyed by the index of the critical angle it starts from, so
-    # each is sampled once: on a circle every arc belongs to two triples, and
-    # the last triple's second arc is the first arc one revolution on.  All
-    # arcs are sampled in one call of V; when that fails, each arc is sampled
-    # on its own, and a failing arc drops the triples that read it
-    start = {c.theta: i for i, c in enumerate(cps)}
-    if pot.domain.periodic:
-        start.update({c.theta + TWO_PI: i for i, c in enumerate(cps[:2])})
-    ends: dict[int, tuple[float, float]] = {}
-    for (tm, t0, tp), _ in staged:
-        ends.setdefault(start[tm], (tm, t0))
-        ends.setdefault(start[t0], (t0, tp))
+    # triple i is t[i:i+3] and reads arcs i and i+1; arc k is t[k:k+2], keyed
+    # k % n, so on a circle arc n is arc 0 seen one revolution on and is
+    # sampled once.  All arcs are sampled in one call of V; when that fails,
+    # each arc is sampled on its own, and a failing arc drops the triples
+    # that read it
+    triples = range(len(t) - 2)
+    ends = {k: (t[k], t[k + 1]) for k in range(min(len(t) - 1, n))}
     try:
-        arcs = _arcs(pot, ends) if ends else {}
+        arcs = _arcs(pot, ends) if triples else {}
     except McGeheeError:
         arcs = {}
         for key, arc in ends.items():
@@ -314,11 +295,9 @@ def certify(pot: Potential, opts: CertifyOptions = CertifyOptions()) -> Certific
             except McGeheeError:
                 continue
 
-    measured = []
-    for (tm, t0, tp), triple_jets in staged:
-        if start[tm] in arcs and start[t0] in arcs:
-            rows = arcs[start[tm]], arcs[start[t0]]
-            measured.append(_measure((tm, t0, tp), triple_jets, rows))
+    measured = [_measure(tuple(t[i:i + 3]), tuple(jets[i:i + 3]),
+                         (arcs[i % n], arcs[(i + 1) % n]))
+                for i in triples if i % n in arcs and (i + 1) % n in arcs]
 
     def certificate(flipped: bool, conclusion: str, slack: float, picked=None,
                     boundary=False):

@@ -9,7 +9,6 @@ from mcgehee.certify import (
     _ARC_GRID,
     CertifyOptions,
     _arcs,
-    _candidate_triples,
     _zeroin,
     certify,
     check_triple,
@@ -23,7 +22,7 @@ from mcgehee.errors import (
     NotCriticalPointError,
     UnboundParameterError,
 )
-from mcgehee.potentials import BUILTINS, TWO_PI, compile_potential, spec_from_dict
+from mcgehee.potentials import BUILTINS, TWO_PI, Jet2, compile_potential, spec_from_dict
 from mcgehee.validate import random_trig_poly
 
 
@@ -33,6 +32,29 @@ def builtin(name, **params):
 
 def expr_pot(source, beta=-1.0):
     return compile_potential(spec_from_dict({"expr": source, "beta": beta}))
+
+
+def measured_triples(monkeypatch, pot, **stubs):
+    """The triples ``certify(pot)`` measures, in its order, seen through the
+    ``_measure`` seam; ``stubs`` replace names of the certify module
+    meanwhile."""
+    # the attribute mcgehee.certify is the re-exported function, so reach
+    # the module through sys.modules
+    module = sys.modules["mcgehee.certify"]
+    raw_measure = module._measure
+    triples = []
+
+    def measure(*args):
+        m = raw_measure(*args)
+        triples.append(m.triple)
+        return m
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_measure", measure)
+        for name, stub in stubs.items():
+            m.setattr(module, name, stub)
+        certify(pot)
+    return triples
 
 
 def test_isosceles_certifies_below_the_mass_threshold():
@@ -185,19 +207,36 @@ def test_certify_samples_each_arc_once(monkeypatch):
         finally:
             scanning[0] = False
 
-    pot = builtin("yoshida_g", epsilon=4.0)
-    angles = len(find_critical_points(pot))
-    monkeypatch.setattr(potential, "V", counted)
-    monkeypatch.setattr(module, "find_critical_points", scan)
-    monkeypatch.setattr(module, "critical_jet", counted_jet)
-    certify(pot, CertifyOptions(allow_sign_flip=True))
+    def certified(pot):
+        angles = len(find_critical_points(pot))
+        arrays.clear()
+        jets.clear()
+        with monkeypatch.context() as m:
+            m.setattr(potential, "V", counted)
+            m.setattr(module, "find_critical_points", scan)
+            m.setattr(module, "critical_jet", counted_jet)
+            certify(pot, CertifyOptions(allow_sign_flip=True))
+        return angles
+
     # eight triples on the circle read eight arcs, all in one array call;
     # the last one reads (theta_0, theta_1) for the same arc seen one
     # revolution on.  Their 24 angles are 10 distinct ones: the scan has
     # the jets of eight, and theta_0, theta_1 one revolution on remain
+    angles = certified(builtin("yoshida_g", epsilon=4.0))
     assert angles == 8
     assert arrays == [8 * _ARC_GRID]
     assert len(jets) <= 2
+    # an interval of three angles: one triple, two arcs, no angle one
+    # revolution on
+    assert certified(builtin("isosceles", alpha=1.0)) == 3
+    assert arrays == [2 * _ARC_GRID]
+    assert jets == []
+    # a circle of two angles: two triples whose second arcs are arcs 1 and 0
+    # seen one revolution on, so two arcs, and the jets of both angles one
+    # revolution on
+    assert certified(expr_pot("cos(theta) - 2")) == 2
+    assert arrays == [2 * _ARC_GRID]
+    assert len(jets) == 2
 
 
 def test_a3_reads_v_at_the_critical_angles():
@@ -207,12 +246,12 @@ def test_a3_reads_v_at_the_critical_angles():
     assert reports[2].margin == 1.0
 
 
-def test_arc_check_reads_the_256_point_grid():
+def test_arc_check_reads_the_256_point_grid(monkeypatch):
     pots = (builtin("yoshida_g", epsilon=4.0), builtin("isosceles", alpha=1.0),
             expr_pot(random_trig_poly(np.random.default_rng(7))))
     for pot in pots:
         cps = find_critical_points(pot)
-        arcs = {arc for tm, t0, tp in _candidate_triples(pot, cps)
+        arcs = {arc for tm, t0, tp in measured_triples(monkeypatch, pot)
                 for arc in ((tm, t0), (t0, tp))}
         if pot.domain.periodic:
             first, second, last = cps[0].theta, cps[1].theta, cps[-1].theta
@@ -240,7 +279,7 @@ def test_batched_arcs_match_each_arc_bit_for_bit(monkeypatch):
             expr_pot(random_trig_poly(np.random.default_rng(7))))
     for pot in pots:
         cps = find_critical_points(pot)
-        ends = {arc: arc for tm, t0, tp in _candidate_triples(pot, cps)
+        ends = {arc: arc for tm, t0, tp in measured_triples(monkeypatch, pot)
                 for arc in ((tm, t0), (t0, tp))}
         if pot.domain.periodic:
             first, second, last = cps[0].theta, cps[1].theta, cps[-1].theta
@@ -271,6 +310,7 @@ def test_a_failing_arc_drops_the_triples_that_read_it(monkeypatch):
     pot = builtin("yoshida_g", epsilon=4.0)
     cps = find_critical_points(pot)
     a, b = cps[3].theta, cps[4].theta
+    triples = measured_triples(monkeypatch, pot)
     measured = []
 
     def failing(self, theta):
@@ -289,18 +329,22 @@ def test_a_failing_arc_drops_the_triples_that_read_it(monkeypatch):
     cert = certify(pot)
     # the one call of V for all arcs fails, each arc is then sampled on its
     # own, and the two triples around (a, b) are dropped
-    triples = _candidate_triples(pot, cps)
     assert measured == [t for t in triples if (a, b) not in ((t[0], t[1]), (t[1], t[2]))]
     assert len(measured) == len(triples) - 2
     assert cert.triple in measured
 
 
-def test_candidate_triples_enumeration():
+def test_candidate_triples_enumeration(monkeypatch):
     circle, interval = expr_pot("cos(theta) - 2"), builtin("isosceles", alpha=1.0)
 
     def triples(pot, *thetas):
-        return _candidate_triples(pot, [CriticalPoint(t, -1.0, 0.0, "degenerate")
-                                        for t in thetas])
+        # a scan of the given angles, and every angle one revolution on
+        # critical
+        return measured_triples(
+            monkeypatch, pot,
+            find_critical_points=lambda pot: [CriticalPoint(t, -1.0, 0.0, "degenerate")
+                                              for t in thetas],
+            critical_jet=lambda pot, theta: (theta, Jet2(-1.0, 0.0, 0.0)))
 
     assert triples(circle, 1.0) == []
     assert triples(circle, 1.0, 2.0) == [(1.0, 2.0, 1.0 + TWO_PI),
@@ -310,6 +354,55 @@ def test_candidate_triples_enumeration():
     assert triples(interval, -1.0, 0.0) == []
     assert triples(interval, -1.0, 0.0, 1.0) == [(-1.0, 0.0, 1.0)]
     assert triples(interval, -1.0, -0.5, 0.5, 1.0) == [(-1.0, -0.5, 0.5), (-0.5, 0.5, 1.0)]
+
+
+def test_a_failing_jet_one_revolution_on_drops_the_triples_that_read_it(monkeypatch):
+    module = sys.modules["mcgehee.certify"]
+    potential = sys.modules["mcgehee.potentials"].Potential
+    raw_V, raw_jet = potential.V, module.critical_jet
+    pot = builtin("yoshida_g", epsilon=4.0)
+    t = [c.theta for c in find_critical_points(pot)]
+    n, grids = len(t), []
+
+    def seen(self, theta):
+        if isinstance(theta, np.ndarray):
+            grids.append(theta)
+        return raw_V(self, theta)
+
+    def failing(pot, theta):
+        if theta >= TWO_PI:
+            raise NotCriticalPointError(f"angle {theta} fails")
+        return raw_jet(pot, theta)
+
+    monkeypatch.setattr(potential, "V", seen)
+    triples = measured_triples(monkeypatch, pot, critical_jet=failing)
+    # theta_0 one revolution on fails, so the two triples that read it drop,
+    # and so does arc n - 1, which only they read
+    assert triples == [tuple(t[i:i + 3]) for i in range(n - 2)]
+    (grid,) = grids
+    assert grid.shape == (n - 1, _ARC_GRID)
+    assert grid[:, 0].tolist() == t[:-1]
+    assert grid[:, -1].tolist() == t[1:]
+
+
+def test_certificate_agrees_with_check_triple():
+    pots = [builtin("isosceles", alpha=a) for a in (1.0, 13.0, 14.0)]
+    pots += [builtin(name, epsilon=e) for name in ("yoshida_g", "yoshida_h")
+             for e in (-0.5, 2.0, 4.0)]
+    rng = np.random.default_rng(25)
+    pots += [expr_pot(random_trig_poly(rng), beta) for _ in range(10)
+             for beta in (-3.0, -1.0, 1.0)]
+    for pot in pots:
+        cert = certify(pot)
+        reports = check_triple(pot, cert.triple)
+        if cert.triple[1] < TWO_PI:
+            assert reports == cert.assumptions, (pot.spec, cert.triple)
+            continue
+        # the last triple on a circle reads the row of arc 0 for its second
+        # arc, which check_triple samples one revolution on
+        for got, want in zip(reports, cert.assumptions, strict=True):
+            assert (got.index, got.satisfied) == (want.index, want.satisfied)
+            assert got.margin == pytest.approx(want.margin, rel=1e-12, abs=0.0)
 
 
 def test_sign_flip_does_not_touch_negative_potentials():
