@@ -162,6 +162,9 @@ def _positive(value: float | None, flag: str) -> None:
 def _build_spec(args: argparse.Namespace) -> PotentialSpec:
     overrides = _parse_sets(args.set)
     if args.file is not None:
+        for flag, value in (("--beta", args.beta), ("--domain", args.domain)):
+            if value is not None:
+                raise _UsageError(f"{flag}: cannot be combined with --file; set it in the spec")
         spec = load_spec(args.file)
         return spec.with_params(**overrides) if overrides else spec
     raw: dict = {}
@@ -173,7 +176,7 @@ def _build_spec(args: argparse.Namespace) -> PotentialSpec:
         raw["beta"] = args.beta
     if overrides:
         raw["params"] = overrides
-    if getattr(args, "domain", None) is not None:
+    if args.domain is not None:
         raw["domain"] = list(_parse_pair(args.domain, "--domain"))
     return spec_from_dict(raw)
 
@@ -338,11 +341,12 @@ def _add_potential_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--expr", metavar="SRC",
                        help="inline expression for V(theta); requires --beta")
     sub.add_argument("--beta", type=float, default=None,
-                     help="homogeneity degree (required with --expr)")
+                     help="homogeneity degree (required with --expr, refused with --file)")
     sub.add_argument("--set", action="append", default=[], metavar="NAME=VALUE",
                      help="set or override a potential parameter (repeatable)")
     sub.add_argument("--domain", default=None, metavar="LO:HI",
-                     help="open angular domain for --expr (default: periodic circle)")
+                     help="open angular domain for --expr (default: periodic circle; "
+                          "refused with --file)")
     sub.add_argument("--output", default=None, metavar="PATH",
                      help="write the result here instead of stdout")
 

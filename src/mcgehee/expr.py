@@ -641,10 +641,9 @@ class _Emitter:
 # inside ``shared_tables``: per ``table`` function, its kept results as
 # (angles, table) pairs, least recently used first
 _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("tables", default=None)
-# results kept per table, and the fewest angles a kept one has: the scan
-# grid and the arc grids on both sides of a threshold Brent brackets
+# results kept per table: the scan grid and the arc grids on both sides of
+# a threshold Brent brackets
 _SHARED_TABLES = 3
-_SHARED_MIN_POINTS = 1024
 
 
 @contextlib.contextmanager
@@ -671,7 +670,7 @@ def _shared(table: Callable) -> Callable:
     angles, as V's array closure passes them."""
     def tables(t):
         kept = _SHARED.get()
-        if kept is None or t.size < _SHARED_MIN_POINTS:
+        if kept is None:
             return table(t)
         lru = kept.setdefault(table, [])
         for k, (grid, out) in enumerate(lru):

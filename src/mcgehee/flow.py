@@ -58,7 +58,6 @@ from .errors import (
     DomainError,
     DomainViolationError,
     LeftDomainError,
-    McGeheeError,
     NotSaddleError,
     OriginSingularityError,
 )
@@ -82,6 +81,8 @@ _MANIFOLD_TOL = 1e-12
 # because the departure phase amplifies seed-level noise by
 # exp(|lambda_stable| * tau_departure)
 _TRACE_RTOL, _TRACE_ATOL = 1e-12, 1e-15
+# the (theta, v, w) speed at which a trace stops at a rest point
+_TRACE_EQ_TOL = 1e-14
 
 
 def _z(pot: Potential, theta: float, v: float, w: float) -> float:
@@ -186,7 +187,9 @@ class Trajectory:
     (``subsystem=True``) the r and t columns are placeholders (0 and NaN)
     and z is reconstructed from the state; for full runs z and h come from
     the carried log-radial components (h = r^beta z evaluated as
-    sign(z) exp(beta log r + log|z|)).
+    sign(z) exp(beta log r + log|z|)).  ``reason_detail`` is filled only by
+    ``trace_invariant_manifold``, with the rest-point distance of a run that
+    ``reached_equilibrium``.
     """
 
     pot: Potential
@@ -345,13 +348,12 @@ def vector_field(state: McGeheeState, pot: Potential) -> np.ndarray:
     return np.array([state.r * state.v, *rates])
 
 
-def _subsystem_stop(eq_tol: float | None, slice_from: int):
+def _subsystem_stop(eq_tol: float | None):
     if eq_tol is None:
         return None
-    i, j, k = slice_from, slice_from + 1, slice_from + 2
 
     def stop(tau: float, y: tuple, f: tuple) -> str | None:
-        if abs(f[i]) < eq_tol and abs(f[j]) < eq_tol and abs(f[k]) < eq_tol:
+        if abs(f[0]) < eq_tol and abs(f[1]) < eq_tol and abs(f[2]) < eq_tol:
             return "reached_equilibrium"
         return None
 
@@ -371,34 +373,20 @@ def _eq_distance(pot: Potential, theta: float, v: float, w: float, eq: Equilibri
     return math.sqrt((theta - center) ** 2 + (v - eq.v_star) ** 2 + w**2)
 
 
-def _equilibrium_detail(pot: Potential, theta: float, v: float, w: float) -> dict:
-    detail: dict = {}
-    try:
-        eqs = find_equilibria(pot)
-    except McGeheeError:
-        return detail
-    if eqs:
-        detail["distance"] = min(_eq_distance(pot, theta, v, w, e) for e in eqs)
-    return detail
-
-
 def integrate(
     state0: McGeheeState,
     pot: Potential,
     tau_span: tuple[float, float],
     rtol: float = RTOL,
     atol: float = ATOL,
-    eq_tol: float | None = None,
     t_stop: float | None = None,
 ) -> Trajectory:
     """Integrate the full blown-up system over ``tau_span``.
 
     Physical time t (from t=0) and log|z| ride along as extra components
     (see the module docstring for why the radial pair is integrated in log
-    form); backward spans (tau1 < tau0) are allowed.  With ``eq_tol`` set,
-    the run stops once the (theta, v, w) speed drops below it and the
-    reason records the distance to the nearest rest point.  ``t_stop`` ends
-    a forward run once the carried physical time reaches it, which is how a
+    form); backward spans (tau1 < tau0) are allowed.  ``t_stop`` ends a
+    forward run once the carried physical time reaches it, which is how a
     tau-parameterized run covers a prescribed t-window without guessing the
     tau span.
     """
@@ -416,14 +404,10 @@ def integrate(
         )
     z_sign = math.copysign(1.0, z0)
     y0 = (math.log(state0.r), state0.theta, state0.v, state0.w, 0.0, math.log(abs(z0)))
-    eq_stop = _subsystem_stop(eq_tol, slice_from=1)
-    if t_stop is None:
-        stop = eq_stop
-    else:
+    stop = None
+    if t_stop is not None:
         def stop(tau: float, y: tuple, f: tuple) -> str | None:
-            if y[4] >= t_stop:
-                return "t_stop"
-            return eq_stop(tau, y, f) if eq_stop is not None else None
+            return "t_stop" if y[4] >= t_stop else None
 
     sol = solve(_charts(pot).full, tau0, y0, tau1, rtol=rtol, atol=atol, stop=stop)
     ys = sol.ys
@@ -431,40 +415,32 @@ def integrate(
         rs = np.exp(ys[:, 0])
         zs = z_sign * np.exp(ys[:, 5])
         hs = z_sign * np.exp(pot.beta * ys[:, 0] + ys[:, 5])
-    traj = Trajectory(pot=pot, taus=sol.ts, ts=ys[:, 4], rs=rs, thetas=ys[:, 1], vs=ys[:, 2],
+    return Trajectory(pot=pot, taus=sol.ts, ts=ys[:, 4], rs=rs, thetas=ys[:, 1], vs=ys[:, 2],
                       ws=ys[:, 3], zs=zs, hs=hs, reason=sol.reason, raw=sol)
-    if sol.reason == "reached_equilibrium":
-        traj.reason_detail = _equilibrium_detail(
-            pot, float(ys[-1, 1]), float(ys[-1, 2]), float(ys[-1, 3])
-        )
-    return traj
 
 
 def integrate_manifold(
     m0: ManifoldState,
     pot: Potential,
     tau_span: tuple[float, float],
-    on_manifold: bool = True,
-    project: bool = False,
 ) -> Trajectory:
     """Integrate the r-independent (theta, v, w) subsystem over ``tau_span``.
 
-    In on-M mode the start must satisfy |z| <= 1e-12, and the trajectory's
-    z column (reconstructed per sample) doubles as the invariance
-    diagnostic ``max_abs_z``.  With ``project=True`` every accepted step is
-    Newton-projected back onto z = 0 (the ``project`` chart, see
-    ``_manifold_run``); the z column is then ~0 by construction and no longer
-    measures drift.
+    The start must lie on M, |z| <= 1e-12.  The run is not projected, so
+    the trajectory's z column (reconstructed per sample) doubles as the
+    invariance diagnostic ``max_abs_z``.
     """
     z0 = m0.z(pot)
-    if on_manifold and abs(z0) > _MANIFOLD_TOL:
+    if abs(z0) > _MANIFOLD_TOL:
         raise DomainViolationError(f"|z| = {abs(z0):.3e} exceeds {_MANIFOLD_TOL:.1e}: not on M")
-    return _manifold_run(m0, pot, tau_span, RTOL, ATOL, None, project)
+    return _manifold_run(m0, pot, tau_span, RTOL, ATOL, None, False)
 
 
 def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
-    """``integrate_manifold`` without its start check; ``eq_tol`` ends the
-    run at a rest point as in ``integrate``.
+    """``integrate_manifold`` without its start check.  ``eq_tol``, if set,
+    ends the run at a rest point (``reached_equilibrium``); with ``project``
+    every accepted step is projected onto z = 0, so the z column no longer
+    measures drift.
 
     The projection is one Newton step of z -> 0 through the steeper of v, w.
     The collision manifold z = (v^2 + w^2)/2 + V(theta) = 0 is exactly
@@ -480,7 +456,7 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
     charts = _charts(pot)
     sol = solve(
         charts.manifold, float(tau_span[0]), (m0.theta, m0.v, m0.w), float(tau_span[1]),
-        rtol=rtol, atol=atol, stop=_subsystem_stop(eq_tol, slice_from=0),
+        rtol=rtol, atol=atol, stop=_subsystem_stop(eq_tol),
         postprocess=charts.project if project else None,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
@@ -599,28 +575,28 @@ def trace_invariant_manifold(
     branch: tuple[str, str],
     offset: float = 1e-7,
     max_tau: float = 200.0,
-    eq_tol: float | None = 1e-14,
 ) -> Trajectory:
     """Trace a separatrix of a saddle on M and record spiral diagnostics.
 
     ``branch`` picks the eigen-direction: ("unstable" | "stable", "+" | "-").
     The seed sits ``offset`` along the within-M eigenvector (1, 0, lambda)
     (normalized), Newton-projected back onto z = 0 through v; unstable
-    branches run forward in tau, stable ones backward.  The run keeps the
-    projection of ``integrate_manifold(project=True)`` switched on: without
-    it, transversal noise grows like exp(-beta * integral of v) and, when
-    that rate is positive along the branch, throws the separatrix off M
-    before it can wind up on its focus.  The returned trajectory's
+    branches run forward in tau, stable ones backward.  The run is
+    projected onto z = 0 after every accepted step (``_manifold_run``):
+    without that, transversal noise grows like exp(-beta * integral of v)
+    and, when that rate is positive along the branch, throws the separatrix
+    off M before it can wind up on its focus.  The returned trajectory's
     ``spiral`` field measures winding around the nearest rest point to the
     endpoint.
 
     Absolute coordinates stop resolving a focus near ulp(theta_c) ~ 1e-16,
-    and ``eq_tol`` ends the run a little above that floor.  When the run
-    ended there (``reached_equilibrium``), within ``LINEAR_HANDOFF`` of a
-    focus that attracts in the direction of integration, the winding is
-    carried on in closed form with the linear flow of that focus up to
-    ``+/-max_tau`` (see ``_continue_focus``): the quadratic Taylor terms are
-    O(distance) relative there, so the flow is linear to rounding.  The
+    and the run stops at a (theta, v, w) speed below ``_TRACE_EQ_TOL``, a
+    little above that floor.  When the run ended there
+    (``reached_equilibrium``), within ``LINEAR_HANDOFF`` of a focus that
+    attracts in the direction of integration, the winding is carried on in
+    closed form with the linear flow of that focus up to ``+/-max_tau``
+    (see ``_continue_focus``): the quadratic Taylor terms are O(distance)
+    relative there, so the flow is linear to rounding.  The
     spiral's swept angle, terminal and minimum distance then describe the
     continued state; ``absolute_angle`` keeps the phase of the sampled run
     alone and ``log_terminal_distance`` keeps a distance that may underflow.
@@ -647,7 +623,7 @@ def trace_invariant_manifold(
     span = (0.0, max_tau if kind == "unstable" else -max_tau)
     traj = _manifold_run(
         ManifoldState(float(y0[0]), float(y0[1]), float(y0[2])), pot, span,
-        _TRACE_RTOL, _TRACE_ATOL, eq_tol, project=True,
+        _TRACE_RTOL, _TRACE_ATOL, _TRACE_EQ_TOL, project=True,
     )
 
     eqs = find_equilibria(pot)

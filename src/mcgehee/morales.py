@@ -60,6 +60,8 @@ __all__ = [
 
 # the integers p whose members -p(p-3)/2 mr_beta_minus1_values lists
 _MR_P = range(-20, 21)
+# how far lambda may sit from a member and still count as one
+_MR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ def check_integrability_necessary(lam: float, beta: float) -> NecessaryInequalit
     return NecessaryInequality(satisfied=margin >= 0.0, margin=margin)
 
 
-def mr_beta_minus1_member(lam: float, tol: float = 1e-9) -> bool:
-    """Whether lambda lies in the beta = -1 Morales-Ramis set within ``tol``.
+def mr_beta_minus1_member(lam: float) -> bool:
+    """Whether lambda lies in the beta = -1 Morales-Ramis set within ``_MR_TOL``.
 
     The set is {-p(p-3)/2 | p integer}; inverting the quadratic gives
     p = (3 +/- sqrt(9 - 8*lambda))/2, and it suffices to test the integers
@@ -169,7 +171,7 @@ def mr_beta_minus1_member(lam: float, tol: float = 1e-9) -> bool:
     root = math.sqrt(disc)
     for p_real in ((3.0 - root) / 2.0, (3.0 + root) / 2.0):
         for p in (math.floor(p_real), math.ceil(p_real)):
-            if abs(lam + 0.5 * p * (p - 3.0)) <= tol:
+            if abs(lam + 0.5 * p * (p - 3.0)) <= _MR_TOL:
                 return True
     return False
 

@@ -122,6 +122,13 @@ class PotentialSpec:
     params: Mapping[str, float] = field(default_factory=dict)
     domain: tuple[float, float] | None = None
 
+    def __post_init__(self) -> None:
+        # a builtin's degree is fixed; every spec, built in code or read from
+        # a file, passes here
+        known = BUILTINS.get(self.builtin)
+        if known is not None and self.beta != known.beta:
+            raise SpecError(f"beta: builtin {self.builtin!r} has degree {known.beta}")
+
     def to_dict(self) -> dict:
         out: dict = {"beta": self.beta}
         if self.builtin is not None:
@@ -170,8 +177,6 @@ def spec_from_dict(raw: object) -> PotentialSpec:
         beta = BUILTINS[builtin].beta
     if not isinstance(beta, (int, float)) or isinstance(beta, bool) or not math.isfinite(beta):
         raise SpecError("beta: expected a finite number")
-    if builtin is not None and float(beta) != BUILTINS[builtin].beta:
-        raise SpecError(f"beta: builtin {builtin!r} has degree {BUILTINS[builtin].beta}")
 
     params = raw.get("params", {})
     if not isinstance(params, dict):

@@ -266,7 +266,6 @@ def solve(
     t1: float,
     rtol: float = RTOL,
     atol: float = ATOL,
-    first_step: float | None = None,
     stop: Callable[[float, tuple, tuple], str | None] | None = None,
     postprocess: Callable[[float, tuple], tuple[tuple, tuple]] | None = None,
 ) -> RawSolution:
@@ -288,8 +287,6 @@ def solve(
         raise ValueError("empty integration span")
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"rtol and atol must be positive and finite, got {rtol}, {atol}")
-    if first_step is not None and not math.isfinite(first_step):
-        raise ValueError(f"first_step must be finite, got {first_step}")
     y = tuple(map(float, y0))
     if not all(map(math.isfinite, y)):
         raise LeftDomainError("initial state is not integrable: non-finite component")
@@ -304,8 +301,7 @@ def solve(
     if not all(map(math.isfinite, k0)):
         raise LeftDomainError("initial state is not integrable: non-finite derivative")
 
-    h = first_step if first_step is not None else _initial_step(f, t0, y, k0, t1, rtol, atol)
-    h = min(abs(h), abs(t1 - t0), _MAX_STEP)
+    h = min(_initial_step(f, t0, y, k0, t1, rtol, atol), abs(t1 - t0), _MAX_STEP)
 
     ts, ys, fs = [t0], [y], [k0]
     err_prev = 1.0

@@ -367,6 +367,18 @@ def test_spec_file_with_set_override(capsys, tmp_path):
     assert cert["potential"]["params"]["alpha"] == 13
 
 
+@pytest.mark.parametrize("flag, value", [("--beta", "3"), ("--domain", "0:1")])
+def test_a_spec_file_refuses_beta_and_domain_flags(capsys, tmp_path, flag, value):
+    # the file sets the degree and the domain; a flag that would be dropped
+    # silently is a usage error that names it
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps({"beta": -1, "builtin": "isosceles",
+                                "params": {"alpha": 13}}))
+    rc, out, err = call(capsys, "certify", "--file", str(path), f"{flag}={value}")
+    assert (rc, out) == (1, "")
+    assert err == f"error: {flag}: cannot be combined with --file; set it in the spec\n"
+
+
 def test_malformed_spec_file_exits_one(capsys, tmp_path):
     path = tmp_path / "pot.json"
     path.write_text('{"beta": -1, "builtin": ')

@@ -31,6 +31,7 @@ from mcgehee.flow import (
     vector_field,
 )
 from mcgehee.potentials import compile_potential, spec_from_dict
+from mcgehee.rk import ATOL, RTOL
 
 
 def builtin(name, **params):
@@ -213,16 +214,6 @@ def test_nonpositive_radius_is_rejected():
         integrate(McGeheeState(0.0, 0.0, 0.0, 1.0), iso(), (0.0, 1.0))
 
 
-def test_equilibrium_stop_reports_the_rest_point_distance():
-    pot = iso()
-    eq = equilibrium_at(pot, 0.0, "-")
-    tr = integrate(McGeheeState(1.0, eq.theta_c, eq.v_star, 0.0), pot, (0.0, 10.0),
-                   eq_tol=1e-8)
-    assert tr.reason == "reached_equilibrium"
-    assert len(tr) == 1
-    assert tr.reason_detail["distance"] <= 1e-10
-
-
 def test_trajectory_csv_round_trips_every_sample():
     tr = integrate(McGeheeState(1.0, 0.5, 0.1, -0.2), yoshida(), (0.0, 1.0))
     buf = io.StringIO()
@@ -331,13 +322,6 @@ def test_off_manifold_seed_is_rejected_in_on_manifold_mode():
         integrate_manifold(ManifoldState(0.0, 1.0, 1.0), iso(), (0.0, 1.0))
 
 
-def test_off_manifold_mode_integrates_anyway():
-    tr = integrate_manifold(ManifoldState(0.0, 1.0, 1.0), iso(), (0.0, 0.5),
-                            on_manifold=False)
-    assert tr.reason in ("span_end", "step_underflow")
-    assert len(tr) > 1
-
-
 def test_rest_point_with_zero_w_stays_put():
     # the rest-point residual is ~1 ulp and grows like exp(L * tau) with
     # L = max(-beta * v_star, Re lambda_2), so pick spans that keep the
@@ -357,7 +341,7 @@ def test_projection_pins_transversally_unstable_orbits_to_the_manifold():
     pot = iso()
     m0 = manifold_seed(pot, 0.3, -1.0)
     loose = integrate_manifold(m0, pot, (0.0, 30.0))
-    pinned = integrate_manifold(m0, pot, (0.0, 30.0), project=True)
+    pinned = flow._manifold_run(m0, pot, (0.0, 30.0), RTOL, ATOL, None, True)
     assert loose.max_abs_z > 1e-3
     assert pinned.max_abs_z < 1e-6
 
@@ -369,7 +353,7 @@ def test_flow_is_gradient_like_for_beta_above_minus_two():
         for _ in range(5):
             m0 = manifold_seed(pot, float(rng.uniform(-lim, lim)),
                                float(rng.uniform(-1.0, 0.5)))
-            tr = integrate_manifold(m0, pot, (0.0, 25.0), project=True)
+            tr = flow._manifold_run(m0, pot, (0.0, 25.0), RTOL, ATOL, None, True)
             assert float(np.min(np.diff(tr.vs))) >= -1e-10
 
 
@@ -535,14 +519,18 @@ def test_yoshida_unstable_branch_measures_the_deepest_winding():
     ("yoshida_g", 0.0, "-", ("stable", "+")),
     ("isosceles", -math.pi / 4.0, "+", ("unstable", "+")),
 ])
-def test_focal_continuation_does_not_depend_on_the_handoff(pot_name, theta, sign, branch):
-    # handing off at eq_tol 1e-10 (distance ~3e-11) or 1e-14 (~5e-15) moves
-    # the split between the absolute and the continued phase by whole turns,
-    # but the total winding and the final log-distance must not move
+def test_focal_continuation_does_not_depend_on_the_handoff(pot_name, theta, sign, branch,
+                                                          monkeypatch):
+    # handing off at a rest-point speed of 1e-10 (distance ~3e-11) or 1e-14
+    # (~5e-15) moves the split between the absolute and the continued phase
+    # by whole turns, but the total winding and the final log-distance must
+    # not move
     pot = yoshida() if pot_name == "yoshida_g" else iso()
     eq = equilibrium_at(pot, theta, sign)
-    early = trace_invariant_manifold(eq, pot, branch, eq_tol=1e-10).spiral
-    late = trace_invariant_manifold(eq, pot, branch, eq_tol=1e-14).spiral
+    monkeypatch.setattr(flow, "_TRACE_EQ_TOL", 1e-10)
+    early = trace_invariant_manifold(eq, pot, branch).spiral
+    monkeypatch.setattr(flow, "_TRACE_EQ_TOL", 1e-14)
+    late = trace_invariant_manifold(eq, pot, branch).spiral
     for sp in (early, late):
         assert sp.handoff_distance is not None
         assert sp.continued_angle > 0.0
@@ -577,13 +565,16 @@ def test_each_step_of_a_separatrix_turns_less_than_half_a_turn(pot_name, theta, 
         flow._signed_phase(tr.thetas, tr.ws, center), rel=0.0, abs=1e-9)
 
 
-def test_focal_continuation_engages_only_near_an_attracting_focus():
+def test_focal_continuation_engages_only_near_an_attracting_focus(monkeypatch):
     pot = yoshida()
     eq = equilibrium_at(pot, 0.0, "-")
     # a trace that never leaves its saddle, and one handed off too far out
     # for the linear model (distance ~5e-9), keep the absolute result
-    for sp in (trace_invariant_manifold(eq, pot, ("unstable", "+"), offset=0.0).spiral,
-               trace_invariant_manifold(eq, pot, ("unstable", "+"), eq_tol=1e-8).spiral):
+    still = trace_invariant_manifold(eq, pot, ("unstable", "+"), offset=0.0).spiral
+    monkeypatch.setattr(flow, "_TRACE_EQ_TOL", 1e-8)
+    far = trace_invariant_manifold(eq, pot, ("unstable", "+")).spiral
+    monkeypatch.undo()
+    for sp in (still, far):
         assert sp.handoff_distance is None
         assert sp.continued_angle == 0.0
         assert sp.swept_angle == sp.absolute_angle

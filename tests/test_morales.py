@@ -153,7 +153,6 @@ def test_mr_set_listing_and_membership():
 def test_mr_membership_tolerance():
     assert mr_beta_minus1_member(1.0 + 1e-10)
     assert not mr_beta_minus1_member(1.0 + 1e-8)
-    assert mr_beta_minus1_member(1.0 + 1e-8, tol=1e-7)
 
 
 def test_mr_set_sits_inside_the_necessary_region():

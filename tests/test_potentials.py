@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,17 @@ def test_spec_missing_beta_for_expr():
 def test_spec_beta_mismatch():
     with pytest.raises(SpecError, match="beta"):
         spec_from_dict({"beta": 3, "builtin": "yoshida_g", "params": {"epsilon": 4}})
+
+
+def test_a_spec_built_in_code_keeps_the_builtins_degree():
+    # the degree rule holds for a spec that never passed spec_from_dict: it
+    # raises where the certificate would otherwise echo a degree it did not use
+    with pytest.raises(SpecError, match=r"^beta: builtin 'isosceles' has degree -1\.0$"):
+        PotentialSpec(3.0, builtin="isosceles", params={"alpha": 1.0})
+    spec = PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 1.0})
+    with pytest.raises(SpecError, match="degree 4.0"):
+        replace(spec, builtin="yoshida_g")
+    assert spec.with_params(alpha=2.0).beta == -1.0
 
 
 def test_spec_both_sources():

@@ -171,16 +171,24 @@ def test_dop853_meets_its_tolerance_on_the_oscillator_in_fewer_steps(t1):
     assert 4 * sol.n_accepted < 1047
 
 
+def start_with(monkeypatch, h):
+    """Make ``solve`` start from the step h, without asking f for an estimate."""
+    monkeypatch.setattr(rk, "_initial_step", lambda f, t0, y0, f0, t1, rtol, atol: h)
+
+
 # a first step of 2 is far too long, so the count covers rejected attempts
 @pytest.mark.parametrize("first_step, initial_calls", [(None, 2), (2.0, 1)])
-def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, initial_calls):
+def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, initial_calls,
+                                                                monkeypatch):
     calls = []
 
     def f(t, y):
         calls.append(t)
         return oscillator(t, y)
 
-    sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-10, atol=1e-12, first_step=first_step)
+    if first_step is not None:
+        start_with(monkeypatch, first_step)
+    sol = rk.solve(f, 0.0, (1.0, 0.0), 10.0, rtol=1e-10, atol=1e-12)
     assert sol.n_rejected > 0 or first_step is None
     # after the first derivative: one call per stage past the first on
     # every attempt, and f at the new state of each accepted step
@@ -188,7 +196,7 @@ def test_dop853_calls_f_at_the_new_state_once_per_accepted_step(first_step, init
     assert len(calls) == initial_calls + 11 * (sol.n_accepted + sol.n_rejected) + sol.n_accepted
 
 
-def run_with_renormalization():
+def run_with_renormalization(monkeypatch):
     calls, projections = [], []
 
     def f(t, y):
@@ -201,28 +209,29 @@ def run_with_renormalization():
         y = (y[0] / r, y[1] / r)
         return y, oscillator(t, y)
 
-    sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, first_step=0.1, postprocess=renormalize)
+    start_with(monkeypatch, 0.1)
+    sol = rk.solve(f, 0.0, (1.0, 0.0), 5.0, postprocess=renormalize)
     assert sol.n_accepted > 0
     assert len(projections) == sol.n_accepted
     assert np.allclose(np.hypot(sol.ys[:, 0], sol.ys[:, 1]), 1.0, rtol=0.0, atol=1e-15)
     return sol, calls
 
 
-def test_postprocess_keeps_fsal():
+def test_postprocess_keeps_fsal(monkeypatch):
     # the postprocess returns the adjusted state and f there, so the next
     # step starts from it: solve records that f and never calls f at a node
     # past the first
-    sol, calls = run_with_renormalization()
+    sol, calls = run_with_renormalization(monkeypatch)
     assert np.array_equal(sol.fs, np.array([oscillator(0.0, y) for y in sol.ys]))
     nodes = {(t, tuple(y)) for t, y in zip(sol.ts[1:], sol.ys[1:])}
     assert calls[0] == (0.0, (1.0, 0.0))
     assert nodes.isdisjoint(calls)
 
 
-def test_postprocess_keeps_fsal_with_dop853():
+def test_postprocess_keeps_fsal_with_dop853(monkeypatch):
     # DOP853's error estimate needs no f at the new state, so with a
     # postprocess solve calls f for the eleven stages alone
-    sol, calls = run_with_renormalization()
+    sol, calls = run_with_renormalization(monkeypatch)
     assert len(calls) == 1 + (len(rk._C) - 1) * (sol.n_accepted + sol.n_rejected)
 
 
@@ -387,7 +396,7 @@ def test_float_path_returns_the_jet_of_V(spec):
     (0.0, math.nan, {}), (math.nan, 5.0, {}), (0.0, math.inf, {}), (-math.inf, 0.0, {}),
     (0.0, 5.0, {"rtol": math.inf}), (0.0, 5.0, {"rtol": math.nan}), (0.0, 5.0, {"rtol": 0.0}),
     (0.0, 5.0, {"atol": math.inf}), (0.0, 5.0, {"atol": -1e-12}),
-    (0.0, 5.0, {"first_step": math.nan}), (2.0, 2.0, {}),
+    (2.0, 2.0, {}),
 ])
 def test_solve_rejects_a_span_or_tolerance_it_cannot_finish(t0, t1, tols):
     with pytest.raises(ValueError):

@@ -92,11 +92,12 @@ def test_an_isosceles_sweep_keeps_its_scan_grid_past_newton_and_the_arcs(table_c
     spec = PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 1.0})
     sweep_threshold(spec, "alpha", 1.0, 20.0, grid_m=6, thresh_tol=1e-3)
     assert table_calls.count(critical._SCAN_GRID) == 1
-    # Newton evaluates V on floats: no array too small to keep reaches a table
-    assert table_calls and min(table_calls) >= expr._SHARED_MIN_POINTS
+    # Newton evaluates V on floats: every array that reaches a table is the
+    # scan grid or an arc grid
+    assert table_calls and min(table_calls) >= certify._ARC_GRID
 
 
-def test_a_hit_moves_to_the_back_and_small_grids_are_not_kept():
+def test_a_hit_moves_to_the_back_of_the_lru():
     calls = []
 
     def table(t):
@@ -104,15 +105,13 @@ def test_a_hit_moves_to_the_back_and_small_grids_are_not_kept():
         return (t + 1.0,)
 
     tables = expr._shared(table)
-    n = expr._SHARED_MIN_POINTS
+    n = 1024
     kept = np.zeros(n)
     with shared_tables():
         for i in range(1, 2 * expr._SHARED_TABLES):
             tables(kept)
             tables(np.full(n, float(i)))
-            tables(np.full(n - 1, -1.0))
     assert calls.count(0.0) == 1
-    assert calls.count(-1.0) == 2 * expr._SHARED_TABLES - 1
 
 
 def test_grids_that_differ_in_the_sign_of_a_zero_do_not_share_a_table():
@@ -123,7 +122,7 @@ def test_grids_that_differ_in_the_sign_of_a_zero_do_not_share_a_table():
         return (t + 1.0,)
 
     tables = expr._shared(table)
-    plus = np.zeros(expr._SHARED_MIN_POINTS)
+    plus = np.zeros(1024)
     minus = plus.copy()
     minus[7] = -0.0
     with shared_tables():
