@@ -22,8 +22,10 @@ import contextlib
 import contextvars
 import functools
 import math
+import mmap
 import operator
 import re
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameterError, UnknownFunctionError
 
-__all__ = ["parse", "free_parameters", "compile_node", "shared_tables", "FUNCTIONS"]
+__all__ = ["parse", "free_parameters", "compile_node", "shared_tables", "keep_grid", "FUNCTIONS"]
 
 # names callable in an expression; each has a rule in ``_Emitter.call``
 FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
@@ -268,7 +270,20 @@ def free_parameters(node: Node) -> frozenset[str]:
 # non-finite test.  The table's checks now run before the parameter part's,
 # so where two rules fail on one array, the table's is the one raised.  A
 # source without parameters has no table: its array closure would compute
-# it once per call anyway.  Theta enters as (t, 1, 0) and a
+# it once per call anyway.
+#
+# Across sources, the array flavour shares the waves of a grid.  It reads
+# its angles through ``_waves``, which reduces them on a periodic domain,
+# and it writes sin and cos of theta, or of a literal multiple k*theta, as
+# ``np.cos(x) if w is None else w.wave(np.cos, k, x)``, with x = k*theta.
+# On a grid that ``Domain.sample_grid`` built (``keep_grid``), ``w`` is the
+# grid's store: the reduction and each such wave are computed once per
+# process, and every potential that reads cos(2*theta) there reads one
+# read-only array.  Any other array has no store and computes what the
+# float flavour computes.  Either way x is computed once per call, so a
+# kept wave has the bits of a computed one.
+#
+# Theta enters as (t, 1, 0) and a
 # theta-free value c as (c, 0, 0); the rules are second-order forward
 # differentiation by source transformation (Griewank & Walther, *Evaluating
 # Derivatives*, 2008):
@@ -351,6 +366,8 @@ class _Emitter:
     def start(self, xp: str) -> None:
         # the body's names and checks, and which of them read no prologue name
         self.xp, self.body, self.body_names, self.fixed = xp, [], {}, {"t"}
+        # in the array flavour, theta and its literal multiples: name -> k
+        self.multiples = {"t": 1.0} if xp == "np" else {}
 
     @staticmethod
     def varies(*atoms) -> bool:
@@ -414,7 +431,11 @@ class _Emitter:
             return b if a == 1.0 else a
         if self.zero(a, b) or self.zero(b, a):
             return a if isinstance(a, float) else b
-        return self.op("{} * {}", operator.mul, *_ordered(a, b))
+        name = self.op("{} * {}", operator.mul, *_ordered(a, b))
+        k = a if b == "t" else b if a == "t" else None
+        if isinstance(k, float) and self.xp == "np":
+            self.multiples[name] = k
+        return name
 
     def div(self, a, b):
         return a if b == 1.0 or self.zero(a, b) else self.op("{} / {}", operator.truediv, a, b)
@@ -447,7 +468,13 @@ class _Emitter:
         elif fn == "abs":
             self.check(x, "==", 0.0, DomainError, "|x| is not differentiable at 0")
             s = self.op("{xp}.copysign(1.0, {})", lambda v: math.copysign(1.0, v), x)
-        f = self.mul(s, x) if fn == "abs" else self.op(f"{{xp}}.{fn}({{}})", getattr(math, fn), x)
+        if fn == "abs":
+            f = self.mul(s, x)
+        elif fn in ("sin", "cos") and x in self.multiples:
+            f = self._place(f"np.{fn}({x}) if w is None else "
+                            f"w.wave(np.{fn}, {_src(self.multiples[x])}, {x})", (x,))
+        else:
+            f = self.op(f"{{xp}}.{fn}({{}})", getattr(math, fn), x)
         if not isinstance(u, tuple):
             return f
         a1, a2 = u[1], u[2]
@@ -575,8 +602,8 @@ class _Emitter:
 
     def table(self, result, periodic: bool) -> tuple[list[str], list[str] | None]:
         """The body split in two: the module-level ``table(t)``, the
-        reduction and every assignment and check that reads no prologue
-        name, returning what the rest reads of it; and the lines of the
+        angles read through ``_waves`` and every assignment and check that
+        reads no prologue name, returning what the rest reads of it; and the lines of the
         rest, which start by unpacking that.  ``([], None)`` when the rest
         reads nothing of the table."""
         rest = [e for e in self.body if not e[3]]
@@ -588,8 +615,7 @@ class _Emitter:
         out = [n for n in made if n in read]
         if not out:
             return [], None
-        head = ["t = t % TWO_PI"] if periodic else []
-        lines = head + self.lines(out, [e for e in self.body if e[3]])
+        lines = [f"t, w = _waves(t, {periodic})", *self.lines(out, [e for e in self.body if e[3]])]
         unpack = f"{', '.join(out)},"
         return (["def table(t):", *(f"    {s}" for s in lines), f"    return {unpack}",
                  "tables = _shared(table)"],
@@ -597,20 +623,23 @@ class _Emitter:
 
     def checked(self, result, periodic: bool, body=None) -> list[str]:
         """The body returning ``result`` under V's rules: the angle ``t``
-        reduced on a periodic domain, else tested against ``(lo, hi)``; a
+        reduced on a periodic domain, else tested against ``(lo, hi)``, and
+        in the array flavour read through ``_waves``; a
         ZeroDivisionError or OverflowError of the body, and a non-finite
         result, raised as DomainError.  x - x is 0.0 for a finite double x
         and nan otherwise, so one comparison tests all float components; an
         array is tested per component, as a sum of large ones can overflow.
-        A ``body`` from ``table`` replaces the body, and the reduction is the
+        A ``body`` from ``table`` replaces the body, and the angles are the
         table's."""
         array = self.xp == "np"
         if periodic:
-            head = ["t = t % TWO_PI"] if body is None else []
+            head = ["t = t % TWO_PI"] if not array else []
         else:
             inside = "((lo < t) & (t < hi)).all()" if array else "lo < t < hi"
             head = [f"if not {inside}:",
                     "    raise DomainError('theta outside the potential domain')"]
+        if array and body is None:
+            head.append(f"t, w = _waves(t, {periodic})")
         tested = [_src(a) for a in result if not (isinstance(a, float) and math.isfinite(a))]
         if array:
             finite = f"not ({' and '.join(f'np.isfinite({x}).all()' for x in tested)})"
@@ -691,10 +720,91 @@ def _shared(table: Callable) -> Callable:
     return tables
 
 
+# the grids ``keep_grid`` was given, least recently used first: id -> store.
+# Each store holds its grid, so an id found here is that grid's.
+_KEPT: dict[int, "_Kept"] = {}
+# grids kept, as many as ``Domain.sample_grid`` keeps
+_KEPT_GRIDS = 16
+# waves kept per grid, least recently used dropped: 1 MB at 4096 points
+_KEPT_WAVES = 32
+# guards the order of both kinds of dict; a wave is computed outside it, so
+# two threads may compute one wave twice
+_KEPT_LOCK = threading.Lock()
+
+
+class _Kept:
+    """A kept grid, read-only, with the read-only waves computed on it,
+    keyed by (np.sin or np.cos, k), least recently used first."""
+
+    def __init__(self, grid: np.ndarray):
+        self.grid, self.waves, self._reduced = grid, {}, None
+
+    def reduced(self) -> "_Kept":
+        """The store of ``grid % TWO_PI``: this one when the grid is its own
+        reduction bit for bit, as the circle's grids are, else one kept with
+        this one."""
+        if self._reduced is None:
+            angles = self.grid % TWO_PI
+            if np.array_equal(angles.view(np.uint64), self.grid.view(np.uint64)):
+                self._reduced = self
+            else:
+                angles.flags.writeable = False
+                self._reduced = _Kept(angles)
+        return self._reduced
+
+    def wave(self, fn, k: float, x: np.ndarray) -> np.ndarray:
+        """``fn(x)``, for np.sin or np.cos and x = k*grid (the grid at
+        k = 1), kept under (fn, k) on its first call."""
+        key = (fn, k)
+        with _KEPT_LOCK:
+            out = self.waves.pop(key, None)
+            if out is not None:
+                self.waves[key] = out
+                return out
+        # in a mapping of its own, outside the malloc heap: a long-lived
+        # array there can leave the temporaries of later calls on top of the
+        # heap, which glibc then hands back on each free and the next call
+        # faults in again (with glibc on x86-64 Linux, about 100 page
+        # faults per 8 x 1029 arc call)
+        out = np.frombuffer(mmap.mmap(-1, x.nbytes), dtype=float, count=x.size).reshape(x.shape)
+        fn(x, out=out)
+        out.flags.writeable = False
+        with _KEPT_LOCK:
+            self.waves[key] = out
+            if len(self.waves) > _KEPT_WAVES:
+                del self.waves[next(iter(self.waves))]
+        return out
+
+
+def keep_grid(grid: np.ndarray) -> None:
+    """Keep the reduction and the waves of ``grid`` once they are read, for
+    every array closure called on this very array; it is made read-only.
+    ``Domain.sample_grid`` registers each grid it builds."""
+    grid.flags.writeable = False
+    with _KEPT_LOCK:
+        _KEPT[id(grid)] = _Kept(grid)
+        if len(_KEPT) > _KEPT_GRIDS:
+            del _KEPT[next(iter(_KEPT))]
+
+
+def _waves(t: np.ndarray, periodic: bool) -> tuple[np.ndarray, _Kept | None]:
+    """The angles an array closure reads, ``t % TWO_PI`` on a periodic
+    domain and ``t`` otherwise, with their store if ``t`` is a kept grid."""
+    with _KEPT_LOCK:
+        kept = _KEPT.pop(id(t), None)
+        if kept is not None:
+            _KEPT[id(t)] = kept
+    if kept is None:
+        return (t % TWO_PI if periodic else t), None
+    if periodic:
+        kept = kept.reduced()
+    return kept.grid, kept
+
+
 def namespace() -> dict:
     """The globals every emitted source runs in."""
     return {"math": math, "np": np, "DomainError": DomainError, "_ipow": _ipow,
-            "TWO_PI": TWO_PI, "_shared": _shared}
+            "TWO_PI": TWO_PI, "_shared": _shared, "_waves": _waves}
 
 
 def _source(node: Node, periodic: bool) -> str:

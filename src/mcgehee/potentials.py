@@ -76,18 +76,21 @@ class Domain:
         (typically singular) ends.  Each (domain, n, guard) has one grid,
         built on first use and handed out read-only, so the potentials of a
         sweep evaluate V on the same array and ``expr.shared_tables`` finds
-        its table by identity."""
+        its table by identity.  The grid is kept with ``expr.keep_grid``:
+        every potential evaluated on it reads one reduction of it and one
+        copy of each wave sin(k theta) and cos(k theta) of its source, for a
+        literal k, computed once per process."""
         return _sample_grid(self, n, guard)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=expr_mod._KEPT_GRIDS)
 def _sample_grid(domain: Domain, n: int, guard: float) -> np.ndarray:
     if domain.periodic:
         grid = np.linspace(domain.lo, domain.hi, n, endpoint=False)
     else:
         grid = np.linspace(domain.lo + guard, domain.hi - guard, n)
     grid = grid.copy()   # linspace returns a view; the kept grid owns its memory
-    grid.flags.writeable = False
+    expr_mod.keep_grid(grid)
     return grid
 
 
@@ -251,9 +254,11 @@ class Potential:
     # -------------------------------------------------------------- evaluation
     def V(self, theta) -> Jet2:
         """V, V', V'' at theta (scalar or array).  Raises DomainError rather
-        than ever returning a non-finite component.  Inside
-        ``expr.shared_tables`` an array component may be a read-only array
-        shared with other calls."""
+        than ever returning a non-finite component.  On a grid of
+        ``Domain.sample_grid``, an array component may be a read-only array
+        shared across potentials: with V = ``cos(theta)``, V itself is the
+        grid's kept wave.  Inside ``expr.shared_tables`` an array component
+        may be a read-only array shared with other calls."""
         if not isinstance(theta, np.ndarray):
             return Jet2(*self.V_float(float(theta)))
         with np.errstate(all="ignore"):

@@ -1,14 +1,17 @@
-"""The parameter-free table of V's array code, and the scope in which the
-potentials of a sweep share it."""
+"""The parameter-free table of V's array code, the scope in which the
+potentials of a sweep share it, and the waves every potential shares on a
+kept grid."""
+import json
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mcgehee import critical, expr
+from mcgehee import critical, expr, potentials, validate
 from mcgehee.certify import sweep_threshold
 from mcgehee.errors import DomainError
-from mcgehee.expr import parse, shared_tables
+from mcgehee.expr import TWO_PI, parse, shared_tables
 from mcgehee.potentials import BUILTINS, Domain, PotentialSpec, compile_potential
 
 certify = sys.modules["mcgehee.certify"]   # the package exports the function
@@ -201,7 +204,8 @@ def test_a_check_of_the_table_raises_before_one_of_the_parameter_part():
         pot.V(0.0)
 
 
-# today's text of a source without parameters: no table
+# today's text of a source without parameters: no table, and the angles and
+# the waves of theta read through ``_waves``
 ONE_OVER_SIN = """def bind(p, lo, hi):
     def scalar(t):
         t = t % TWO_PI
@@ -226,10 +230,10 @@ ONE_OVER_SIN = """def bind(p, lo, hi):
             raise DomainError('potential evaluation produced a non-finite value')
         return v4, v7, v13
     def array(t):
-        t = t % TWO_PI
+        t, w = _waves(t, True)
         try:
-            v0 = np.sin(t)
-            v1 = np.cos(t)
+            v0 = np.sin(t) if w is None else w.wave(np.sin, 1.0, t)
+            v1 = np.cos(t) if w is None else w.wave(np.cos, 1.0, t)
             v2 = -v0
             if (v0 == 0.0).any(): raise ZeroDivisionError(f'jet division by zero')
             v4 = 1.0 / v0
@@ -266,12 +270,168 @@ def test_the_table_reads_no_parameter_and_deletes_its_temporaries():
     source = expr._source(parse(BUILTINS["yoshida_g"].source), True)
     table, rest = source.split("tables = _shared(table)\n")
     lines = table.splitlines()
-    assert lines[:2] == ["def table(t):", "    t = t % TWO_PI"]
+    assert lines[:2] == ["def table(t):", "    t, w = _waves(t, True)"]
     assert lines[-1] == "    return v1, v5, v7,"
     assert not any(" k" in line for line in lines)
-    assigned = {line.split(" = ")[0].strip() for line in lines if " = " in line} - {"t"}
+    assigned = {line.split(" = ")[0].strip() for line in lines if " = " in line} - {"t, w"}
     deleted = {n for line in lines if "del " in line for n in line.split("del ")[1].split(", ")}
     assert assigned - deleted == {"v1", "v5", "v7"}
     array = rest.split("    def array(t):\n")[1]
     assert array.splitlines()[:2] == ["        try:", "            v1, v5, v7, = tables(t)"]
     assert "TWO_PI" not in array
+
+
+# sources whose sin and cos of k*theta a kept grid serves: literal multiples
+# in either order, a fraction, a negative k, tan's pole test (on the circle
+# it raises at pi/4 on both kept grids), a certify_expr draw, and two
+# builtins, one on its interval
+EXPR_DRAW = ("-1.818019 - 1.181074*cos(theta) + 0.387934*sin(theta) + 0.009423*cos(2*theta)"
+             " + 0.017946*sin(2*theta) - 0.01122*cos(3*theta) - 0.01303*sin(3*theta)"
+             " + 0.005218*cos(4*theta) - 0.001045*sin(4*theta)")
+WAVE_CORPUS = [
+    PotentialSpec(-1.0, expr="cos(theta)"),
+    PotentialSpec(-1.0, expr="sin(2*theta)"),
+    PotentialSpec(-1.0, expr="-2 + sin(theta*4)"),
+    PotentialSpec(-1.0, expr="cos(0.5*theta)"),
+    PotentialSpec(-1.0, expr="cos(-3*theta)"),
+    PotentialSpec(-1.0, expr="tan(2*theta)"),
+    PotentialSpec(-1.0, expr="tan(2*theta)", domain=(0.1, 0.7)),
+    PotentialSpec(-2.304055, expr=EXPR_DRAW),
+    PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 2.0}),
+    PotentialSpec(4.0, builtin="yoshida_g", params={"epsilon": 4.0}),
+]
+
+
+def _kept_grids(pot):
+    """The grids of the scan and of ``validate.jet_fd_error``."""
+    return [pot.domain.sample_grid(critical._SCAN_GRID, critical._GUARD),
+            pot.domain.sample_grid(validate._FD_N, validate._FD_PAD)]
+
+
+def _outcome(pot, grid):
+    """The bits of V, V', V'' on ``grid``, or the message V raises."""
+    try:
+        return [b.tolist() for b in _bits(pot.V(grid))]
+    except DomainError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("spec", WAVE_CORPUS, ids=lambda s: f"{s.builtin or s.expr} on {s.domain}")
+def test_v_on_a_kept_grid_equals_v_on_a_copy_bit_for_bit(spec):
+    pot = compile_potential(spec)
+    for grid in _kept_grids(pot):
+        want = _outcome(pot, grid.copy())   # a writeable copy misses the store
+        expr._KEPT[id(grid)].waves.clear()
+        cold = _outcome(pot, grid)
+        assert expr._KEPT[id(grid)].waves or isinstance(cold, str)
+        assert cold == want and _outcome(pot, grid) == want
+
+
+@pytest.mark.parametrize("spec", WAVE_CORPUS[-3:], ids=lambda s: s.builtin or "expr draw")
+def test_certify_gives_one_certificate_cold_and_warm(spec):
+    grid = compile_potential(spec).domain.sample_grid(critical._SCAN_GRID, critical._GUARD)
+    expr._KEPT[id(grid)].waves.clear()
+    cold, warm = (json.dumps(certify.certify(compile_potential(spec)).to_dict(), sort_keys=True)
+                  for _ in range(2))
+    assert cold == warm
+
+
+def test_two_sources_that_read_one_wave_share_its_array():
+    grid = Domain.full_circle().sample_grid(critical._SCAN_GRID, critical._GUARD)
+    kept = expr._KEPT[id(grid)]
+    kept.waves.clear()
+    compile_potential(PotentialSpec(-1.0, expr="-3 + 0.5*cos(2*theta)")).V(grid)
+    wave = kept.waves[(np.cos, 2.0)]
+    # with V = cos(k*theta), V itself is the wave
+    for source in ("cos(2*theta)", "cos(theta*2)"):
+        assert compile_potential(PotentialSpec(-1.0, expr=source)).V(grid).val is wave
+
+
+def test_every_array_the_store_hands_out_is_read_only():
+    for spec in WAVE_CORPUS:
+        pot = compile_potential(spec)
+        for grid in _kept_grids(pot):
+            _outcome(pot, grid)
+    jet = compile_potential(PotentialSpec(-1.0, expr="cos(theta)")).V(_kept_grids(pot)[0])
+    with pytest.raises(ValueError):
+        jet.val[0] = 0.0
+    stores = list(expr._KEPT.values())
+    arrays = [a for k in stores for a in (k.grid, k.reduced().grid, *k.waves.values())]
+    assert sum(len(k.waves) for k in stores) >= 8
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_a_grid_keeps_at_most_its_constant_of_waves():
+    grid = Domain.full_circle().sample_grid(critical._SCAN_GRID, critical._GUARD)
+    kept = expr._KEPT[id(grid)]
+    for j in range(expr._KEPT_WAVES):   # two waves each: sin for V'
+        compile_potential(PotentialSpec(-1.0, expr=f"cos({j + 1.5}*theta)")).V(grid)
+        assert len(kept.waves) <= expr._KEPT_WAVES
+    # the least recently used went first
+    assert len(kept.waves) == expr._KEPT_WAVES
+    assert (np.cos, expr._KEPT_WAVES + 0.5) in kept.waves and (np.cos, 1.5) not in kept.waves
+
+
+def test_the_store_keeps_the_grids_sample_grid_keeps():
+    try:
+        grids = [Domain(0.0, 1.0 + j).sample_grid(64, 1e-6) for j in range(expr._KEPT_GRIDS + 4)]
+        assert len(expr._KEPT) == expr._KEPT_GRIDS
+        assert all(expr._KEPT[id(g)].grid is g for g in grids[-expr._KEPT_GRIDS:])
+    finally:
+        potentials._sample_grid.cache_clear()
+        expr._KEPT.clear()
+
+
+def test_the_circles_kept_grids_are_their_own_reduction():
+    circle = Domain.full_circle()
+    for grid in (circle.sample_grid(critical._SCAN_GRID, critical._GUARD),
+                 circle.sample_grid(validate._FD_N, validate._FD_PAD)):
+        assert np.array_equal((grid % TWO_PI).view(np.uint64), grid.view(np.uint64))
+        assert not np.signbit(grid).any()
+        assert expr._KEPT[id(grid)].reduced() is expr._KEPT[id(grid)]
+
+
+def test_a_kept_grid_that_is_not_its_own_reduction_keeps_the_reduction_once():
+    grid = Domain(-1.0, 1.0).sample_grid(64, 1e-6)   # on the circle, its negative half moves
+    kept = expr._KEPT[id(grid)]
+    pot = compile_potential(PotentialSpec(-1.0, expr="theta + cos(theta)"))
+    want = _outcome(pot, grid.copy())
+    assert _outcome(pot, grid) == want and _outcome(pot, grid) == want
+    reduced = kept.reduced()
+    assert reduced is not kept and kept.reduced() is reduced
+    assert not reduced.grid.flags.writeable and not kept.waves
+    assert set(reduced.waves) == {(np.sin, 1.0), (np.cos, 1.0)}
+    # V = theta reads the reduced angles themselves
+    assert compile_potential(PotentialSpec(-1.0, expr="theta")).V(grid).val is reduced.grid
+
+
+def test_threads_that_share_a_kept_grid_read_the_bits_of_one_thread():
+    grid = Domain.full_circle().sample_grid(critical._SCAN_GRID, critical._GUARD)
+    # more waves than a grid keeps, so threads evict each other's
+    pots = [compile_potential(PotentialSpec(-1.0, expr=f"sin({j + 0.25}*theta)"))
+            for j in range(expr._KEPT_WAVES)]
+    want = [_outcome(p, grid.copy()) for p in pots]
+    wrong = []
+
+    def work(shift):
+        for n in range(2 * len(pots)):
+            i = (n + shift) % len(pots)
+            try:
+                if _outcome(pots[i], grid) != want[i]:
+                    wrong.append(i)
+            except Exception as err:   # a lost update raises in the thread
+                wrong.append(repr(err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    assert len(expr._KEPT[id(grid)].waves) <= expr._KEPT_WAVES
