@@ -38,7 +38,7 @@ import numpy as np
 from .critical import critical_jet, find_critical_points
 from .errors import DomainViolationError, McGeheeError, UnboundParameterError
 from .expr import shared_tables
-from .potentials import TWO_PI, Jet2, Potential, PotentialSpec, compile_potential
+from .potentials import TWO_PI, Jet2, Potential, PotentialSpec, compile_potential, reading
 
 __all__ = [
     "AssumptionReport",
@@ -133,17 +133,19 @@ class _Measurement(NamedTuple):
 def _arcs(pot: Potential, ends: dict) -> dict:
     """Max V and min V over the grid of each arc (a, b) in ``ends``, ends
     included, and min |V'| over every 4th interior point, from one call of
-    V, under the same keys; a failing call raises.  Row i of the grid is
-    ``linspace(a_i, b_i, _ARC_GRID)`` bit for bit, and C-contiguous, so each
-    row reduces as fast as one arc.  1028 = 4 * 257 steps and a step divides
-    by 4 exactly, so the points read for |V'| are ``linspace(a, b, 258)[1:-1]``
-    bit for bit.  An arc is shorter than its triple's span, so arc/1028 <
-    span/1023: V is sampled at least as densely as on a 1024-point grid of
-    the span, and at the critical angles themselves."""
+    V that reads V and V' alone, under the same keys; a failing call
+    raises.  Row i of the grid is ``linspace(a_i, b_i, _ARC_GRID)`` bit for
+    bit, and C-contiguous, so each row reduces as fast as one arc.
+    1028 = 4 * 257 steps and a step divides by 4 exactly, so the points read
+    for |V'| are ``linspace(a, b, 258)[1:-1]`` bit for bit.  An arc is
+    shorter than its triple's span, so arc/1028 < span/1023: V is sampled
+    at least as densely as on a 1024-point grid of the span, and at the
+    critical angles themselves."""
     a, b = (np.array(x) for x in zip(*ends.values()))
     grid = np.arange(_ARC_GRID, dtype=float) * ((b - a) / (_ARC_GRID - 1))[:, None] + a[:, None]
     grid[:, -1] = b
-    jet = pot.V(grid)
+    with reading("val", "d1"):
+        jet = pot.V(grid)
     rows = zip(jet.val.max(axis=1).tolist(), jet.val.min(axis=1).tolist(),
                np.abs(jet.d1[:, 4:-1:4]).min(axis=1).tolist())
     return dict(zip(ends, rows))

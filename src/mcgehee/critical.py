@@ -1,11 +1,15 @@
 """Critical points of the shape potential V on its angular domain.
 
-The scan evaluates V' in one array call on a uniform grid, brackets each
-sign change between neighbouring nodes (on the circle, the last node with
-the first, one turn on), and runs a bracketed Newton iteration on V' from
-the secant point of each bracket in turn, on floats: its evaluations are
-scalar calls of V, one angle each.  Each limit must pass
-``critical_jet``, the one criticality test: a bracket whose limit leaves
+The scan evaluates V' alone (``reading("d1")``) in one array call on a
+uniform grid, brackets each sign change between neighbouring nodes (on the
+circle, the last node with the first, one turn on), and runs a bracketed
+Newton iteration on V' from the secant point of each bracket in turn, on
+floats: its evaluations are scalar calls of V that read V' and V'' alone,
+one angle each.  Those readings have the bits of the full jet's and keep
+its domain checks, but do not test V for a non-finite value.  Each limit
+must pass ``critical_jet``, the one criticality test, on the full jet, so
+the stored points carry the V and V'' that certificates and the rest
+points of the flow read: a bracket whose limit leaves
 |V'| large against its median on the grid straddles a pole, not a zero,
 and is dropped.  Only transversal zeros are found: a zero that V'
 touches without crossing is invisible to the bracketing step (unless it
@@ -29,7 +33,7 @@ from .errors import (
     NotCriticalPointError,
     PoleEncounteredError,
 )
-from .potentials import TWO_PI, Jet2, Potential
+from .potentials import TWO_PI, Jet2, Potential, reading
 
 __all__ = ["CriticalPoint", "bracketed_newton", "critical_jet", "find_critical_points",
            "classify"]
@@ -100,7 +104,8 @@ def _residual_tol(pot: Potential, size: np.ndarray | None = None) -> float:
     the potential; ``size`` is |V'| on the scan grid, when the caller has it."""
     if pot._residual_tol is None:
         if size is None:
-            size = np.abs(_grid_jet(pot, pot.domain.sample_grid(_SCAN_GRID, _GUARD)).d1)
+            with reading("d1"):
+                size = np.abs(_grid_jet(pot, pot.domain.sample_grid(_SCAN_GRID, _GUARD)).d1)
         mid = size.size // 2
         pot._residual_tol = CRIT_RESIDUAL_RTOL * float(np.partition(size, mid)[mid])
     return pot._residual_tol
@@ -108,7 +113,8 @@ def _residual_tol(pot: Potential, size: np.ndarray | None = None) -> float:
 
 def _grid_jet(pot: Potential, grid: np.ndarray):
     """Evaluate V on a grid; on failure, locate the first offending node so
-    the error names the pole instead of the whole array."""
+    the error names the pole instead of the whole array.  The nodes are
+    evaluated in the caller's ``reading``, so they fail where the grid did."""
     try:
         return pot.V(grid)
     except DomainError as err:
@@ -170,7 +176,8 @@ def find_critical_points(pot: Potential) -> list[CriticalPoint]:
 
 def _scan(pot: Potential) -> list[CriticalPoint]:
     grid = pot.domain.sample_grid(_SCAN_GRID, _GUARD)
-    d1 = _grid_jet(pot, grid).d1
+    with reading("d1"):
+        d1 = _grid_jet(pot, grid).d1
     size = np.abs(d1)
     peak = float(size.max())
     if peak < _DEGENERACY_TOL:
@@ -191,9 +198,10 @@ def _scan(pot: Potential) -> list[CriticalPoint]:
         return jet.d1, jet.d2
 
     roots = grid[d1 == 0.0].tolist()
-    for lo, hi, d_lo, d_hi in brackets:
-        secant = lo - d_lo * (hi - lo) / (d_hi - d_lo)
-        roots.append(bracketed_newton(fdf, lo, hi, 1.0 if d_lo > 0.0 else -1.0, secant))
+    with reading("d1", "d2"):
+        for lo, hi, d_lo, d_hi in brackets:
+            secant = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+            roots.append(bracketed_newton(fdf, lo, hi, 1.0 if d_lo > 0.0 else -1.0, secant))
 
     out = []
     for theta in np.sort(pot.domain.reduce(np.array(roots))):

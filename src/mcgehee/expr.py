@@ -33,13 +33,16 @@ import numpy as np
 
 from .errors import DomainError, ParseError, UnboundParameterError, UnknownFunctionError
 
-__all__ = ["parse", "free_parameters", "compile_node", "shared_tables", "keep_grid", "FUNCTIONS"]
+__all__ = ["parse", "free_parameters", "compile_node", "compile_reading", "shared_tables",
+           "keep_grid", "FUNCTIONS", "COMPONENTS"]
 
 # names callable in an expression; each has a rule in ``_Emitter.call``
 FUNCTIONS = ("cos", "sin", "tan", "sqrt", "exp", "log", "abs")
 # parsed sources and compiled expressions kept per process; a sweep's potentials share one
 _CACHE_SIZE = 256
 TWO_PI = 2.0 * math.pi
+# the components of V's jet, in the order the closures return them
+COMPONENTS = ("val", "d1", "d2")
 
 
 # ------------------------------------------------------------------- AST
@@ -257,8 +260,19 @@ def free_parameters(node: Node) -> frozenset[str]:
 # returns two closures, ``scalar(t)`` on floats through ``math`` and
 # ``array(t)`` on float arrays through ``np``: straight lines of assignments
 # returning (V, V', V''), each under V's rules of evaluation (the domain,
-# and every failure as DomainError: ``_Emitter.checked``), which the flow's
-# charts inline too (``float_body``).
+# and every failure as DomainError: ``_Emitter.checked``).
+#
+# A reading is the same code for some of the components (``COMPONENTS``):
+# its closures return None for the others, and ``_Emitter.lines`` drops
+# every assignment that only those read.  Each reading is compiled from its
+# own source on first use (``compile_reading``).  It keeps every domain
+# check of the full jet, since a check is never dropped, and tests only the
+# components it returns for a non-finite value, so a component it returns
+# has the full jet's bits.  The full jet fails where a reading does not only
+# where a component it leaves out overflows.  The scan reads V' on its grid
+# and V', V'' in its Newton steps, the arcs of a certificate and the flow's
+# charts V and V' (``float_body``, which the charts inline), and the z
+# column and ``validate``'s shifted grids V.
 #
 # So the code has three parts.  The prologue runs once per binding.  For a
 # source with parameters, the array flavour's ``% TWO_PI`` and every
@@ -273,9 +287,11 @@ def free_parameters(node: Node) -> frozenset[str]:
 # it once per call anyway.
 #
 # Across sources, the array flavour shares the waves of a grid.  It reads
-# its angles through ``_waves``, which reduces them on a periodic domain,
-# and it writes sin and cos of theta, or of a literal multiple k*theta, as
-# ``np.cos(x) if w is None else w.wave(np.cos, k, x)``, with x = k*theta.
+# its angles through ``_waves``, which reduces them on a periodic domain
+# (on an array that is not a kept grid, only at the entries ``% TWO_PI``
+# moves: ``_reduce``), and it writes sin and cos of theta, or of a literal
+# multiple k*theta, as ``np.cos(x) if w is None else w.wave(np.cos, k, x)``,
+# with x = k*theta.
 # On a grid that ``Domain.sample_grid`` built (``keep_grid``), ``w`` is the
 # grid's store: the reduction and each such wave are computed once per
 # process, and every potential that reads cos(2*theta) there reads one
@@ -326,7 +342,10 @@ _COMPARE = {"==": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
 def _src(x) -> str:
-    """Source of an operand; negative floats are parenthesised atoms."""
+    """Source of an operand; negative floats are parenthesised atoms, and
+    ``None``, a component a reading does not return, is ``None``."""
+    if x is None:
+        return "None"
     if not isinstance(x, float):
         return x
     text = repr(x) if math.isfinite(x) else f"float('{x!r}')"
@@ -626,11 +645,13 @@ class _Emitter:
         reduced on a periodic domain, else tested against ``(lo, hi)``, and
         in the array flavour read through ``_waves``; a
         ZeroDivisionError or OverflowError of the body, and a non-finite
-        result, raised as DomainError.  x - x is 0.0 for a finite double x
-        and nan otherwise, so one comparison tests all float components; an
-        array is tested per component, as a sum of large ones can overflow.
-        A ``body`` from ``table`` replaces the body, and the angles are the
-        table's."""
+        returned component, raised as DomainError.  A component that is
+        ``None`` is not returned: what only it reads is dropped and it is
+        not tested, while every domain check stays.  x - x is 0.0 for a
+        finite double x and nan otherwise, so one comparison tests all float
+        components; an array is tested per component, as a sum of large
+        ones can overflow.  A ``body`` from ``table`` replaces the body, and
+        the angles are the table's."""
         array = self.xp == "np"
         if periodic:
             head = ["t = t % TWO_PI"] if not array else []
@@ -640,7 +661,8 @@ class _Emitter:
                     "    raise DomainError('theta outside the potential domain')"]
         if array and body is None:
             head.append(f"t, w = _waves(t, {periodic})")
-        tested = [_src(a) for a in result if not (isinstance(a, float) and math.isfinite(a))]
+        tested = [_src(a) for a in result
+                  if not (a is None or isinstance(a, float) and math.isfinite(a))]
         if array:
             finite = f"not ({' and '.join(f'np.isfinite({x}).all()' for x in tested)})"
         else:
@@ -657,7 +679,8 @@ class _Emitter:
         closure broadcasts theta-free components."""
         body = self.checked(result, periodic, body)
         if self.xp == "np":
-            result = [a if self.varies(a) else f"np.full_like(t, {_src(a)})" for a in result]
+            result = [a if a is None or self.varies(a) else f"np.full_like(t, {_src(a)})"
+                      for a in result]
         return [f"    def {name}(t):", *(f"        {s}" for s in body),
                 f"        return {', '.join(map(_src, result))}"]
 
@@ -795,10 +818,23 @@ def _waves(t: np.ndarray, periodic: bool) -> tuple[np.ndarray, _Kept | None]:
         if kept is not None:
             _KEPT[id(t)] = kept
     if kept is None:
-        return (t % TWO_PI if periodic else t), None
+        return (_reduce(t) if periodic else t), None
     if periodic:
         kept = kept.reduced()
     return kept.grid, kept
+
+
+def _reduce(t: np.ndarray) -> np.ndarray:
+    """``t % TWO_PI`` bit for bit, computed only where it moves an angle:
+    at entries with the sign bit set (-0.0 goes to +0.0) or at least 2 pi
+    (inf goes to nan).  Elsewhere, nan included, ``%`` returns the entry
+    itself, so an array with no such entry is returned as it is."""
+    wrap = np.signbit(t) | (t >= TWO_PI)
+    if not wrap.any():
+        return t
+    out = t.copy()
+    out[wrap] = t[wrap] % TWO_PI
+    return out
 
 
 def namespace() -> dict:
@@ -807,36 +843,51 @@ def namespace() -> dict:
             "TWO_PI": TWO_PI, "_shared": _shared, "_waves": _waves}
 
 
+def _read(result: tuple, reads: tuple[str, ...]) -> tuple:
+    """The triple ``result`` with ``None`` for each component not in ``reads``."""
+    return tuple(x if name in reads else None for name, x in zip(COMPONENTS, result))
+
+
 def _source(node: Node, periodic: bool) -> str:
+    return _reading_source(node, periodic, COMPONENTS)
+
+
+def _reading_source(node: Node, periodic: bool, reads: tuple[str, ...]) -> str:
+    """The source of ``bind`` for the components ``reads`` of the jet; the
+    closures return the triple with ``None`` for the others."""
     em = _Emitter()
     em.start("math")
-    closures = em.closure("scalar", em.triple(node), periodic)
+    closures = em.closure("scalar", _read(em.triple(node), reads), periodic)
     em.start("np")
-    result = em.triple(node)
+    result = _read(em.triple(node), reads)
     table, body = em.table(result, periodic) if free_parameters(node) else ([], None)
     closures += em.closure("array", result, periodic, body)
     return "\n".join([*table, "def bind(p, lo, hi):", *(f"    {s}" for s in em.prologue),
                       *closures, "    return scalar, array", ""])
 
 
-def float_body(node: Node, periodic: bool) -> tuple[list[str], list[str], tuple[str, str, str]]:
-    """The prologue and the checked body of ``bind``'s scalar closure, and
-    the source of its results (V, V', V''), for code that inlines V's float
-    evaluation.  The prologue reads the parameters from ``p``; the body
-    reads the angle ``t`` (and ``lo``, ``hi``) and defines names ``v<i>``,
-    the prologue names ``k<i>``.  Both run in ``namespace()``."""
+def float_body(node: Node, periodic: bool) -> tuple[list[str], list[str], tuple[str, str]]:
+    """The prologue and the checked body of the scalar closure of the
+    reading (V, V'), and the source of V and V', for code that inlines V's
+    float evaluation: every domain check of ``bind``'s scalar closure, and
+    no V'', which is neither computed nor tested.  The prologue reads the
+    parameters from ``p``; the body reads the angle ``t`` (and ``lo``,
+    ``hi``) and defines names ``v<i>``, the prologue names ``k<i>``.  Both
+    run in ``namespace()``."""
     em = _Emitter()
     em.start("math")
-    result = em.triple(node)
+    result = em.triple(node)[:2]
     return em.prologue, em.checked(result, periodic), tuple(map(_src, result))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _compiled(node: Node, periodic: bool):
-    """The parameter names of ``node`` and its compiled ``bind``."""
+# a source's full evaluators and up to four readings of it
+@functools.lru_cache(maxsize=5 * _CACHE_SIZE)
+def _compiled(node: Node, periodic: bool, reads: tuple[str, ...]):
+    """The parameter names of ``node`` and the compiled ``bind`` of its
+    reading ``reads``."""
     names = free_parameters(node)
     ns = namespace()
-    exec(compile(_source(node, periodic), "<mcgehee.expr>", "exec"), ns)
+    exec(compile(_reading_source(node, periodic, reads), "<mcgehee.expr>", "exec"), ns)
     return names, ns["bind"]
 
 
@@ -846,7 +897,18 @@ def compile_node(node: Node, params: Mapping[str, float], domain) -> tuple[Calla
     returning (V, V', V'') or raising DomainError.  Theta-free subtrees are
     checked here, once: DomainError, or ZeroDivisionError on a division by
     an exact zero."""
-    names, bind = _compiled(node, domain.periodic)
+    return compile_reading(node, params, domain, COMPONENTS)
+
+
+def compile_reading(node: Node, params: Mapping[str, float], domain,
+                    reads: tuple[str, ...]) -> tuple[Callable, Callable]:
+    """``compile_node``'s evaluators for the components ``reads`` of the
+    jet, names of ``COMPONENTS`` in its order: each returns the triple with
+    ``None`` for the other components, which it neither computes nor tests
+    for a non-finite value.  Its domain checks are the full jet's, all of
+    them, and each returned component has the full jet's bits.  Each
+    reading is compiled from its own source on first use."""
+    names, bind = _compiled(node, domain.periodic, reads)
     missing = sorted(names - set(params))
     if missing:
         raise UnboundParameterError(f"expression needs parameter(s): {', '.join(missing)}")

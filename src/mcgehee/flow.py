@@ -37,11 +37,18 @@ form is not cosmetic; it is what makes the reported energy honest:
     ever exponentiated.
 
 The fields are evaluated in generated charts (see "charts" below), which
-reject a stage wherever ``Potential.V`` would raise, also where only V'' is
-not finite, although the fields read only V and V'.  A state the flow
-accepts is then one whose jet ``Potential.V`` evaluates, as ``linearize``,
-``find_equilibria`` and ``validate`` assume.  Dropping V'' would leave
-isosceles 26 of its 53 float-body operations and yoshida_g 10 of 15.
+read V and V' alone, the only components the equations above read: the
+charts inline the float body of the reading (V, V'), which keeps every
+domain check of ``Potential.V`` and computes and tests no V''.  That leaves
+isosceles 26 of its 53 float-body operations and yoshida_g 10 of 15.  This
+reverses an earlier rule, under which a chart rejected a stage wherever the
+full jet was not finite, also where only V'' was not.  A finite V and V'
+beside a non-finite V'' needs an overflow of V'' alone, as in
+``-2 + 1e-300*exp(1e200*theta)`` at 0, whose true V'' is 1e100; rejecting
+such a stage guards nothing the fields read.  What reads V'' still reads
+the full jet: the scan's roots pass ``critical.critical_jet``, so
+``find_equilibria``, ``linearize`` and the certificate's A5 and A6 read the
+V'' they read before.
 """
 from __future__ import annotations
 
@@ -61,7 +68,7 @@ from .errors import (
     NotSaddleError,
     OriginSingularityError,
 )
-from .potentials import Potential
+from .potentials import Potential, reading
 from .rk import ATOL, RTOL, RawSolution, solve
 
 __all__ = ["McGeheeState", "ManifoldState", "Equilibrium", "Linearization", "Trajectory",
@@ -282,12 +289,13 @@ def energy(state: McGeheeState, pot: Potential) -> float:
 # ``manifold(tau, (theta, v, w))`` and ``full(tau, (log r, theta, v, w, t,
 # log|z|))`` are the right-hand sides of the subsystem and of the full system,
 # and ``project(tau, (theta, v, w))`` is the Newton step onto z = 0.  Each is
-# one straight-line function with V's checked float body inlined
-# (``expr.float_body``, the text of ``Potential.V_float``), so a stage is one
-# call.  The source is emitted and compiled once per expression and kind of
-# domain, and bound, like ``expr``'s ``bind(p, lo, hi)``, to the parameters,
-# degree and domain of a potential when the flow first uses it; potentials
-# that differ only in their parameters share the code.
+# one straight-line function with the checked float body of V and V'
+# inlined (``expr.float_body``, the text of ``Potential.V_float`` without
+# V''), so a stage is one call.  The source is emitted and compiled once
+# per expression and kind of domain, and bound, like ``expr``'s
+# ``bind(p, lo, hi)``, to the parameters, degree and domain of a potential
+# when the flow first uses it; potentials that differ only in their
+# parameters share the code.
 
 
 class _Charts(NamedTuple):
@@ -305,7 +313,7 @@ _RATES = "cv * v * v + w * w - b * {val}, cw * v * w - {d1}"
 @functools.lru_cache(maxsize=expr._CACHE_SIZE)
 def _chart_bind(node: expr.Node, periodic: bool) -> Callable:
     """``bind(p, b, lo, hi)`` returning the three charts of ``node``."""
-    prologue, V, (val, d1, _) = expr.float_body(node, periodic)
+    prologue, V, (val, d1) = expr.float_body(node, periodic)
     rates = _RATES.format(val=val, d1=d1)
 
     def chart(name: str, state: str, *tail: str) -> list[str]:
@@ -460,7 +468,8 @@ def _manifold_run(m0, pot, tau_span, rtol, atol, eq_tol, project) -> Trajectory:
         postprocess=charts.project if project else None,
     )
     thetas, vs, ws = sol.ys[:, 0], sol.ys[:, 1], sol.ys[:, 2]
-    zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val
+    with reading("val"):
+        zs = 0.5 * (vs**2 + ws**2) + pot.V(thetas).val
     n = len(sol.ts)
     return Trajectory(pot=pot, taus=sol.ts, ts=np.full(n, math.nan), rs=np.zeros(n),
                       thetas=thetas, vs=vs, ws=ws, zs=zs, hs=np.zeros(n), reason=sol.reason,

@@ -29,6 +29,8 @@ parsed, checked and compiled alike:
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import json
 import math
@@ -48,7 +50,7 @@ from .errors import (
 from .expr import TWO_PI
 
 __all__ = ["Domain", "Jet2", "PotentialSpec", "Potential", "compile_potential", "load_spec",
-           "BUILTINS"]
+           "reading", "BUILTINS"]
 
 
 @dataclass(frozen=True)
@@ -222,18 +224,41 @@ def load_spec(path: str) -> PotentialSpec:
 
 # ------------------------------------------------------------------ potential
 class Jet2(NamedTuple):
-    """V, V' and V'' at one angle (floats) or at an array of angles."""
+    """V, V' and V'' at one angle (floats) or at an array of angles; inside
+    ``reading``, ``None`` for a component not read."""
 
     val: object
     d1: object
     d2: object
 
 
+# the components ``Potential.V`` evaluates, in ``Jet2``'s order; None for all
+_READING: contextvars.ContextVar[tuple[str, ...] | None] = contextvars.ContextVar(
+    "reading", default=None)
+
+
+@contextlib.contextmanager
+def reading(*components: str):
+    """A scope in which ``Potential.V`` evaluates only ``components`` of the
+    jet, named as the fields of ``Jet2``, and returns ``None`` for the
+    others, so that reading one fails at once.  The evaluation keeps every
+    domain check of the full jet and tests only the returned components for
+    a non-finite value; each has the bits of the full jet's.  Its compiled
+    code is its own, made on first use."""
+    if not components or not set(components) <= set(expr_mod.COMPONENTS):
+        raise ValueError(f"components must be among {expr_mod.COMPONENTS}, got {components}")
+    token = _READING.set(tuple(c for c in expr_mod.COMPONENTS if c in components))
+    try:
+        yield
+    finally:
+        _READING.reset(token)
+
+
 class Potential:
     """Compiled shape potential.  Immutable but for what is stored on first
     use: the critical points and the criticality bound of the scan of
-    ``mcgehee.critical``, and the flow's charts of ``mcgehee.flow``;
-    evaluation has no side effects."""
+    ``mcgehee.critical``, the flow's charts of ``mcgehee.flow``, and the
+    evaluators of each ``reading``; evaluation has no other side effects."""
 
     def __init__(self, beta: float, domain: Domain, node: expr_mod.Node,
                  evaluators: tuple[Callable, Callable], spec: PotentialSpec):
@@ -246,6 +271,7 @@ class Potential:
         self._critical_points = None
         self._residual_tol = None
         self._charts = None
+        self._readings: dict[tuple[str, ...], tuple[Callable, Callable]] = {}
 
     def __repr__(self):
         src = self.spec.builtin or self.spec.expr
@@ -254,15 +280,26 @@ class Potential:
     # -------------------------------------------------------------- evaluation
     def V(self, theta) -> Jet2:
         """V, V', V'' at theta (scalar or array).  Raises DomainError rather
-        than ever returning a non-finite component.  On a grid of
-        ``Domain.sample_grid``, an array component may be a read-only array
-        shared across potentials: with V = ``cos(theta)``, V itself is the
-        grid's kept wave.  Inside ``expr.shared_tables`` an array component
-        may be a read-only array shared with other calls."""
+        than ever returning a non-finite component.  Inside ``reading``,
+        only the components read are evaluated, and the others are None.
+        On a grid of ``Domain.sample_grid``, an array component may be a
+        read-only array shared across potentials: with V = ``cos(theta)``,
+        V itself is the grid's kept wave.  Inside ``expr.shared_tables`` an
+        array component may be a read-only array shared with other calls."""
+        reads = _READING.get()
+        if reads is None:
+            scalar, array = self.V_float, self._array
+        else:
+            evaluators = self._readings.get(reads)
+            if evaluators is None:
+                # the prologue is the full jet's, which compile_potential ran
+                evaluators = self._readings[reads] = expr_mod.compile_reading(
+                    self.node, dict(self.spec.params), self.domain, reads)
+            scalar, array = evaluators
         if not isinstance(theta, np.ndarray):
-            return Jet2(*self.V_float(float(theta)))
+            return Jet2(*scalar(float(theta)))
         with np.errstate(all="ignore"):
-            return Jet2(*self._array(np.asarray(theta, dtype=float)))
+            return Jet2(*array(np.asarray(theta, dtype=float)))
 
     # -------------------------------------------------------------- cartesian
     def U(self, q) -> float:

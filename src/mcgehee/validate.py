@@ -31,7 +31,7 @@ from .flow import (
     sample_at_physical_times,
     to_mcgehee,
 )
-from .potentials import Potential, PotentialSpec, compile_potential, spec_from_dict
+from .potentials import Potential, PotentialSpec, compile_potential, reading, spec_from_dict
 from .certify import sweep_threshold
 
 __all__ = [
@@ -102,10 +102,11 @@ def jet_fd_error(pot: Potential) -> float:
     h = _FD_H
     grid = pot.domain.sample_grid(_FD_N, _FD_PAD)
     mid, vp, vpp = pot.V(grid)
-    up1 = pot.V(pot.domain.reduce(grid + h)).val
-    dn1 = pot.V(pot.domain.reduce(grid - h)).val
-    up2 = pot.V(pot.domain.reduce(grid + 2.0 * h)).val
-    dn2 = pot.V(pot.domain.reduce(grid - 2.0 * h)).val
+    with reading("val"):
+        up1 = pot.V(pot.domain.reduce(grid + h)).val
+        dn1 = pot.V(pot.domain.reduce(grid - h)).val
+        up2 = pot.V(pot.domain.reduce(grid + 2.0 * h)).val
+        dn2 = pot.V(pot.domain.reduce(grid - 2.0 * h)).val
     fd1 = (-up2 + 8.0 * up1 - 8.0 * dn1 + dn2) / (12.0 * h)
     fd2 = (-up2 + 16.0 * up1 - 30.0 * mid + 16.0 * dn1 - dn2) / (12.0 * h * h)
     e1 = np.max(np.abs(vp - fd1)) / max(1.0, float(np.max(np.abs(fd1))))

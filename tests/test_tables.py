@@ -189,7 +189,9 @@ def test_nothing_is_kept_after_a_sweep_returns_or_raises(monkeypatch):
     monkeypatch.setattr(certify, "_certify_at", failing)
     with pytest.raises(RuntimeError):
         sweep_threshold(spec, "epsilon", -0.9, 0.9, grid_m=4)
-    assert seen == [0, 1, 1]
+    # from the second certify on, the scope holds the tables of the first:
+    # one for the scan grid's reading of V' and one for the arcs' of V, V'
+    assert seen == [0, 2, 2]
     assert expr._SHARED.get() is None
 
 
