@@ -81,7 +81,8 @@ class Domain:
         its table by identity.  The grid is kept with ``expr.keep_grid``:
         every potential evaluated on it reads one reduction of it and one
         copy of each wave sin(k theta) and cos(k theta) of its source, for a
-        literal k, computed once per process."""
+        literal k, computed once per process, or derived once per process
+        where k is a rung of the source's harmonic ladder."""
         return _sample_grid(self, n, guard)
 
 
@@ -284,8 +285,11 @@ class Potential:
         only the components read are evaluated, and the others are None.
         On a grid of ``Domain.sample_grid``, an array component may be a
         read-only array shared across potentials: with V = ``cos(theta)``,
-        V itself is the grid's kept wave.  Inside ``expr.shared_tables`` an
-        array component may be a read-only array shared with other calls."""
+        V itself is the grid's kept wave, and with V = ``cos(theta) +
+        cos(2*theta)`` cos(2*theta) is the kept rung that angle addition
+        derives from cos(theta) and sin(theta).  Inside
+        ``expr.shared_tables`` an array component may be a read-only array
+        shared with other calls."""
         reads = _READING.get()
         if reads is None:
             scalar, array = self.V_float, self._array
@@ -352,4 +356,29 @@ def compile_potential(spec: PotentialSpec) -> Potential:
         evaluators = expr_mod.compile_node(node, dict(spec.params), domain)
     except (ZeroDivisionError, OverflowError) as err:
         raise DomainError(f"potential singular: {err}") from err
+    if domain.periodic and not expr_mod.periodic(node):
+        _check_cut(node, spec.params, what)
     return Potential(info.beta, domain, node, evaluators, spec)
+
+
+# an unmarked source on the circle: each component of V's jet at 0 and at
+# 2 pi agrees within this much of max(1, |component|)
+_CUT_RTOL = 1e-9
+
+
+def _check_cut(node: expr_mod.Node, params: Mapping[str, float], what: str) -> None:
+    """Raise DomainError unless the source, which ``expr.periodic`` does not
+    mark, has one jet at theta = 0 and at 2 pi, unreduced: on the circle V
+    is read at theta mod 2 pi, so a source that is not 2 pi-periodic jumps
+    at the cut, and a certificate across it would be about no function on
+    the circle.  A jet that cannot be evaluated at either end fails too."""
+    scalar, _ = expr_mod.compile_node(node, dict(params), Domain(-1.0, TWO_PI + 1.0))
+    try:
+        ends = scalar(0.0), scalar(TWO_PI)
+    except DomainError:
+        ends = None
+    if ends is None or any(abs(a - b) > _CUT_RTOL * max(1.0, abs(a), abs(b))
+                           for a, b in zip(*ends)):
+        raise DomainError(f"{what} is not 2*pi-periodic: V, V', V'' at theta = 0 and "
+                          "2*pi differ; give its open interval with --domain (or a spec "
+                          "file's \"domain\")")

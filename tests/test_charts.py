@@ -159,7 +159,7 @@ def test_isosceles_charts_reject_angles_outside_the_interval():
 
 
 def test_an_exact_zero_divisor_is_a_domain_error():
-    pot = potential({"expr": "1/(theta - 1) - 3", "beta": -1.0})
+    pot = potential({"expr": "1/(theta - 1) - 3", "beta": -1.0, "domain": [-1.0, 4.0]})
     charts = flow._charts(pot)
     for chart, y in ((charts.manifold, (1.0, 0.1, 0.2)), (charts.project, (1.0, 0.1, 0.2)),
                      (charts.full, (0.0, 1.0, 0.1, 0.2, 0.0, 0.0))):
@@ -197,7 +197,7 @@ def test_the_charts_accept_a_stage_whose_second_derivative_is_not_finite():
     # 1e100 but 1e200*1e200 overflows.  The flow reads only V and V', so the
     # charts return the finite field, while Potential.V's full jet still
     # rejects the angle
-    pot = potential({"expr": "-2 + 1e-300*exp(1e200*theta)", "beta": -1.0})
+    pot = potential({"expr": "-2 + 1e-300*exp(1e200*sin(theta))", "beta": -1.0})
     charts = flow._charts(pot)
     with pytest.raises(DomainError, match="non-finite"):
         pot.V_float(0.0)
@@ -214,11 +214,11 @@ def test_the_charts_accept_a_stage_whose_second_derivative_is_not_finite():
 BAD_INPUTS = [
     ({"builtin": "isosceles", "params": {"alpha": 1.0}}, 2.0,
      "theta outside the potential domain", "theta outside the potential domain"),
-    ({"expr": "1/(theta - 1) - 3", "beta": -1.0}, 1.0,
+    ({"expr": "1/(theta - 1) - 3", "beta": -1.0, "domain": [-1.0, 4.0]}, 1.0,
      "potential singular: jet division by zero", "potential singular: jet division by zero"),
-    ({"expr": "exp(exp(exp(theta)))", "beta": -1.0}, math.pi,
+    ({"expr": "exp(exp(exp(theta)))", "beta": -1.0, "domain": [-1.0, 4.0]}, math.pi,
      "potential singular: math range error", "potential evaluation produced a non-finite value"),
-    ({"expr": "exp(exp(exp(theta)))", "beta": -1.0}, 1.88,
+    ({"expr": "exp(exp(exp(theta)))", "beta": -1.0, "domain": [-1.0, 4.0]}, 1.88,
      "potential evaluation produced a non-finite value",
      "potential evaluation produced a non-finite value"),
 ]

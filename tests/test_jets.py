@@ -153,10 +153,13 @@ def test_binary_matches_finite_differences():
 
 # ----------------------------------------------------------------- arrays
 # numpy's sin, cos and sqrt round as math's do, so the two closures agree
-# bit for bit on arithmetic with them.  numpy's tan, exp, log and power
-# differ from the C library's by an ulp at some arguments; the square of
-# cos(theta) happens to agree at every point of this grid.
+# bit for bit on arithmetic with them, and on the rungs of a harmonic
+# ladder, which both derive from sin and cos of theta by the same products
+# and sums.  numpy's tan, exp, log and power differ from the C library's by
+# an ulp at some arguments; the square of cos(theta) happens to agree at
+# every point of this grid.
 ARRAY_SOURCES = [
+    ("cos(theta) + sin(2*theta) - 0.5*cos(2*theta) + cos(3*theta)*sin(theta) + cos(5*theta)", 0.0),
     ("sin(theta)*2 + cos(theta)*cos(theta) - sqrt(2 + sin(theta))/(3 + theta)", 0.0),
     ("sin(theta)*2 + cos(theta)^2", 0.0),
     ("exp(-theta^2)*log(2 + sin(theta)) + abs(2 + cos(theta)) - tan(theta/4)", 1e-15),

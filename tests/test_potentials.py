@@ -352,6 +352,6 @@ def test_pole_is_domain_error():
 
 
 def test_nonfinite_guard():
-    pot = compile_potential(PotentialSpec(1.0, expr="exp(exp(exp(theta)))"))
+    pot = compile_potential(PotentialSpec(1.0, expr="exp(exp(exp(theta)))", domain=(0.0, 4.0)))
     with pytest.raises(DomainError):
         pot.V(math.pi)  # triple exponential overflows to inf

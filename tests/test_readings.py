@@ -44,9 +44,10 @@ BUILTIN_PARAMS = {"isosceles": ("alpha", (1.0, 5.0, 13.75)),
                   "yoshida_h": ("epsilon", (-0.9, 1.0, 5.0))}
 # sources with tan, log, abs, sqrt, ^ and parameters, on the circle and on
 # an interval; a parameter exponent at 0, 1, a fraction and a negative
-# integer
+# integer; harmonic ladders, whose V-only reading computes the sin rungs a
+# cos-only ladder derives from
 SOURCES = [
-    ("a*tan(0.2*theta) + log(b + cos(theta)) - 3", {"a": 0.5, "b": 2.0}, None),
+    ("a*tan(0.2*theta) + log(b + cos(theta)) - 3", {"a": 0.5, "b": 2.0}, (-2.0, 6.0)),
     ("abs(sin(theta) - c) - sqrt(2 + cos(theta))", {"c": 2.0}, None),
     ("(2 + cos(theta))^p + q^1.5*sin(3*theta) - 9", {"p": 2.5, "q": 3.0}, None),
     ("cos(theta)^p + 2*sin(theta)", {"p": 0.0}, None),
@@ -54,6 +55,9 @@ SOURCES = [
     ("cos(theta)^p/sin(theta) - exp(k*theta)", {"p": -3.0, "k": 0.3}, (0.2, 1.4)),
     ("log(theta)*sqrt(theta)^3 + abs(theta - 2)^1.5", {}, (0.1, 1.9)),
     ("a*theta^2 - tan(theta) - 1/cos(theta)", {"a": 1.0}, (-1.2, 1.2)),
+    ("a*cos(theta) + cos(2*theta) + b*cos(3*theta) - 4", {"a": 0.7, "b": -0.3}, None),
+    ("sin(theta) + cos(2*theta)^2 + cos(5*theta) + sin(3*theta)*sin(2*theta + 1) - 5", {}, None),
+    ("cos(theta) - sin(2*theta) + a*cos(3*theta)", {"a": 0.4}, (0.2, 2.9)),
 ]
 CORPUS = [
     *(PotentialSpec(BUILTINS[name].beta, builtin=name, params={p: v})
@@ -185,7 +189,7 @@ def test_every_guard_raises_from_every_reading_and_chart(spec, theta, message, f
 
 
 # V = -2, V' = 1e-100 and V'' = inf at theta = 0: 1e200*1e200 overflows
-OVERFLOW_D2 = PotentialSpec(-1.0, expr="-2 + 1e-300*exp(1e200*theta)")
+OVERFLOW_D2 = PotentialSpec(-1.0, expr="-2 + 1e-300*exp(1e200*sin(theta))")
 
 
 @pytest.mark.parametrize("reads", [("d1",), ("val", "d1")], ids=["scan", "arcs"])

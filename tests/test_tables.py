@@ -21,7 +21,7 @@ CORPUS = [
     ("a*cos(theta) + b*sin(2*theta)", ({"a": 1.3, "b": -0.7}, {"a": -0.2, "b": 0.45}), None),
     ("cos(theta)^p", ({"p": 3.0}, {"p": 4.0}), None),
     ("cos(theta)^p", ({"p": 2.5}, {"p": 0.5}), (-1.5, 1.5)),
-    ("cos(k*theta)", ({"k": 3.0}, {"k": 2.5}), None),
+    ("cos(k*theta)", ({"k": 3.0}, {"k": 5.0}), None),
     ("1/(sin(theta) - c)", ({"c": 1.5}, {"c": -2.0}), None),
     ("sqrt(a + cos(theta))", ({"a": 0.5}, {"a": 3.0}), (-2.0, 2.0)),
 ]
@@ -284,9 +284,12 @@ def test_the_table_reads_no_parameter_and_deletes_its_temporaries():
 
 
 # sources whose sin and cos of k*theta a kept grid serves: literal multiples
-# in either order, a fraction, a negative k, tan's pole test (on the circle
-# it raises at pi/4 on both kept grids), a certify_expr draw, and two
-# builtins, one on its interval
+# in either order, a fraction (on an interval: on the circle it is not
+# periodic), a negative k, tan's pole test (on the circle it raises at pi/4
+# on both kept grids), harmonic ladders, whose derived rungs the grid keeps
+# too (a full one, a cos-only one with a gap below k = 5 and one whose tan
+# reads a derived rung), a certify_expr draw, and two builtins, one on its
+# interval
 EXPR_DRAW = ("-1.818019 - 1.181074*cos(theta) + 0.387934*sin(theta) + 0.009423*cos(2*theta)"
              " + 0.017946*sin(2*theta) - 0.01122*cos(3*theta) - 0.01303*sin(3*theta)"
              " + 0.005218*cos(4*theta) - 0.001045*sin(4*theta)")
@@ -294,10 +297,13 @@ WAVE_CORPUS = [
     PotentialSpec(-1.0, expr="cos(theta)"),
     PotentialSpec(-1.0, expr="sin(2*theta)"),
     PotentialSpec(-1.0, expr="-2 + sin(theta*4)"),
-    PotentialSpec(-1.0, expr="cos(0.5*theta)"),
+    PotentialSpec(-1.0, expr="cos(0.5*theta)", domain=(-3.0, 3.0)),
     PotentialSpec(-1.0, expr="cos(-3*theta)"),
     PotentialSpec(-1.0, expr="tan(2*theta)"),
     PotentialSpec(-1.0, expr="tan(2*theta)", domain=(0.1, 0.7)),
+    PotentialSpec(-1.0, expr="-2 + cos(theta) + sin(theta) + sin(2*theta) + cos(3*theta)"),
+    PotentialSpec(-1.0, expr="-3 + cos(theta) + cos(2*theta) + cos(3*theta) + cos(5*theta)"),
+    PotentialSpec(-1.0, expr="cos(theta) + sin(2*theta) + tan(2*theta)", domain=(0.1, 0.7)),
     PotentialSpec(-2.304055, expr=EXPR_DRAW),
     PotentialSpec(-1.0, builtin="isosceles", params={"alpha": 2.0}),
     PotentialSpec(4.0, builtin="yoshida_g", params={"epsilon": 4.0}),
@@ -367,11 +373,11 @@ def test_a_grid_keeps_at_most_its_constant_of_waves():
     grid = Domain.full_circle().sample_grid(critical._SCAN_GRID, critical._GUARD)
     kept = expr._KEPT[id(grid)]
     for j in range(expr._KEPT_WAVES):   # two waves each: sin for V'
-        compile_potential(PotentialSpec(-1.0, expr=f"cos({j + 1.5}*theta)")).V(grid)
+        compile_potential(PotentialSpec(-1.0, expr=f"cos({j + 2}*theta)")).V(grid)
         assert len(kept.waves) <= expr._KEPT_WAVES
     # the least recently used went first
     assert len(kept.waves) == expr._KEPT_WAVES
-    assert (np.cos, expr._KEPT_WAVES + 0.5) in kept.waves and (np.cos, 1.5) not in kept.waves
+    assert (np.cos, expr._KEPT_WAVES + 1.0) in kept.waves and (np.cos, 2.0) not in kept.waves
 
 
 def test_the_store_keeps_the_grids_sample_grid_keeps():
@@ -396,21 +402,21 @@ def test_the_circles_kept_grids_are_their_own_reduction():
 def test_a_kept_grid_that_is_not_its_own_reduction_keeps_the_reduction_once():
     grid = Domain(-1.0, 1.0).sample_grid(64, 1e-6)   # on the circle, its negative half moves
     kept = expr._KEPT[id(grid)]
-    pot = compile_potential(PotentialSpec(-1.0, expr="theta + cos(theta)"))
+    pot = compile_potential(PotentialSpec(-1.0, expr="cos(theta)"))
     want = _outcome(pot, grid.copy())
     assert _outcome(pot, grid) == want and _outcome(pot, grid) == want
     reduced = kept.reduced()
     assert reduced is not kept and kept.reduced() is reduced
     assert not reduced.grid.flags.writeable and not kept.waves
     assert set(reduced.waves) == {(np.sin, 1.0), (np.cos, 1.0)}
-    # V = theta reads the reduced angles themselves
-    assert compile_potential(PotentialSpec(-1.0, expr="theta")).V(grid).val is reduced.grid
+    # V = cos(theta) is the wave of the reduced angles
+    assert pot.V(grid).val is reduced.waves[(np.cos, 1.0)]
 
 
 def test_threads_that_share_a_kept_grid_read_the_bits_of_one_thread():
     grid = Domain.full_circle().sample_grid(critical._SCAN_GRID, critical._GUARD)
     # more waves than a grid keeps, so threads evict each other's
-    pots = [compile_potential(PotentialSpec(-1.0, expr=f"sin({j + 0.25}*theta)"))
+    pots = [compile_potential(PotentialSpec(-1.0, expr=f"sin({j + 2}*theta)"))
             for j in range(expr._KEPT_WAVES)]
     want = [_outcome(p, grid.copy()) for p in pots]
     wrong = []
