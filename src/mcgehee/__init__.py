@@ -13,7 +13,14 @@ the certificate's curvature condition detects.  :mod:`mcgehee.morales`
 relates the same curvature data to Darboux points and the Morales-Ramis
 coefficient set, and :func:`mcgehee.validate.run_all` cross-checks the
 whole stack against independent oracles.
+
+The names of the dynamics side, those of :mod:`mcgehee.flow` and
+:mod:`mcgehee.morales`, load their module on first access, so a program
+that only certifies never imports the flow, its integrator or the
+Morales-Ramis side.
 """
+import importlib
+
 from .certify import (
     AssumptionReport,
     Certificate,
@@ -44,38 +51,6 @@ from .errors import (
     ZeroBetaError,
     ZeroPotentialValueError,
 )
-from .flow import (
-    CartesianTrajectory,
-    Equilibrium,
-    Linearization,
-    ManifoldState,
-    McGeheeState,
-    SpiralDiagnostics,
-    Trajectory,
-    cartesian_vector_field,
-    check_beta_minus2_integral,
-    energy,
-    find_equilibria,
-    from_mcgehee,
-    integrate,
-    integrate_cartesian,
-    integrate_manifold,
-    linearize,
-    sample_at_physical_times,
-    to_mcgehee,
-    trace_invariant_manifold,
-    vector_field,
-)
-from .morales import (
-    NecessaryInequality,
-    YoshidaCoefficient,
-    check_integrability_necessary,
-    darboux_from_critical,
-    hessian_coefficients,
-    mr_beta_minus1_member,
-    mr_beta_minus1_values,
-    yoshida_lambda,
-)
 from .potentials import (
     Domain,
     Jet2,
@@ -86,6 +61,38 @@ from .potentials import (
 )
 
 __version__ = "0.1.0"
+
+# the dynamics side, imported on first use (PEP 562): certify and sweep run
+# neither module.  The certificate side above is imported eagerly, as the
+# command line loads it anyway, and so that ``certify`` is the function and
+# not the submodule that importing ``mcgehee.certify`` binds on the package.
+_LAZY = {
+    **dict.fromkeys((
+        "CartesianTrajectory", "Equilibrium", "Linearization", "ManifoldState",
+        "McGeheeState", "SpiralDiagnostics", "Trajectory", "cartesian_vector_field",
+        "check_beta_minus2_integral", "energy", "find_equilibria", "from_mcgehee",
+        "integrate", "integrate_cartesian", "integrate_manifold", "linearize",
+        "sample_at_physical_times", "to_mcgehee", "trace_invariant_manifold",
+        "vector_field"), "flow"),
+    **dict.fromkeys((
+        "NecessaryInequality", "YoshidaCoefficient", "check_integrability_necessary",
+        "darboux_from_critical", "hessian_coefficients", "mr_beta_minus1_member",
+        "mr_beta_minus1_values", "yoshida_lambda"), "morales"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "AssumptionReport",

@@ -13,6 +13,12 @@ parsing JSON.  Structured output is JSON with floats at 17 significant
 digits; trajectories are CSV.  There is no environment-variable
 configuration: everything observable comes from flags and files, and
 repeated runs are bit-identical.
+
+A subcommand imports the modules it runs when it runs: the module imports
+only the certificate side (``certify``, ``critical``, ``potentials``), and
+``flow``, ``rk``, ``morales`` and ``validate`` load in the subcommands that
+use them, so ``certify`` and ``sweep`` never import the flow or its
+integrator.
 """
 from __future__ import annotations
 
@@ -37,16 +43,7 @@ from .errors import (
     ZeroBetaError,
     ZeroPotentialValueError,
 )
-from .flow import (
-    McGeheeState,
-    find_equilibria,
-    integrate,
-    trace_invariant_manifold,
-)
-from .morales import check_integrability_necessary, mr_beta_minus1_member, yoshida_lambda
 from .potentials import PotentialSpec, compile_potential, load_spec, spec_from_dict
-from .rk import ATOL, RTOL
-from .validate import run_all
 
 __all__ = ["load_spec", "main", "run"]
 
@@ -129,7 +126,7 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_init(text: str) -> McGeheeState:
+def _parse_init(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
         raise _UsageError(f"--init: expected r,theta,v,w, got {text!r}")
@@ -138,7 +135,7 @@ def _parse_init(text: str) -> McGeheeState:
     except ValueError:
         raise _UsageError(f"--init: expected four numbers, got {text!r}") from None
     _finite((r, theta, v, w), "--init", text)
-    return McGeheeState(r, theta, v, w)
+    return r, theta, v, w
 
 
 def _parse_sets(pairs: Sequence[str]) -> dict[str, float]:
@@ -218,6 +215,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_equilibria(args: argparse.Namespace) -> int:
+    from .flow import find_equilibria
+
     spec = _build_spec(args)
     pot = compile_potential(spec)
     skipped = [
@@ -239,14 +238,19 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import rk
+    from .flow import McGeheeState, integrate
+
     _positive(args.rtol, "--rtol")
     _positive(args.atol, "--atol")
-    state = _parse_init(args.init)
+    state = McGeheeState(*_parse_init(args.init))
     tau0, tau1 = _parse_pair(args.tau_span, "--tau-span")
     if tau0 == tau1:
         raise _UsageError(f"--tau-span: empty span, got {args.tau_span!r}")
     pot = compile_potential(_build_spec(args))
-    traj = integrate(state, pot, (tau0, tau1), rtol=args.rtol, atol=args.atol)
+    rtol = rk.RTOL if args.rtol is None else args.rtol
+    atol = rk.ATOL if args.atol is None else args.atol
+    traj = integrate(state, pot, (tau0, tau1), rtol=rtol, atol=atol)
     buf = io.StringIO()
     traj.write_csv(buf)
     _emit(buf.getvalue(), args.output)
@@ -255,6 +259,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_manifold(args: argparse.Namespace) -> int:
+    from .flow import find_equilibria, trace_invariant_manifold
+
     _positive(args.offset, "--offset")
     _positive(args.max_tau, "--max-tau")
     _finite((args.from_theta,), "--from", args.from_theta)
@@ -292,6 +298,8 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_mr(args: argparse.Namespace) -> int:
+    from .morales import check_integrability_necessary, mr_beta_minus1_member, yoshida_lambda
+
     spec = _build_spec(args)
     pot = compile_potential(spec)
     if pot.beta == 0.0:
@@ -324,6 +332,8 @@ def _cmd_compare_mr(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import run_all
+
     results = run_all(seed=args.seed)
     for res in results:
         print(res.line())
@@ -385,8 +395,9 @@ def _build_parser() -> _Parser:
     _add_potential_flags(p)
     p.add_argument("--init", required=True, metavar="R,THETA,V,W", help="initial state")
     p.add_argument("--tau-span", required=True, metavar="A:B", help="integration span in tau")
-    p.add_argument("--rtol", type=float, default=RTOL)
-    p.add_argument("--atol", type=float, default=ATOL)
+    # None: the integrator's own tolerances, read when the subcommand runs
+    p.add_argument("--rtol", type=float, default=None)
+    p.add_argument("--atol", type=float, default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("manifold", help="trace a separatrix on M, print CSV and spiral diagnostics")

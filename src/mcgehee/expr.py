@@ -326,14 +326,16 @@ def periodic(node: Node) -> bool:
 # A reading is the same code for some of the components (``COMPONENTS``):
 # its closures return None for the others, and ``_Emitter.lines`` drops
 # every assignment that only those read.  Each reading is compiled from its
-# own source on first use (``compile_reading``).  It keeps every domain
-# check of the full jet, since a check is never dropped, and tests only the
-# components it returns for a non-finite value, so a component it returns
-# has the full jet's bits.  The full jet fails where a reading does not only
-# where a component it leaves out overflows.  The scan reads V' on its grid
-# and V', V'' in its Newton steps, the arcs of a certificate and the flow's
-# charts V and V' (``float_body``, which the charts inline), and the z
-# column and ``validate``'s shifted grids V.
+# own source on first use (``compile_reading``), and every source of a tree,
+# ``float_body``'s included, is rendered from one walk of it per flavour
+# (``_walked``), kept for the few trees compiled last.  A reading keeps every
+# domain check of the full jet, since a check is never dropped, and tests
+# only the components it returns for a non-finite value, so a component it
+# returns has the full jet's bits.  The full jet fails where a reading does
+# not only where a component it leaves out overflows.  The scan reads V' on
+# its grid and V', V'' in its Newton steps, the arcs of a certificate and
+# the flow's charts V and V' (``float_body``, which the charts inline), and
+# the z column and ``validate``'s shifted grids V.
 #
 # So the code has three parts.  The prologue runs once per binding.  For a
 # source with parameters, the array flavour's ``% TWO_PI`` and every
@@ -451,31 +453,41 @@ def _ipow(x, c):
 
 
 class _Emitter:
-    """The operations of one expression, each emitted once.
+    """The operations of one expression in one flavour, each emitted once,
+    and the triple (V, V', V'') they compute, ``result``.
 
     An operand is a float literal, a prologue name ``k<i>`` (fixed once the
     parameters are bound) or a body name ``t`` or ``v<i>`` (a function of
     theta).  A node evaluates to an operand when it is theta-free and to a
-    triple (V, V', V'') otherwise.  An operation on literals is done here,
-    one on prologue names goes to the prologue, any other to the body being
-    emitted, in its flavour ``xp`` ("math" or "np").
+    triple otherwise.  An operation on literals is done here, one on
+    prologue names goes to the prologue, any other to the body, in the
+    flavour ``xp`` ("math" or "np").  The tree is walked once, on
+    construction; the two flavours of a tree share ``shared``, the prologue,
+    its names and the ladder's rungs.  A prologue line reads no angle, so its
+    text is the same in both flavours: the array walk finds each one the
+    float walk placed, and adds none.  Rendering (``lines`` and the methods
+    after it) only reads the emitter, so one walk serves every reading.
     """
 
-    def __init__(self, node: Node):
-        self.prologue: list[str] = []
-        self.names: dict[str, str] = {}     # prologue text -> name
-        # the rungs of the source's ladder that angle addition derives
-        self.rungs = {float(k) for k in range(2, _harmonics(node)[1] + 1)}
-
-    def start(self, xp: str) -> None:
+    def __init__(self, node: Node, xp: str, shared: tuple[list[str], dict[str, str], set]):
+        # the prologue, its text -> name, and the rungs angle addition derives
+        self.prologue, self.names, self.rungs = shared
         # the body's names and checks, and which of them read no prologue name
         self.xp, self.body, self.body_names, self.fixed = xp, [], {}, {"t"}
         # theta and its literal multiples: name -> k
         self.multiples = {"t": 1.0}
+        # each wave emitted: (fn, k, x) -> name
+        self.waves: dict[tuple, str] = {}
+        result = self.walk(node)
+        self.result = result if isinstance(result, tuple) else (result, 0.0, 0.0)
 
     @staticmethod
     def varies(*atoms) -> bool:
-        return any(isinstance(a, str) and a[0] in "tv" for a in atoms)
+        # a loop, not any(): the walk asks this of every operation
+        for a in atoms:
+            if isinstance(a, str) and a[0] in "tv":
+                return True
+        return False
 
     def _place(self, text: str, atoms, assign: bool = True) -> str:
         body = self.varies(*atoms)
@@ -565,7 +577,12 @@ class _Emitter:
         """sin or cos (``fn``) of x = k*theta, for a literal k.  A rung of
         the source's ladder, 2 <= k <= K, comes from rungs k - 1 and 1 by
         angle addition and reads no x; any other k is the C library's of x.
-        In the array flavour a kept grid's store serves either."""
+        In the array flavour a kept grid's store serves either.  Each wave
+        is emitted once per flavour: a rung looks up the rungs below it
+        instead of recursing through them again."""
+        key = (fn, k, x)
+        if key in self.waves:
+            return self.waves[key]
         if k in self.rungs:
             c, s = self.wave("cos", k - 1.0, "t"), self.wave("sin", k - 1.0, "t")
             c1, s1 = self.wave("cos", 1.0, "t"), self.wave("sin", 1.0, "t")
@@ -574,7 +591,9 @@ class _Emitter:
         else:
             text, atoms = f"{self.xp}.{fn}({x})", (x,)
             kept = f"w.wave(np.{fn}, {_src(k)}, {x})"
-        return self._place(f"{text} if w is None else {kept}" if self.xp == "np" else text, atoms)
+        text = f"{text} if w is None else {kept}" if self.xp == "np" else text
+        name = self.waves[key] = self._place(text, atoms)
+        return name
 
     def call(self, fn: str, u):
         """fn of an operand, or of a triple by the chain rule; sin and cos of
@@ -784,10 +803,17 @@ class _Emitter:
         return [f"    def {name}(t):", *(f"        {s}" for s in body),
                 f"        return {', '.join(map(_src, result))}"]
 
-    def triple(self, node: Node) -> tuple:
-        """(V, V', V'') of ``node`` in the flavour being emitted."""
-        result = self.walk(node)
-        return result if isinstance(result, tuple) else (result, 0.0, 0.0)
+
+# trees kept walked: every reading of a source is compiled during its first
+# certify, so a few are enough
+_WALKED_TREES = 4
+
+
+@functools.lru_cache(maxsize=_WALKED_TREES)
+def _walked(node: Node) -> tuple[_Emitter, _Emitter]:
+    """The float and the array flavour of ``node``, each walked once."""
+    shared = ([], {}, {float(k) for k in range(2, _harmonics(node)[1] + 1)})
+    return _Emitter(node, "math", shared), _Emitter(node, "np", shared)
 
 
 # inside ``shared_tables``: per ``table`` function, its kept results as
@@ -972,14 +998,12 @@ def _source(node: Node, periodic: bool) -> str:
 def _reading_source(node: Node, periodic: bool, reads: tuple[str, ...]) -> str:
     """The source of ``bind`` for the components ``reads`` of the jet; the
     closures return the triple with ``None`` for the others."""
-    em = _Emitter(node)
-    em.start("math")
-    closures = em.closure("scalar", _read(em.triple(node), reads), periodic)
-    em.start("np")
-    result = _read(em.triple(node), reads)
-    table, body = em.table(result, periodic) if free_parameters(node) else ([], None)
-    closures += em.closure("array", result, periodic, body)
-    return "\n".join([*table, "def bind(p, lo, hi):", *(f"    {s}" for s in em.prologue),
+    scalar, array = _walked(node)
+    closures = scalar.closure("scalar", _read(scalar.result, reads), periodic)
+    result = _read(array.result, reads)
+    table, body = array.table(result, periodic) if free_parameters(node) else ([], None)
+    closures += array.closure("array", result, periodic, body)
+    return "\n".join([*table, "def bind(p, lo, hi):", *(f"    {s}" for s in scalar.prologue),
                       *closures, "    return scalar, array", ""])
 
 
@@ -991,10 +1015,9 @@ def float_body(node: Node, periodic: bool) -> tuple[list[str], list[str], tuple[
     computed nor tested.  The prologue reads the parameters from ``p``;
     the body reads the angle ``t`` (and ``lo``, ``hi``) and defines names
     ``v<i>``, the prologue names ``k<i>``.  Both run in ``namespace()``."""
-    em = _Emitter(node)
-    em.start("math")
-    result = em.triple(node)[:2]
-    return em.prologue, em.checked(result, periodic), tuple(map(_src, result))
+    em = _walked(node)[0]
+    result = em.result[:2]
+    return list(em.prologue), em.checked(result, periodic), tuple(map(_src, result))
 
 
 # a source's full evaluators and up to four readings of it
