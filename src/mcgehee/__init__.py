@@ -15,8 +15,9 @@ coefficient set, and :func:`mcgehee.validate.run_all` cross-checks the
 whole stack against independent oracles.
 
 The names of the dynamics side, those of :mod:`mcgehee.flow` and
-:mod:`mcgehee.morales`, load their module on first access, so a program
-that only certifies never imports the flow, its integrator or the
+:mod:`mcgehee.morales`, load their module on first access, as do the
+attributes ``mcgehee.flow``, ``mcgehee.morales`` and ``mcgehee.rk``, so a
+program that only certifies never imports the flow, its integrator or the
 Morales-Ramis side.
 """
 import importlib
@@ -79,9 +80,13 @@ _LAZY = {
         "darboux_from_critical", "hessian_coefficients", "mr_beta_minus1_member",
         "mr_beta_minus1_values", "yoshida_lambda"), "morales"),
 }
+# the dynamics modules themselves, attributes of the package once imported
+_LAZY_MODULES = ("flow", "morales", "rk")
 
 
 def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -91,69 +96,18 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
 
 
 __all__ = [
-    "AssumptionReport",
-    "BetaTwoScaleDegenerateError",
-    "CartesianTrajectory",
-    "Certificate",
-    "CertifyOptions",
-    "CriticalPoint",
-    "DegeneratePotentialError",
-    "Domain",
-    "DomainError",
-    "DomainViolationError",
-    "Equilibrium",
-    "Jet2",
-    "LeftDomainError",
-    "Linearization",
-    "ManifoldState",
-    "McGeheeError",
-    "McGeheeState",
-    "NecessaryInequality",
-    "NotCriticalPointError",
-    "NotSaddleError",
-    "OriginSingularityError",
-    "ParseError",
-    "PoleEncounteredError",
-    "Potential",
-    "PotentialSpec",
-    "SpecError",
-    "SpiralDiagnostics",
-    "StepUnderflowError",
-    "SweepResult",
-    "Trajectory",
-    "UnboundParameterError",
-    "UnknownBuiltinError",
-    "UnknownFunctionError",
-    "YoshidaCoefficient",
-    "ZeroBetaError",
-    "ZeroPotentialValueError",
-    "cartesian_vector_field",
-    "certify",
-    "check_beta_minus2_integral",
-    "check_integrability_necessary",
-    "check_triple",
-    "compile_potential",
-    "darboux_from_critical",
-    "energy",
-    "find_critical_points",
-    "find_equilibria",
-    "from_mcgehee",
-    "hessian_coefficients",
-    "integrate",
-    "integrate_cartesian",
-    "integrate_manifold",
-    "linearize",
-    "mr_beta_minus1_member",
-    "mr_beta_minus1_values",
-    "sample_at_physical_times",
-    "spec_from_dict",
-    "sweep_threshold",
-    "to_mcgehee",
-    "trace_invariant_manifold",
-    "vector_field",
-    "yoshida_lambda",
+    "AssumptionReport", "BetaTwoScaleDegenerateError", "Certificate", "CertifyOptions",
+    "CriticalPoint", "DegeneratePotentialError", "Domain", "DomainError",
+    "DomainViolationError", "Jet2", "LeftDomainError", "McGeheeError",
+    "NotCriticalPointError", "NotSaddleError", "OriginSingularityError", "ParseError",
+    "PoleEncounteredError", "Potential", "PotentialSpec", "SpecError",
+    "StepUnderflowError", "SweepResult", "UnboundParameterError",
+    "UnknownBuiltinError", "UnknownFunctionError", "ZeroBetaError",
+    "ZeroPotentialValueError", "certify", "check_triple", "compile_potential",
+    "find_critical_points", "spec_from_dict", "sweep_threshold",
+    *_LAZY,
 ]

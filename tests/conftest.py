@@ -1,6 +1,12 @@
+import functools
+import importlib.util
 import math
+import pathlib
+import sys
 
 import pytest
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def fd2(f, x, h=1e-5):
@@ -19,3 +25,13 @@ def fd():
 
 def close(a, b, tol=1e-9):
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+
+
+@functools.cache
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded once per session."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

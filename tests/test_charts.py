@@ -4,28 +4,16 @@ Newton projection onto z = 0 followed by a fresh call of that right-hand side.
 Stage derivatives, steps and projected states agree bit for bit; the charts
 fail where ``V_float`` fails, with the same errors, except where only V'' is
 not finite, which the charts neither compute nor test."""
-import importlib.util
 import math
-import pathlib
 import random
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import load_workloads
 from mcgehee import cli, flow, rk
 from mcgehee.errors import DomainError
 from mcgehee.potentials import compile_potential, spec_from_dict
-
-
-def load_workloads():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
 
 workloads = load_workloads()
 

@@ -11,16 +11,13 @@ emitter.
 """
 import functools
 import hashlib
-import importlib.util
-import pathlib
-import sys
 
 import pytest
 
+from conftest import load_workloads
 from mcgehee.expr import _reading_source, float_body, parse
 from mcgehee.potentials import BUILTINS
 
-WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SEEDS = (1, 2, 3)
 
 CORPUS_SHA256 = "3135f5dd3fd14bf42e5b0b01d3e401a5f0f69162657d5d8cbde2558a3d68470b"
@@ -37,12 +34,8 @@ TEXT_SHA256 = {
 @functools.lru_cache(maxsize=1)
 def corpus() -> tuple[str, ...]:
     """The distinct sources, in the order they are first drawn."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
     drawn = [op.argv[op.argv.index("--expr") + 1]
-             for seed in SEEDS for op in module.certify_expr_ops(seed)]
+             for seed in SEEDS for op in load_workloads().certify_expr_ops(seed)]
     return tuple(dict.fromkeys([*drawn, *(b.source for b in BUILTINS.values())]))
 
 

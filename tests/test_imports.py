@@ -70,5 +70,8 @@ def test_importing_the_package_defers_the_dynamics_side():
         print([m for m in {DYNAMICS!r} if m in sys.modules])
         mcgehee.yoshida_lambda
         print([m for m in {DYNAMICS!r} if m in sys.modules])
+        print(mcgehee.rk is sys.modules["mcgehee.rk"], "flow" in dir(mcgehee))
+        print(mcgehee.flow.integrate is mcgehee.integrate, mcgehee.morales.yoshida_lambda
+              is mcgehee.yoshida_lambda, hasattr(mcgehee, "validate"))
     """)
-    assert lines == ["[]", "['mcgehee.morales']"]
+    assert lines == ["[]", "['mcgehee.morales']", "True True", "True True False"]

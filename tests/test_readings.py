@@ -3,15 +3,13 @@ only the components a caller reads.  Each reading returns the bits of the
 full jet, keeps every domain check of it, and tests only what it returns for
 a non-finite value.  The scan's grid call reads V', its Newton steps V' and
 V'', the arcs V and V', the z column and ``validate``'s shifted grids V."""
-import importlib.util
 import math
-import pathlib
 import random
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import load_workloads
 from mcgehee import critical, expr, flow, validate
 from mcgehee.certify import _ARC_GRID, certify, sweep_threshold
 from mcgehee.errors import DomainError
@@ -24,15 +22,6 @@ from mcgehee.potentials import (
     compile_potential,
     reading,
 )
-
-def load_workloads():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
 
 workloads = load_workloads()
 

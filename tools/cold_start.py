@@ -1,9 +1,9 @@
 """Cold-start cost of two checkouts, each measured in fresh processes.
 
-    python3 tools/cold_start.py A B [--seed 1] [--pairs 10]
+    python3 tools/cold_start.py A B [--seed 1]
 
-Each pair runs both checkouts, A first in even pairs and B first in odd
-ones, counting from 0.  A side of a pair is two fresh processes:
+Each of the 10 pairs runs both checkouts, A first in even pairs and B
+first in odd ones, counting from 0.  A side of a pair is two fresh processes:
 
 - a probe that times the import of ``mcgehee.cli`` (``import_s``) and then
   the first round of the ``certify_expr`` workload at ``--seed``, every
@@ -21,7 +21,6 @@ used.  Prints one JSON object: per metric, each side's median, quartiles
 counts for neither).
 """
 import argparse
-import importlib.util
 import json
 import os
 import statistics
@@ -29,8 +28,9 @@ import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = os.path.join(ROOT, "perfbench", "workloads.py")
+from output_digest import load_workloads
+
+PAIRS = 10
 METRICS = ("import_s", "first_round_s", "oneshot_s")
 
 # run in a fresh interpreter with the argument src, the round's argvs on stdin
@@ -50,15 +50,6 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 t3 = time.perf_counter()
 print(json.dumps({"import_s": t1 - t0, "first_round_s": t3 - t2, "codes": codes}))
 """
-
-
-def round_argvs(seed: int) -> list[list[str]]:
-    """The argv of every ``certify_expr`` operation at ``seed``, in order."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return [list(op.argv) for op in module.certify_expr_ops(seed)]
 
 
 def side(checkout: str, ops: list[list[str]]) -> dict:
@@ -87,23 +78,20 @@ def main() -> None:
     p.add_argument("a", metavar="A", help="checkout of the first side (the parent)")
     p.add_argument("b", metavar="B", help="checkout of the second side (the change)")
     p.add_argument("--seed", type=int, default=1, help="seed of the certify_expr round")
-    p.add_argument("--pairs", type=int, default=10, help="number of alternating pairs")
     args = p.parse_args()
-    if args.pairs < 2:
-        p.error("--pairs: need at least 2 for quartiles")
     for checkout in (args.a, args.b):
         cache = os.path.join(checkout, "src", "mcgehee", "__pycache__")
         if os.path.exists(cache):
             raise SystemExit(f"cold_start.py: {cache} would spare the compilation; remove it")
-    ops = round_argvs(args.seed)
+    ops = [list(op.argv) for op in load_workloads().certify_expr_ops(args.seed)]
     runs = {"A": [], "B": []}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         for name in ("AB" if i % 2 == 0 else "BA"):
             runs[name].append(side(args.a if name == "A" else args.b, ops))
     codes = {name: {tuple(r.pop("codes")) for r in rs} for name, rs in runs.items()}
     if len(codes["A"] | codes["B"]) != 1:
         raise SystemExit(f"cold_start.py: the sides' exit codes differ: {codes}")
-    report = {"seed": args.seed, "pairs": args.pairs, "oneshot_argv": ops[0],
+    report = {"seed": args.seed, "pairs": PAIRS, "oneshot_argv": ops[0],
               "A": os.path.abspath(args.a), "B": os.path.abspath(args.b)}
     for metric in METRICS:
         a = [r[metric] for r in runs["A"]]
