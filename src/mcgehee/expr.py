@@ -327,15 +327,15 @@ def periodic(node: Node) -> bool:
 # its closures return None for the others, and ``_Emitter.lines`` drops
 # every assignment that only those read.  Each reading is compiled from its
 # own source on first use (``compile_reading``), and every source of a tree,
-# ``float_body``'s included, is rendered from one walk of it per flavour
-# (``_walked``), kept for the few trees compiled last.  A reading keeps every
-# domain check of the full jet, since a check is never dropped, and tests
-# only the components it returns for a non-finite value, so a component it
-# returns has the full jet's bits.  The full jet fails where a reading does
-# not only where a component it leaves out overflows.  The scan reads V' on
-# its grid and V', V'' in its Newton steps, the arcs of a certificate and
-# the flow's charts V and V' (``float_body``, which the charts inline), and
-# the z column and ``validate``'s shifted grids V.
+# ``float_body``'s included, in both flavours, is rendered from one walk of
+# it (``_walked``), kept for the few trees compiled last.  A reading keeps
+# every domain check of the full jet, since a check is never dropped, and
+# tests only the components it returns for a non-finite value, so a
+# component it returns has the full jet's bits.  The full jet fails where a
+# reading does not only where a component it leaves out overflows.  The
+# scan reads V' on its grid and V', V'' in its Newton steps, the arcs of a
+# certificate and the flow's charts V and V' (``float_body``, which the
+# charts inline), and the z column and ``validate``'s shifted grids V.
 #
 # So the code has three parts.  The prologue runs once per binding.  For a
 # source with parameters, the array flavour's ``% TWO_PI`` and every
@@ -453,27 +453,26 @@ def _ipow(x, c):
 
 
 class _Emitter:
-    """The operations of one expression in one flavour, each emitted once,
-    and the triple (V, V', V'') they compute, ``result``.
+    """The operations of one expression, each emitted once, and the triple
+    (V, V', V'') they compute, ``result``.
 
     An operand is a float literal, a prologue name ``k<i>`` (fixed once the
     parameters are bound) or a body name ``t`` or ``v<i>`` (a function of
     theta).  A node evaluates to an operand when it is theta-free and to a
     triple otherwise.  An operation on literals is done here, one on
-    prologue names goes to the prologue, any other to the body, in the
-    flavour ``xp`` ("math" or "np").  The tree is walked once, on
-    construction; the two flavours of a tree share ``shared``, the prologue,
-    its names and the ladder's rungs.  A prologue line reads no angle, so its
-    text is the same in both flavours: the array walk finds each one the
-    float walk placed, and adds none.  Rendering (``lines`` and the methods
-    after it) only reads the emitter, so one walk serves every reading.
+    prologue names goes to the prologue, any other to the body.  The tree is
+    walked once, on construction, and each line keeps its text in both
+    flavours, (float, array): a prologue line reads no angle and is written
+    through ``math`` in both.  Rendering (``lines`` and the methods after
+    it) only reads the emitter, so one walk serves every reading.
     """
 
-    def __init__(self, node: Node, xp: str, shared: tuple[list[str], dict[str, str], set]):
-        # the prologue, its text -> name, and the rungs angle addition derives
-        self.prologue, self.names, self.rungs = shared
+    def __init__(self, node: Node):
+        # the prologue, its texts -> name, and the rungs angle addition derives
+        self.prologue, self.names = [], {}
+        self.rungs = {float(k) for k in range(2, _harmonics(node)[1] + 1)}
         # the body's names and checks, and which of them read no prologue name
-        self.xp, self.body, self.body_names, self.fixed = xp, [], {}, {"t"}
+        self.body, self.body_names, self.fixed = [], {}, {"t"}
         # theta and its literal multiples: name -> k
         self.multiples = {"t": 1.0}
         # each wave emitted: (fn, k, x) -> name
@@ -489,29 +488,32 @@ class _Emitter:
                 return True
         return False
 
-    def _place(self, text: str, atoms, assign: bool = True) -> str:
+    def _place(self, texts: tuple[str, str], atoms, assign: bool = True) -> str:
         body = self.varies(*atoms)
         names = self.body_names if body else self.names
-        if text not in names:
-            names[text] = name = f"{'v' if body else 'k'}{len(names)}"
-            stmt = f"{name} = {text}" if assign else text
+        if texts not in names:
+            names[texts] = name = f"{'v' if body else 'k'}{len(names)}"
+            stmts = tuple(f"{name} = {text}" for text in texts) if assign else texts
             if body:
                 reads = {a for a in atoms if self.varies(a)}
                 fixed = reads <= self.fixed and not any(
                     isinstance(a, str) and a[0] == "k" for a in atoms)
                 if fixed and assign:
                     self.fixed.add(name)
-                self.body.append((name if assign else None, stmt, reads, fixed))
+                self.body.append((name if assign else None, stmts, reads, fixed))
             else:
-                self.prologue.append(stmt)
-        return names[text]
+                self.prologue.append(stmts[0])
+        return names[texts]
 
     def op(self, fmt: str, fold, *atoms):
-        """``fmt`` on ``atoms``, with ``{xp}`` naming the module of the flavour."""
+        """``fmt`` on ``atoms``, with ``{xp}`` the module: ``np`` in the
+        array text of an operation that varies, else ``math``."""
         if all(isinstance(a, float) for a in atoms):
             return float(fold(*atoms))
-        xp = self.xp if self.varies(*atoms) else "math"
-        return self._place(fmt.format(*map(_src, atoms), xp=xp), atoms)
+        srcs = [*map(_src, atoms)]
+        text = fmt.format(*srcs, xp="math")
+        array = fmt.format(*srcs, xp="np") if self.varies(*atoms) else text
+        return self._place((text, array), atoms)
 
     def check(self, x, compare: str, bound: float, error: type, message: str, when=None):
         """Raise ``error`` where ``x compare bound``, anywhere in an array, and the prologue
@@ -521,11 +523,10 @@ class _Emitter:
                 raise error(message)
             return
         test = f"{_src(x)} {compare} {_src(bound)}"
-        if self.varies(x) and self.xp == "np":
-            test = f"({test}).any()"
-        if when is not None:
-            test = f"{when} and {test}"
-        self._place(f"if {test}: raise {error.__name__}(f{message!r})", (x, when), assign=False)
+        cond = "" if when is None else f"{when} and "
+        self._place(tuple(f"if {cond}{t}: raise {error.__name__}(f{message!r})"
+                          for t in (test, f"({test}).any()" if self.varies(x) else test)),
+                    (x, when), assign=False)
 
     def zero(self, x, other) -> bool:
         """Whether x is a literal zero to fold against ``other``, a function
@@ -577,22 +578,22 @@ class _Emitter:
         """sin or cos (``fn``) of x = k*theta, for a literal k.  A rung of
         the source's ladder, 2 <= k <= K, comes from rungs k - 1 and 1 by
         angle addition and reads no x; any other k is the C library's of x.
-        In the array flavour a kept grid's store serves either.  Each wave
-        is emitted once per flavour: a rung looks up the rungs below it
-        instead of recursing through them again."""
+        In the array text a kept grid's store serves either.  Each wave is
+        emitted once: a rung looks up the rungs below it instead of
+        recursing through them again."""
         key = (fn, k, x)
         if key in self.waves:
             return self.waves[key]
         if k in self.rungs:
             c, s = self.wave("cos", k - 1.0, "t"), self.wave("sin", k - 1.0, "t")
             c1, s1 = self.wave("cos", 1.0, "t"), self.wave("sin", 1.0, "t")
-            text = f"{c} * {c1} - {s} * {s1}" if fn == "cos" else f"{s} * {c1} + {c} * {s1}"
+            text = array = (f"{c} * {c1} - {s} * {s1}" if fn == "cos"
+                            else f"{s} * {c1} + {c} * {s1}")
             atoms, kept = (c, s, c1, s1), f"w.rung(np.{fn}, {int(k)})"
         else:
-            text, atoms = f"{self.xp}.{fn}({x})", (x,)
+            text, array, atoms = f"math.{fn}({x})", f"np.{fn}({x})", (x,)
             kept = f"w.wave(np.{fn}, {_src(k)}, {x})"
-        text = f"{text} if w is None else {kept}" if self.xp == "np" else text
-        name = self.waves[key] = self._place(text, atoms)
+        name = self.waves[key] = self._place((text, f"{array} if w is None else {kept}"), atoms)
         return name
 
     def call(self, fn: str, u):
@@ -651,8 +652,8 @@ class _Emitter:
             # for an integer c, c*(c - 1) is the rounded integer product n(n - 1)
             e1, e2, c2 = c - 1.0, c - 2.0, c * (c - 1.0)
         else:
-            self._place(f"if not math.isfinite({c}): "
-                        "raise DomainError('exponent of ^ must be finite')", (), assign=False)
+            finite = f"if not math.isfinite({c}): raise DomainError('exponent of ^ must be finite')"
+            self._place((finite,) * 2, (), assign=False)
             whole = self.op("{0} == round({0}) and abs({0}) < 2147483648.0", None, c)
             self.check(x, "<=", 0.0, DomainError, f"x^{{{c}}} requires x > 0",
                        when=self.op("not {}", None, whole))
@@ -695,7 +696,7 @@ class _Emitter:
         if isinstance(node, Theta):
             return ("t", 1.0, 0.0)
         if isinstance(node, Param):
-            return self._place(f"float(p[{node.name!r}])", ())
+            return self._place((f"float(p[{node.name!r}])",) * 2, ())
         if isinstance(node, Neg):
             x = self.walk(node.child)
             return tuple(map(self.neg, x)) if isinstance(x, tuple) else self.neg(x)
@@ -724,22 +725,22 @@ class _Emitter:
         d1 = self.div(self.sub(a1, mul(v, b1)), b0)
         return v, d1, self.div(self.sub(self.sub(a2, mul(mul(2.0, d1), b1)), mul(v, b2)), b0)
 
-    def lines(self, result, entries=None) -> list[str]:
-        """The body since ``start``, or its ``entries``, that ``result``
-        reads: the assignments nothing reads are dropped, and the array
-        flavour deletes temporaries after use."""
+    def lines(self, result, entries, array: bool) -> list[str]:
+        """The lines of the body ``entries`` that ``result`` reads, in the
+        float or the ``array`` flavour: the assignments nothing reads are
+        dropped, and the array flavour deletes temporaries after use."""
         live, lines = {"t", *result}, []
-        for target, stmt, reads, _ in reversed(self.body if entries is None else entries):
+        for target, stmts, reads, _ in reversed(entries):
             if target is not None and target not in live:
                 continue
-            if self.xp == "np" and reads - live:
+            if array and reads - live:
                 lines.append("del " + ", ".join(sorted(reads - live)))
-            lines.append(stmt)
+            lines.append(stmts[array])
             live |= reads
         return lines[::-1]
 
     def table(self, result, periodic: bool) -> tuple[list[str], list[str] | None]:
-        """The body split in two: the module-level ``table(t)``, the
+        """The array body split in two: the module-level ``table(t)``, the
         angles read through ``_waves`` and every assignment and check that
         reads no prologue name, returning what the rest reads of it; and the lines of the
         rest, which start by unpacking that.  ``([], None)`` when the rest
@@ -753,67 +754,62 @@ class _Emitter:
         out = [n for n in made if n in read]
         if not out:
             return [], None
-        lines = [f"t, w = _waves(t, {periodic})", *self.lines(out, [e for e in self.body if e[3]])]
+        lines = [f"t, w = _waves(t, {periodic})",
+                 *self.lines(out, [e for e in self.body if e[3]], True)]
         unpack = f"{', '.join(out)},"
         return (["def table(t):", *(f"    {s}" for s in lines), f"    return {unpack}",
                  "tables = _shared(table)"],
-                [f"{unpack} = tables(t)", *self.lines(result, rest)])
+                [f"{unpack} = tables(t)", *self.lines(result, rest, True)])
 
-    def checked(self, result, periodic: bool, body=None) -> list[str]:
-        """The body returning ``result`` under V's rules: the angle ``t``
-        reduced on a periodic domain, else tested against ``(lo, hi)``, and
-        in the array flavour read through ``_waves``; a
-        ZeroDivisionError or OverflowError of the body, and a non-finite
-        returned component, raised as DomainError.  A component that is
-        ``None`` is not returned: what only it reads is dropped and it is
-        not tested, while every domain check stays.  x - x is 0.0 for a
-        finite double x and nan otherwise, so one comparison tests all float
-        components; an array is tested per component, as a sum of large
-        ones can overflow.  A ``body`` from ``table`` replaces the body, and
-        the angles are the table's."""
-        array = self.xp == "np"
+    def checked(self, result, periodic: bool, array: bool, body: list[str] | None) -> list[str]:
+        """The body returning ``result`` under V's rules, in the float or the
+        ``array`` flavour: the angle ``t`` reduced on a periodic domain,
+        else tested against ``(lo, hi)``; a ZeroDivisionError or
+        OverflowError of the body, and a non-finite returned component,
+        raised as DomainError.  A component that is ``None`` is not
+        returned: what only it reads is dropped and it is not tested, while
+        every domain check stays.  x - x is 0.0 for a finite double x and
+        nan otherwise, so one comparison tests all float components; an
+        array is tested per component, as a sum of large ones can overflow.
+        ``body`` is from ``lines``, or from ``table`` with the table's
+        angles; None is the whole array body, reading ``_waves``."""
         if periodic:
             head = ["t = t % TWO_PI"] if not array else []
         else:
             inside = "((lo < t) & (t < hi)).all()" if array else "lo < t < hi"
             head = [f"if not {inside}:",
                     "    raise DomainError('theta outside the potential domain')"]
-        if array and body is None:
+        if body is None:
             head.append(f"t, w = _waves(t, {periodic})")
+            body = self.lines(result, self.body, True)
         tested = [_src(a) for a in result
                   if not (a is None or isinstance(a, float) and math.isfinite(a))]
         if array:
             finite = f"not ({' and '.join(f'np.isfinite({x}).all()' for x in tested)})"
         else:
             finite = " + ".join(f"({x} - {x})" for x in tested) + " != 0.0"
-        body = self.lines(result) if body is None else body
         return [*head, "try:", *(f"    {s}" for s in body or ["pass"]),
                 "except (ZeroDivisionError, OverflowError) as err:",
                 "    raise DomainError(f'potential singular: {err}') from err",
                 *([f"if {finite}:", "    raise DomainError("
                    "'potential evaluation produced a non-finite value')"] if tested else [])]
 
-    def closure(self, name: str, result, periodic: bool, body=None) -> list[str]:
+    def closure(self, name: str, result, periodic: bool, array: bool,
+                body: list[str] | None) -> list[str]:
         """The checked body returning ``result`` as a closure; the array
         closure broadcasts theta-free components."""
-        body = self.checked(result, periodic, body)
-        if self.xp == "np":
+        body = self.checked(result, periodic, array, body)
+        if array:
             result = [a if a is None or self.varies(a) else f"np.full_like(t, {_src(a)})"
                       for a in result]
         return [f"    def {name}(t):", *(f"        {s}" for s in body),
                 f"        return {', '.join(map(_src, result))}"]
 
 
-# trees kept walked: every reading of a source is compiled during its first
-# certify, so a few are enough
+# trees kept walked, one emitter each: every reading of a source, in both
+# flavours, is compiled during its first certify, so a few are enough
 _WALKED_TREES = 4
-
-
-@functools.lru_cache(maxsize=_WALKED_TREES)
-def _walked(node: Node) -> tuple[_Emitter, _Emitter]:
-    """The float and the array flavour of ``node``, each walked once."""
-    shared = ([], {}, {float(k) for k in range(2, _harmonics(node)[1] + 1)})
-    return _Emitter(node, "math", shared), _Emitter(node, "np", shared)
+_walked = functools.lru_cache(maxsize=_WALKED_TREES)(_Emitter)
 
 
 # inside ``shared_tables``: per ``table`` function, its kept results as
@@ -991,19 +987,15 @@ def _read(result: tuple, reads: tuple[str, ...]) -> tuple:
     return tuple(x if name in reads else None for name, x in zip(COMPONENTS, result))
 
 
-def _source(node: Node, periodic: bool) -> str:
-    return _reading_source(node, periodic, COMPONENTS)
-
-
 def _reading_source(node: Node, periodic: bool, reads: tuple[str, ...]) -> str:
     """The source of ``bind`` for the components ``reads`` of the jet; the
     closures return the triple with ``None`` for the others."""
-    scalar, array = _walked(node)
-    closures = scalar.closure("scalar", _read(scalar.result, reads), periodic)
-    result = _read(array.result, reads)
-    table, body = array.table(result, periodic) if free_parameters(node) else ([], None)
-    closures += array.closure("array", result, periodic, body)
-    return "\n".join([*table, "def bind(p, lo, hi):", *(f"    {s}" for s in scalar.prologue),
+    em = _walked(node)
+    result = _read(em.result, reads)
+    table, body = em.table(result, periodic) if free_parameters(node) else ([], None)
+    closures = [*em.closure("scalar", result, periodic, False, em.lines(result, em.body, False)),
+                *em.closure("array", result, periodic, True, body)]
+    return "\n".join([*table, "def bind(p, lo, hi):", *(f"    {s}" for s in em.prologue),
                       *closures, "    return scalar, array", ""])
 
 
@@ -1015,9 +1007,10 @@ def float_body(node: Node, periodic: bool) -> tuple[list[str], list[str], tuple[
     computed nor tested.  The prologue reads the parameters from ``p``;
     the body reads the angle ``t`` (and ``lo``, ``hi``) and defines names
     ``v<i>``, the prologue names ``k<i>``.  Both run in ``namespace()``."""
-    em = _walked(node)[0]
+    em = _walked(node)
     result = em.result[:2]
-    return list(em.prologue), em.checked(result, periodic), tuple(map(_src, result))
+    body = em.checked(result, periodic, False, em.lines(result, em.body, False))
+    return list(em.prologue), body, tuple(map(_src, result))
 
 
 # a source's full evaluators and up to four readings of it

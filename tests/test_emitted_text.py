@@ -15,7 +15,8 @@ import hashlib
 import pytest
 
 from conftest import load_workloads
-from mcgehee.expr import _reading_source, float_body, parse
+from mcgehee import expr
+from mcgehee.expr import _reading_source, float_body, free_parameters, parse
 from mcgehee.potentials import BUILTINS
 
 SEEDS = (1, 2, 3)
@@ -70,3 +71,22 @@ def digests() -> dict[str, str]:
 @pytest.mark.parametrize("kind", sorted(TEXT_SHA256))
 def test_emitted_text_is_pinned(kind):
     assert digests()[kind] == TEXT_SHA256[kind]
+
+
+def test_each_tree_is_walked_once(monkeypatch):
+    """Every reading and ``float_body`` of a source with parameters, in both
+    flavours and on both domains, is rendered from one walk of its tree."""
+    source = BUILTINS["yoshida_g"].source
+    assert free_parameters(parse(source))
+    walks, init = [], expr._Emitter.__init__
+
+    def counted(self, *args):
+        walks.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(expr._Emitter, "__init__", counted)
+    expr._walked.cache_clear()
+    for periodic in (True, False):
+        for kind in TEXT_SHA256:
+            text(source, periodic, kind)
+    assert len(walks) == 1

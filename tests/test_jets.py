@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mcgehee.errors import DomainError
-from mcgehee.expr import _source, compile_node, parse
+from mcgehee.expr import COMPONENTS, _reading_source, compile_node, parse
 from mcgehee.potentials import BUILTINS, Domain
 
 from conftest import fd2
@@ -294,7 +294,8 @@ def test_builtin_bodies_stay_lean(name):
     # the op count of each float body is pinned, and none has an integer
     # power written with **, a product with a literal 0.0, or the same
     # product or sum twice with its operands swapped
-    source = _source(parse(BUILTINS[name].source), BUILTINS[name].domain.periodic)
+    source = _reading_source(parse(BUILTINS[name].source), BUILTINS[name].domain.periodic,
+                             COMPONENTS)
     scalar = source[source.index("def scalar(t):"):source.index("def array(t):")]
     body = scalar[scalar.index("try:\n") + 5:scalar.index("except (")]
     lines = [line.strip() for line in body.splitlines() if line.strip()]

@@ -11,7 +11,7 @@ import pytest
 from mcgehee import critical, expr, potentials, validate
 from mcgehee.certify import sweep_threshold
 from mcgehee.errors import DomainError
-from mcgehee.expr import TWO_PI, parse, shared_tables
+from mcgehee.expr import COMPONENTS, TWO_PI, parse, shared_tables
 from mcgehee.potentials import BUILTINS, Domain, PotentialSpec, compile_potential
 
 certify = sys.modules["mcgehee.certify"]   # the package exports the function
@@ -265,11 +265,11 @@ ONE_OVER_SIN = """def bind(p, lo, hi):
 
 
 def test_a_source_without_parameters_emits_no_table():
-    assert expr._source(parse("1/sin(theta)"), True) == ONE_OVER_SIN
+    assert expr._reading_source(parse("1/sin(theta)"), True, COMPONENTS) == ONE_OVER_SIN
 
 
 def test_the_table_reads_no_parameter_and_deletes_its_temporaries():
-    source = expr._source(parse(BUILTINS["yoshida_g"].source), True)
+    source = expr._reading_source(parse(BUILTINS["yoshida_g"].source), True, COMPONENTS)
     table, rest = source.split("tables = _shared(table)\n")
     lines = table.splitlines()
     assert lines[:2] == ["def table(t):", "    t, w = _waves(t, True)"]
